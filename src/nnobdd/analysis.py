@@ -5,6 +5,14 @@ ratios are `fractions.Fraction`, and the robustness of a trivial function
 is `math.inf` (a real sentinel, never a large integer, so it cannot
 silently poison an average).
 
+Instance robustness, fooling completions, marginals and unateness are
+single passes over the nodes the diagram already has: they allocate no
+nodes, never negate, condition or combine diagrams, and use explicit
+stacks, so no diagram depth can raise `RecursionError`.  A query about the
+negative label swaps the roles of the terminals instead of complementing
+the diagram.  Node ids double as a topological order, because a node is
+always created after both of its children.
+
 The robustness of an instance is the least number of input flips that
 changes the classifier's label; the robustness of a whole function is
 summarized by `RobustnessProfile`: exact per-level counts of how many
@@ -54,34 +62,43 @@ def _nontrivial(f: NodeRef) -> None:
         raise ValueError("trivial function: every instance has infinite robustness")
 
 
+def _reachable(f: NodeRef) -> list[int]:
+    """Nonterminal nodes reachable from ``f``, children before parents."""
+    nodes = f.manager._nodes
+    seen: set[int] = set()
+    stack = [f.i]
+    while stack:
+        u = stack.pop()
+        if u > 1 and u not in seen:
+            seen.add(u)
+            _, lo, hi = nodes[u]
+            stack.append(lo)
+            stack.append(hi)
+    return sorted(seen)  # a node's id exceeds its children's
+
+
 def instance_robustness(f: NodeRef, x: Sequence[int]) -> int | float:
     """Least number of bit flips of ``x`` that changes the label; inf if trivial.
 
-    Recurses on the diagram of the function (or its complement, so that the
-    instance is always on the positive side): reaching FALSE costs nothing
-    more, reaching TRUE means this branch never flips, and at a decision
-    node the choice is between following the instance's own branch and
-    paying one flip to follow the other.  Variables skipped by reduction
-    never need flipping, so the recursion memoizes per node.
+    One bottom-up pass over the diagram: the terminal opposite to the
+    instance's label costs nothing more, its own label's terminal is never
+    left, and at a decision node the choice is between following the
+    instance's own branch and paying one flip to follow the other.
+    Variables skipped by reduction never need flipping, so each node's
+    cost is computed once.
     """
     mgr = f.manager
     _check_instance(x, mgr.num_vars)
     if f.is_terminal:
         return math.inf
-    g = f if mgr.evaluate(f, x) else mgr.negate(f)
+    label = mgr.evaluate(f, x)
     nodes = mgr._nodes
-    memo: dict[int, int | float] = {0: 0, 1: math.inf}
-
-    def walk(u: int) -> int | float:
-        r = memo.get(u)
-        if r is None:
-            var, lo, hi = nodes[u]
-            same, other = (hi, lo) if x[var] else (lo, hi)
-            r = min(walk(same), 1 + walk(other))
-            memo[u] = r
-        return r
-
-    return walk(g.i)
+    cost: dict[int, int | float] = {1 - label: 0, label: math.inf}
+    for u in _reachable(f):
+        var, lo, hi = nodes[u]
+        same, other = (hi, lo) if x[var] else (lo, hi)
+        cost[u] = min(cost[same], 1 + cost[other])
+    return cost[f.i]
 
 
 def robust_sets(f: NodeRef, n: int | None = None) -> list[NodeRef]:
@@ -251,51 +268,43 @@ class Explanation:
 def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     """Smallest subset of ``x`` that forces its classification.
 
-    Works on the function or its complement so the instance is positive,
-    then minimizes over each decision variable the cheaper of keeping the
+    Minimizes over each decision variable the cheaper of keeping the
     instance's literal (one more committed bit) and releasing the variable
-    entirely, which requires the conjunction of both cofactors to still be
-    forced.  Among equal-cardinality witnesses the lower-indexed variable
-    is committed first, so the result is deterministic.
+    entirely, which requires both cofactors to still force the label: their
+    conjunction must reach TRUE for label 1, and by De Morgan their
+    disjunction must reach FALSE for label 0.  Among equal-cardinality
+    witnesses the lower-indexed variable is committed first, so the result
+    is deterministic.
     """
     mgr = f.manager
     _check_instance(x, mgr.num_vars)
     _nontrivial(f)
     label = mgr.evaluate(f, x)
-    g = f if label else mgr.negate(f)
+    release = "and" if label else "or"
     nodes = mgr._nodes
-    cost: dict[int, int | float] = {1: 0, 0: math.inf}
+    cost: dict[int, int | float] = {label: 0, 1 - label: math.inf}
     include: dict[int, bool] = {}
 
     def best(u: int) -> int | float:
         r = cost.get(u)
         if r is None:
-            var = nodes[u][0]
-            committed = 1 + best(mgr._cond_id(u, var, x[var]))
-            released = best(
-                mgr._apply_id("and", mgr._cond_id(u, var, 0), mgr._cond_id(u, var, 1))
-            )
-            if committed <= released:
-                cost[u] = committed
-                include[u] = True
-            else:
-                cost[u] = released
-                include[u] = False
-            r = cost[u]
+            var, lo, hi = nodes[u]
+            committed = 1 + best(hi if x[var] else lo)
+            released = best(mgr._apply_id(release, lo, hi))
+            include[u] = committed <= released
+            r = cost[u] = min(committed, released)
         return r
 
-    total = best(g.i)
+    total = best(f.i)
     literals: list[tuple[int, int]] = []
-    u = g.i
-    while u != 1:
-        var = nodes[u][0]
+    u = f.i
+    while u > 1:
+        var, lo, hi = nodes[u]
         if include[u]:
             literals.append((var, x[var]))
-            u = mgr._cond_id(u, var, x[var])
+            u = hi if x[var] else lo
         else:
-            u = mgr._apply_id(
-                "and", mgr._cond_id(u, var, 0), mgr._cond_id(u, var, 1)
-            )
+            u = mgr._apply_id(release, lo, hi)
     assert len(literals) == total
     return Explanation(tuple(literals), label)
 
@@ -310,6 +319,7 @@ def fooling_complete(
     The filler may be crafted to *look* like the opposite class; because
     the reason already forces the classification, the returned instance is
     still classified the same way, which is verified before returning.
+    Raises `ValueError` when the reason does not force a label.
     """
     mgr = f.manager
     _check_instance(fill, mgr.num_vars)
@@ -323,48 +333,179 @@ def fooling_complete(
             if var in pairs:
                 raise ValueError("variable %d assigned twice" % var)
             pairs[var] = bit
-    g = f
     for var, bit in pairs.items():
         if not 0 <= var < mgr.num_vars or bit not in (0, 1):
             raise ValueError("bad literal (%r, %r)" % (var, bit))
-        g = mgr.condition(g, var, bit)
-    if g.is_true:
-        label = 1
-    elif g.is_false:
-        label = 0
-    else:
-        raise ValueError("the given assignment is not a sufficient reason")
+    label = _forced_label(f, pairs)
     out = tuple(pairs.get(v, fill[v]) for v in range(mgr.num_vars))
     assert mgr.evaluate(f, out) == label
     return out
 
 
+def _forced_label(f: NodeRef, pairs: Mapping[int, int]) -> int:
+    """The label that fixing ``pairs`` forces on ``f``, in one walk.
+
+    Follows the fixed variables' branches and both branches of every free
+    variable, collecting the terminals reached; the label is forced exactly
+    when only one terminal is reachable.
+    """
+    nodes = f.manager._nodes
+    seen: set[int] = set()
+    reached: set[int] = set()
+    stack = [f.i]
+    while stack:
+        u = stack.pop()
+        if u <= 1:
+            reached.add(u)
+            if len(reached) == 2:
+                raise ValueError("the given assignment is not a sufficient reason")
+        elif u not in seen:
+            seen.add(u)
+            var, lo, hi = nodes[u]
+            bit = pairs.get(var)
+            if bit != 1:
+                stack.append(lo)
+            if bit != 0:
+                stack.append(hi)
+    (label,) = reached
+    return label
+
+
 # ------------------------------------------------------- per-variable views
+
+
+def _marginals(f: NodeRef, n: int | None = None) -> list[Fraction]:
+    """Probability that each variable is 1 among the satisfying instances.
+
+    Darwiche's differential pass: bottom-up model counts (the manager's
+    count cache) times top-down path mass give the models flowing along
+    every edge.  The models through a node labelled v's high edge are those
+    with v = 1; an edge that skips variables carries them with each skipped
+    variable free, so half of its models set it to 1, which a difference
+    array spreads over the skipped range.
+    """
+    mgr = f.manager
+    if not mgr.is_sat(f):
+        raise ValueError("marginals of an unsatisfiable function are undefined")
+    mgr.model_count(f, n)  # validates n against the support
+    nvars = mgr.num_vars
+    nodes = mgr._nodes
+    root_level = nodes[f.i][0]
+    total = mgr._count_id(f.i) << root_level
+    count = mgr._count_cache  # filled for every node below f by the line above
+    on = [0] * nvars  # models through the high edges of each variable's nodes
+    skipped = [0] * (nvars + 1)  # difference array of models on skipping edges
+    skipped[0] = total  # the variables above the root are free
+    skipped[root_level] -= total
+    mass = {f.i: 1 << root_level}  # assignments above a node that reach it
+    for u in reversed(_reachable(f)):
+        var, lo, hi = nodes[u]
+        m = mass.pop(u)
+        for child in (lo, hi):
+            if child == 0:
+                continue
+            level = nodes[child][0]
+            gap = level - var - 1
+            if child > 1:
+                mass[child] = mass.get(child, 0) + (m << gap)
+            flow = (m * count.get(child, child)) << gap  # TRUE counts 1
+            if child == hi:
+                on[var] += flow
+            if gap:
+                skipped[var + 1] += flow
+                skipped[level] -= flow
+    result = []
+    running = 0
+    for v in range(nvars):
+        running += skipped[v]
+        result.append(Fraction(on[v] + (running >> 1), total))
+    return result
 
 
 def marginal(f: NodeRef, var: int, n: int | None = None) -> Fraction:
     """Probability that ``var`` is 1 among the satisfying instances."""
+    _check_var(f, var)
+    return _marginals(f, n)[var]
+
+
+def _implies(nodes: list[tuple[int, int, int]], memo: dict, a: int, b: int) -> bool:
+    """Whether every model of node ``a`` is a model of node ``b``.
+
+    Walks both diagrams in lockstep with an explicit stack; ``memo`` holds
+    the answers for node pairs and may be shared between calls.
+    """
+
+    def known(a: int, b: int) -> bool | None:
+        if a == 0 or b == 1 or a == b:
+            return True
+        if a == 1 or b == 0:  # the other side is neither terminal nor equal
+            return False
+        return memo.get((a, b))
+
+    stack = [(a, b)]
+    while stack:
+        p, q = stack[-1]
+        if known(p, q) is not None:
+            stack.pop()
+            continue
+        vp, lp, hp = nodes[p]
+        vq, lq, hq = nodes[q]
+        v = vp if vp <= vq else vq
+        p0, p1 = (lp, hp) if vp == v else (p, p)
+        q0, q1 = (lq, hq) if vq == v else (q, q)
+        r = known(p0, q0)
+        if r is None:
+            stack.append((p0, q0))
+            continue
+        if r:
+            r = known(p1, q1)
+            if r is None:
+                stack.append((p1, q1))
+                continue
+        memo[(p, q)] = r
+        stack.pop()
+    return known(a, b)
+
+
+def _unateness(f: NodeRef, only: int | None = None) -> list[Unateness]:
+    """Unateness of every variable (or just ``only``) in one pass.
+
+    A variable is positive exactly when ``lo => hi`` holds at every
+    reachable node labelled with it, negative when ``hi => lo`` does, and
+    unused when no reachable node is labelled with it.
+    """
     mgr = f.manager
-    if not mgr.is_sat(f):
-        raise ValueError("marginals of an unsatisfiable function are undefined")
-    if n is None:
-        n = mgr.num_vars
-    on = mgr.model_count(mgr.condition(f, var, 1), n)
-    return Fraction(on, 2 * mgr.model_count(f, n))
+    nodes = mgr._nodes
+    used = [False] * mgr.num_vars
+    pos = [True] * mgr.num_vars
+    neg = [True] * mgr.num_vars
+    memo: dict[tuple[int, int], bool] = {}
+    for u in _reachable(f):
+        var, lo, hi = nodes[u]
+        if only is not None and var != only:
+            continue
+        used[var] = True
+        if pos[var] and not _implies(nodes, memo, lo, hi):
+            pos[var] = False
+        if neg[var] and not _implies(nodes, memo, hi, lo):
+            neg[var] = False
+
+    def label(v: int) -> Unateness:
+        if not used[v]:
+            return Unateness.UNUSED
+        if pos[v]:
+            return Unateness.POSITIVE
+        if neg[v]:
+            return Unateness.NEGATIVE
+        return Unateness.NONE
+
+    return [label(v) for v in range(mgr.num_vars)]
 
 
 def unateness(f: NodeRef, var: int) -> Unateness:
     """How flipping ``var`` from 0 to 1 can move the output, if at all."""
-    mgr = f.manager
-    c0 = mgr.condition(f, var, 0)
-    c1 = mgr.condition(f, var, 1)
-    if c0 == c1:
-        return Unateness.UNUSED
-    if not mgr.is_sat(c0 & ~c1):
-        return Unateness.POSITIVE
-    if not mgr.is_sat(c1 & ~c0):
-        return Unateness.NEGATIVE
-    return Unateness.NONE
+    _check_var(f, var)
+    return _unateness(f, var)[var]
 
 
 def marginal_grid(
@@ -372,11 +513,7 @@ def marginal_grid(
 ) -> list[tuple[int, int, int, Fraction]]:
     """(var, row, col, marginal) rows for a raster-ordered pixel grid."""
     _check_grid(f, height, width)
-    return [
-        (r * width + c, r, c, marginal(f, r * width + c, n))
-        for r in range(height)
-        for c in range(width)
-    ]
+    return _grid(_marginals(f, n), width)
 
 
 def unateness_grid(
@@ -384,11 +521,16 @@ def unateness_grid(
 ) -> list[tuple[int, int, int, Unateness]]:
     """(var, row, col, unateness) rows for a raster-ordered pixel grid."""
     _check_grid(f, height, width)
-    return [
-        (r * width + c, r, c, unateness(f, r * width + c))
-        for r in range(height)
-        for c in range(width)
-    ]
+    return _grid(_unateness(f), width)
+
+
+def _grid(values: list, width: int) -> list[tuple]:
+    return [(v, v // width, v % width, value) for v, value in enumerate(values)]
+
+
+def _check_var(f: NodeRef, var: int) -> None:
+    if not 0 <= var < f.manager.num_vars:
+        raise ValueError("variable %d out of range" % var)
 
 
 def _check_grid(f: NodeRef, height: int, width: int) -> None:

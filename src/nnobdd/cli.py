@@ -324,6 +324,13 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print("nnobdd: budget abort: %s" % e, file=sys.stderr)
         return 3
+    except RecursionError:
+        print(
+            "nnobdd: budget abort: %s: diagram too deep for the recursion limit"
+            % args.command,
+            file=sys.stderr,
+        )
+        return 3
     except (OSError, ValueError, OBDDError) as e:
         print("nnobdd: error: %s" % e, file=sys.stderr)
         return 2

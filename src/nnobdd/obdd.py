@@ -5,7 +5,8 @@ table, with reduction (no node whose branches coincide) applied eagerly at
 construction.  As a consequence two handles produced by the same manager
 denote the same Boolean function if and only if they are equal, which is
 what makes validity and satisfiability checks plain comparisons against
-the terminals.
+the terminals.  A node is always created after its children, so its id
+exceeds theirs and ascending ids are a topological order.
 
 There are no complement edges: negation is a memoized traversal that swaps
 the terminals.  There is no garbage collection; node stores only grow,
@@ -399,20 +400,32 @@ class Manager:
         return total >> (self.num_vars - n)
 
     def _count_id(self, u: int) -> int:
-        # models over the variables from this node's level to the end
-        if u == 0:
-            return 0
-        if u == 1:
-            return 1
-        r = self._count_cache.get(u)
-        if r is None:
-            nodes = self._nodes
-            var, lo, hi = nodes[u]
-            r = (self._count_id(lo) << (nodes[lo][0] - var - 1)) + (
-                self._count_id(hi) << (nodes[hi][0] - var - 1)
+        """Models over the variables from this node's level to the end.
+
+        Fills ``_count_cache`` for every uncached node below ``u`` with an
+        explicit stack, children first, so no diagram depth can overflow
+        the interpreter stack.
+        """
+        if u <= 1:
+            return u
+        cache = self._count_cache
+        nodes = self._nodes
+        todo: set[int] = set()
+        stack = [u]
+        while stack:
+            w = stack.pop()
+            if w > 1 and w not in cache and w not in todo:
+                todo.add(w)
+                _, lo, hi = nodes[w]
+                stack.append(lo)
+                stack.append(hi)
+        for w in sorted(todo):  # a node's id exceeds its children's
+            var, lo, hi = nodes[w]
+            # a terminal's count is its own id
+            cache[w] = (cache.get(lo, lo) << (nodes[lo][0] - var - 1)) + (
+                cache.get(hi, hi) << (nodes[hi][0] - var - 1)
             )
-            self._count_cache[u] = r
-        return r
+        return cache[u]
 
     def is_valid(self, f: NodeRef) -> bool:
         return self._own(f).i == 1

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nnobdd import (
+    Explanation,
     Manager,
     Unateness,
     dataset_average_robustness,
@@ -393,3 +394,140 @@ class TestGridsAndDatasets:
         m = Manager(2)
         with pytest.raises(ValueError):
             dataset_average_robustness(m.true, [(0, 0)])
+
+
+def oracle_functions(rng, count):
+    """Random functions of up to 10 variables plus the degenerate cases.
+
+    Tables built from formulas over a few of the variables leave others
+    out of the support, so edges skip variables, including above the root.
+    """
+    for _ in range(count):
+        n = rng.randint(1, 10)
+        m = Manager(n)
+        if rng.random() < 0.5:
+            expr = random_formula(rng, n, depth=rng.randint(1, 4))
+            table = formula_table(expr, n)
+        else:
+            table = [rng.randint(0, 1) for _ in range(1 << n)]
+        yield m, bdd_from_table(m, table), table
+    for n in (1, 3, 6):
+        m = Manager(n)
+        yield m, m.true, [1] * (1 << n)
+        yield m, m.false, [0] * (1 << n)
+        for var in (0, n - 1):
+            for positive in (True, False):
+                table = [
+                    int(bool((i >> var) & 1) == positive) for i in range(1 << n)
+                ]
+                yield m, m.literal(var, positive), table
+
+
+class TestSinglePassOracles:
+    def test_marginals_match_truth_table(self):
+        rng = random.Random(417)
+        for m, f, table in oracle_functions(rng, 80):
+            n = m.num_vars
+            if not any(table):
+                with pytest.raises(ValueError):
+                    marginal_grid(f, 1, n)
+                continue
+            expected = [tt_marginal(table, n, v) for v in range(n)]
+            assert [value for _, _, _, value in marginal_grid(f, 1, n)] == expected
+            assert [marginal(f, v) for v in range(n)] == expected
+
+    def test_marginals_with_fewer_counted_variables(self):
+        m = Manager(5)
+        f = m.literal(1) | m.literal(2)
+        assert marginal(f, 2, n=3) == Fraction(2, 3)
+        assert marginal(f, 4, n=3) == Fraction(1, 2)
+        with pytest.raises(ValueError):
+            marginal(f, 0, n=2)  # f depends on variable 2
+
+    def test_unateness_matches_truth_table(self):
+        rng = random.Random(418)
+        for m, f, table in oracle_functions(rng, 80):
+            n = m.num_vars
+            expected = [tt_unateness(table, n, v) for v in range(n)]
+            assert [u.value for _, _, _, u in unateness_grid(f, 1, n)] == expected
+            assert [unateness(f, v).value for v in range(n)] == expected
+
+    def test_variable_out_of_range_rejected(self):
+        m, f = or2()
+        with pytest.raises(ValueError):
+            marginal(f, 2)
+        with pytest.raises(ValueError):
+            unateness(f, -1)
+
+
+class TestQueriesAllocateNothing:
+    """The node store must not grow across a query: a deterministic gate."""
+
+    def test_no_nodes_for_either_label(self):
+        rng = random.Random(419)
+        for _ in range(30):
+            n = rng.randint(2, 8)
+            m = Manager(n)
+            f, table = random_nontrivial(rng, n, m)
+            for label in (0, 1):
+                i = table.index(label)
+                x = bits_of(i, n)
+                # releasing a variable still combines two cofactors, so a
+                # first call may add their conjunction (or disjunction)
+                reason = pi_explanation(f, x)
+                before = m.allocated
+                instance_robustness(f, x)
+                assert pi_explanation(f, x) == reason
+                fooling_complete(f, reason, bits_of(i ^ ((1 << n) - 1), n))
+                marginal_grid(f, 1, n)
+                unateness_grid(f, 1, n)
+                assert m.allocated == before
+
+    def test_no_negated_copy_for_label_zero(self):
+        m = Manager(6)
+        f = m.true
+        for v in reversed(range(6)):
+            f = m.literal(v) & f
+        before = m.allocated
+        x = (1, 0, 1, 1, 1, 1)
+        assert instance_robustness(f, x) == 1
+        reason = pi_explanation(f, x)
+        assert reason == Explanation(((1, 0),), 0)
+        assert fooling_complete(f, reason, (1,) * 6) == x
+        assert m.allocated == before
+
+    def test_insufficient_reason_rejected(self):
+        rng = random.Random(420)
+        for _ in range(20):
+            n = rng.randint(2, 7)
+            m = Manager(n)
+            f, table = random_nontrivial(rng, n, m)
+            x = bits_of(rng.randrange(1 << n), n)
+            reason = pi_explanation(f, x)
+            for dropped in range(reason.cardinality):
+                subset = reason.literals[:dropped] + reason.literals[dropped + 1 :]
+                with pytest.raises(ValueError):
+                    fooling_complete(f, subset, x)
+            with pytest.raises(ValueError):
+                fooling_complete(f, {}, x)
+
+
+class TestDeepDiagrams:
+    """A 1,200-variable conjunction is far deeper than the recursion limit."""
+
+    def test_queries_return(self):
+        n = 1200
+        m = Manager(n)
+        f = m.true
+        for v in reversed(range(n)):
+            f = m.literal(v) & f
+        ones = (1,) * n
+        assert instance_robustness(f, ones) == 1
+        assert instance_robustness(f, (0,) + ones[1:]) == 1
+        marg = marginal_grid(f, 30, 40)
+        assert {value for _, _, _, value in marg} == {1}
+        unate = unateness_grid(f, 30, 40)
+        assert {u for _, _, _, u in unate} == {Unateness.POSITIVE}
+        assert fooling_complete(f, {v: 1 for v in range(n)}, (0,) * n) == ones
+        assert fooling_complete(f, {7: 0}, ones) == ones[:7] + (0,) + ones[8:]
+        assert m.model_count(f) == 1

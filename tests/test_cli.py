@@ -4,6 +4,7 @@ import pytest
 
 from nnobdd import Manager, read_obdd, write_obdd
 from nnobdd.cli import main
+from nnobdd.formats import write_pbm
 
 NEURON3 = "weights: 1.15 0.95 -1.05\nbias: -0.52\n"
 OR_NEURON = "weights: 1 1\nthreshold: 1\n"  # x0 or x1
@@ -277,3 +278,31 @@ class TestStatsAndExitCodes:
     def test_mismatched_image_exits_2(self, workdir):
         out = compile_or(workdir)
         assert main(["eval", str(out), str(workdir / "img3.pbm")]) == 2
+
+
+class TestDeepDiagrams:
+    """A 1,200-variable conjunction, deeper than the recursion limit."""
+
+    @pytest.fixture
+    def deep(self, workdir):
+        m = Manager(1200)
+        f = m.true
+        for v in reversed(range(1200)):
+            f = m.literal(v) & f
+        path = workdir / "deep.obdd"
+        write_obdd(f, str(path))
+        image = workdir / "ones.pbm"
+        write_pbm((1,) * 1200, 30, 40, str(image))
+        return path, image
+
+    def test_stats(self, deep, capsys):
+        path, _ = deep
+        assert main(["stats", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert "nodes 1200" in text
+        assert "models 1" in text
+
+    def test_recursion_is_a_budget_abort(self, deep, capsys):
+        path, image = deep
+        assert main(["explain", str(path), str(image)]) == 3
+        assert "nnobdd: budget abort: explain:" in capsys.readouterr().err
