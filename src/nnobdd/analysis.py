@@ -18,9 +18,10 @@ changes the classifier's label; the robustness of a whole function is
 summarized by `RobustnessProfile`: exact per-level counts of how many
 instances need exactly k flips, their sum of flips, and the normalizations
 of that sum both by all 2**n instances and by the instances of the
-polarity alone.  The per-level sets are computed by repeatedly conjoining
-a function with both of its cofactors on every variable, which peels away
-the instances that sit within one flip of the boundary.
+polarity alone.  The per-level sets come from repeated erosion, which
+peels away the instances that sit within one flip of the boundary in one
+pass over the previous level's nodes; the negative label's levels come
+from dilating the function instead of eroding its complement.
 
 A sufficient reason for an instance is a minimum-cardinality subset of its
 bits that forces the classification no matter how the remaining bits are
@@ -104,35 +105,52 @@ def instance_robustness(f: NodeRef, x: Sequence[int]) -> int | float:
 def robust_sets(f: NodeRef, n: int | None = None) -> list[NodeRef]:
     """Diagrams of the positive instances with robustness >= k, for k = 1, 2, ...
 
-    The first entry is ``f`` itself; each next level conjoins, over every
-    variable, both cofactors of the previous level, keeping only instances
-    that stay positive under any single flip.  The list stops before the
-    first unsatisfiable level, which for a non-trivial function arrives
-    after at most n steps.
+    The first entry is ``f`` itself; each next level is the erosion of the
+    previous one, keeping only instances that stay positive under any single
+    flip.  The list stops before the first unsatisfiable level, which for a
+    non-trivial function arrives after at most n steps.
+    """
+    return _level_chain(f, n, dilate=False)
+
+
+def _level_chain(f: NodeRef, n: int | None, dilate: bool) -> list[NodeRef]:
+    """``f`` and its repeated erosions (or dilations) until FALSE (or TRUE).
+
+    Erosion keeps the instances whose every single flip satisfies the
+    function, node by node ``E(u) = mk(v, E(lo) & hi, E(hi) & lo)``; a
+    variable skipped by reduction never changes the value, so it imposes
+    nothing.  Dilation is its dual ``D(u) = mk(v, D(lo) | hi, D(hi) | lo)``,
+    adding every instance within one flip, and equals the complement of
+    eroding the complement.  One children-first pass per level.
     """
     mgr = f.manager
     _nontrivial(f)
     if n is None:
         n = mgr.num_vars
-    elif n < mgr.num_vars:
+    if not 0 <= n <= mgr.num_vars:
+        raise ValueError("n must be between 0 and the variable count")
+    if n < mgr.num_vars:
         sup = mgr.support(f)
-        if sup and max(sup) >= n:
+        if max(sup) >= n:
             raise ValueError(
                 "function depends on variable %d, beyond n=%d" % (max(sup), n)
             )
+    nodes = mgr._nodes
+    mk = mgr._mk_id
+    ite = mgr._ite_id
     levels = [f]
-    g = f
-    for _ in range(n + 1):
-        nxt = mgr.true
-        for v in range(n):
-            nxt = nxt & (mgr.condition(g, v, 1) & mgr.condition(g, v, 0))
-            if nxt.is_false:
-                break
-        if nxt.is_false:
+    while True:
+        nxt = {0: 0, 1: 1}
+        for u in _reachable(levels[-1]):
+            var, lo, hi = nodes[u]
+            if dilate:
+                nxt[u] = mk(var, ite(nxt[lo], 1, hi), ite(nxt[hi], 1, lo))
+            else:
+                nxt[u] = mk(var, ite(nxt[lo], hi, 0), ite(nxt[hi], lo, 0))
+        g = nxt[levels[-1].i]
+        if g == (1 if dilate else 0):
             return levels
-        levels.append(nxt)
-        g = nxt
-    raise AssertionError("robustness levels failed to shrink to FALSE")
+        levels.append(NodeRef(mgr, g))
 
 
 @dataclass(frozen=True)
@@ -192,11 +210,18 @@ class RobustnessProfile:
 
 
 def polarity_summary(f: NodeRef, n: int, polarity: str) -> PolaritySummary:
-    """Exact per-level robustness counts for one polarity of ``f``."""
+    """Exact per-level robustness counts for one polarity of ``f``.
+
+    The negative side dilates ``f`` instead of eroding its complement: the
+    negative instances with robustness > k are those outside ``D^k(f)``.
+    """
     mgr = f.manager
-    g = f if polarity == POSITIVE else mgr.negate(f)
-    levels = robust_sets(g, n)
-    sizes = [mgr.model_count(level, n) for level in levels]
+    if polarity == POSITIVE:
+        levels = _level_chain(f, n, dilate=False)
+        sizes = [mgr.model_count(level, n) for level in levels]
+    else:
+        levels = _level_chain(f, n, dilate=True)
+        sizes = [2**n - mgr.model_count(level, n) for level in levels]
     sizes.append(0)  # the level after the last satisfiable one is empty
     counts = tuple(
         (k, sizes[k - 1] - sizes[k])
@@ -212,7 +237,7 @@ def model_robustness(
     """Exact robustness profile of a non-trivial function.
 
     ``polarity`` selects whose instances are tallied: the positive ones,
-    the negative ones (the same computation on the complement), or both.
+    the negative ones (levels from dilation rather than erosion), or both.
     """
     _nontrivial(f)
     if n is None:
@@ -280,7 +305,7 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     _check_instance(x, mgr.num_vars)
     _nontrivial(f)
     label = mgr.evaluate(f, x)
-    release = "and" if label else "or"
+    ite = mgr._ite_id
     nodes = mgr._nodes
     cost: dict[int, int | float] = {label: 0, 1 - label: math.inf}
     include: dict[int, bool] = {}
@@ -290,7 +315,7 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
         if r is None:
             var, lo, hi = nodes[u]
             committed = 1 + best(hi if x[var] else lo)
-            released = best(mgr._apply_id(release, lo, hi))
+            released = best(ite(lo, hi, 0) if label else ite(lo, 1, hi))
             include[u] = committed <= released
             r = cost[u] = min(committed, released)
         return r
@@ -304,7 +329,7 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
             literals.append((var, x[var]))
             u = hi if x[var] else lo
         else:
-            u = mgr._apply_id(release, lo, hi)
+            u = ite(lo, hi, 0) if label else ite(lo, 1, hi)
     assert len(literals) == total
     return Explanation(tuple(literals), label)
 

@@ -1,32 +1,35 @@
-"""File formats: PBM/PGM images and the CSV table writers."""
+"""File formats: PBM/PGM images, the CSV table writers, and `opened`, which
+every reader and writer in the package uses to accept a path or a handle."""
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import IO, Sequence, Union
+from typing import IO, Iterator, Sequence, Union
 
 PathOrFile = Union[str, "IO[str]"]
 
 
-def _read_text(src: PathOrFile) -> str:
-    if hasattr(src, "read"):
-        return src.read()  # type: ignore[union-attr]
-    with open(src, "r") as fp:
-        return fp.read()
+@contextmanager
+def opened(
+    target: PathOrFile, mode: str = "r", newline: str | None = None
+) -> Iterator[IO[str]]:
+    """Use ``target`` if it is already a text handle, else open the path.
 
-
-def _write_text(dest: PathOrFile, text: str) -> None:
-    if hasattr(dest, "write"):
-        dest.write(text)  # type: ignore[union-attr]
-        return
-    with open(dest, "w") as fp:
-        fp.write(text)
+    Only a file opened here is closed on exit; a caller's handle stays open.
+    """
+    if hasattr(target, "write" if "w" in mode else "read"):
+        yield target  # type: ignore[misc]
+    else:
+        with open(target, mode, newline=newline) as fp:  # type: ignore[arg-type]
+            yield fp
 
 
 def read_pbm(src: PathOrFile) -> tuple[int, int, tuple[int, ...]]:
     """Read an ASCII (P1) bitmap; returns (height, width, raster bits)."""
-    text = _read_text(src)
+    with opened(src) as fp:
+        text = fp.read()
     tokens: list[str] = []
     for line in text.splitlines():
         body = line.split("#", 1)[0]
@@ -53,7 +56,8 @@ def write_pbm(bits: Sequence[int], height: int, width: int, dest: PathOrFile) ->
     lines = ["P1", "%d %d" % (width, height)]
     for r in range(height):
         lines.append(" ".join(str(bits[r * width + c]) for c in range(width)))
-    _write_text(dest, "\n".join(lines) + "\n")
+    with opened(dest, "w") as fp:
+        fp.write("\n".join(lines) + "\n")
 
 
 def write_pgm(values: Sequence[float], height: int, width: int, dest: PathOrFile) -> None:
@@ -72,56 +76,41 @@ def write_pgm(values: Sequence[float], height: int, width: int, dest: PathOrFile
     lines = ["P2", "%d %d" % (width, height), "255"]
     for r in range(height):
         lines.append(" ".join(str(gray[r * width + c]) for c in range(width)))
-    _write_text(dest, "\n".join(lines) + "\n")
-
-
-def _csv_writer(dest: PathOrFile):
-    if hasattr(dest, "write"):
-        return csv.writer(dest), None
-    fp = open(dest, "w", newline="")
-    return csv.writer(fp), fp
+    with opened(dest, "w") as fp:
+        fp.write("\n".join(lines) + "\n")
 
 
 def write_histogram_csv(counts, num_vars: int, dest: PathOrFile) -> None:
     """Rows `k,count,proportion`; proportions are exact fractions."""
-    writer, fp = _csv_writer(dest)
-    try:
+    with opened(dest, "w", newline="") as fp:
+        writer = csv.writer(fp)
         writer.writerow(["k", "count", "proportion"])
         for k, count in sorted(dict(counts).items()):
             writer.writerow([k, count, str(Fraction(count, 2**num_vars))])
-    finally:
-        if fp:
-            fp.close()
 
 
 def write_marginal_grid_csv(rows, dest: PathOrFile) -> None:
     """Rows `var,row,col,marginal` with exact fraction marginals."""
-    writer, fp = _csv_writer(dest)
-    try:
+    with opened(dest, "w", newline="") as fp:
+        writer = csv.writer(fp)
         writer.writerow(["var", "row", "col", "marginal"])
         for var, r, c, value in rows:
             writer.writerow([var, r, c, str(value)])
-    finally:
-        if fp:
-            fp.close()
 
 
 def write_unateness_grid_csv(rows, dest: PathOrFile) -> None:
     """Rows `var,row,col,label` with labels pos/neg/unused/none."""
-    writer, fp = _csv_writer(dest)
-    try:
+    with opened(dest, "w", newline="") as fp:
+        writer = csv.writer(fp)
         writer.writerow(["var", "row", "col", "label"])
         for var, r, c, value in rows:
             writer.writerow([var, r, c, value.value])
-    finally:
-        if fp:
-            fp.close()
 
 
 def write_sweep_csv(rows, dest: PathOrFile) -> None:
     """Rows `digits,accuracy,nodes,status`; blank cells for failed steps."""
-    writer, fp = _csv_writer(dest)
-    try:
+    with opened(dest, "w", newline="") as fp:
+        writer = csv.writer(fp)
         writer.writerow(["digits", "accuracy", "nodes", "status"])
         for row in rows:
             writer.writerow(
@@ -132,6 +121,3 @@ def write_sweep_csv(rows, dest: PathOrFile) -> None:
                     row.status,
                 ]
             )
-    finally:
-        if fp:
-            fp.close()

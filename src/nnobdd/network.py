@@ -26,8 +26,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import IO, Sequence, Union
+from typing import Sequence, Union
 
+from .formats import PathOrFile, opened
 from .neuron import LinearThresholdUnit, compile_pseudo, exact_decimal, quantize
 from .obdd import BudgetExceededError, Manager, NodeRef
 
@@ -281,10 +282,8 @@ def load_spec(text: str) -> NetworkSpec:
     return spec
 
 
-def read_spec(src: Union[str, "IO[str]"]) -> NetworkSpec:
-    if hasattr(src, "read"):
-        return load_spec(src.read())  # type: ignore[union-attr]
-    with open(src, "r") as fp:
+def read_spec(src: PathOrFile) -> NetworkSpec:
+    with opened(src) as fp:
         return load_spec(fp.read())
 
 
@@ -394,21 +393,12 @@ class CompiledNetwork:
         return tuple(self.manager.evaluate(f, mapped) for f in self.outputs)
 
 
-def _neuron_permutation(policy, arity: int):
-    if policy in (None, "identity"):
-        return None
-    if policy == "reverse":
-        return tuple(reversed(range(arity)))
-    raise ValueError("unknown neuron order policy %r" % policy)
-
-
 def compile_network(
     spec: NetworkSpec,
     quantize_digits: int,
     order_policy="raster",
     round_mode: str = "truncate",
     node_budget: int | None = None,
-    neuron_order="identity",
     manager: Manager | None = None,
 ) -> CompiledNetwork:
     """Compile every network output to a canonical diagram over the pixels.
@@ -417,10 +407,9 @@ def compile_network(
     locally over placeholder variables, and composed with its input wires.
     ``order_policy`` fixes which pixel each diagram variable stands for:
     ``"raster"`` (row-major, the default) or an explicit permutation of the
-    pixel indices.  ``neuron_order`` only permutes the placeholder order
-    inside each local neuron compilation and never changes the result.
-    Passing a ``manager`` compiles into it (so separate compilations become
-    handle-comparable); otherwise a fresh one is created with the budget.
+    pixel indices.  Passing a ``manager`` compiles into it (so separate
+    compilations become handle-comparable); otherwise a fresh one is created
+    with the budget.
 
     Raises `BudgetExceededError`, annotated with how far compilation got,
     when the node budget is exhausted.
@@ -457,12 +446,11 @@ def compile_network(
         raise BudgetExceededError("%s while building the input wires" % e) from e
     share: dict = {}
 
-    def compose_unit(neuron_ref: NodeRef, perm, inputs: list[NodeRef], tag) -> NodeRef:
-        subs = [inputs[p] for p in perm] if perm else inputs
-        key = (tag, tuple(s.i for s in subs))
+    def compose_unit(neuron_ref: NodeRef, inputs: list[NodeRef], tag) -> NodeRef:
+        key = (tag, tuple(s.i for s in inputs))
         out = share.get(key)
         if out is None:
-            out = manager.compose(neuron_ref, subs)
+            out = manager.compose(neuron_ref, inputs)
             share[key] = out
         return out
 
@@ -472,7 +460,6 @@ def compile_network(
                 fc, fh, fw = layer.filters[0].shape
                 ih, iw = len(wires[0]), len(wires[0][0])
                 arity = fc * fh * fw
-                perm = _neuron_permutation(neuron_order, arity)
                 out = []
                 for f_idx, f in enumerate(layer.filters):
                     unit = quantize(
@@ -481,7 +468,7 @@ def compile_network(
                         round_mode,
                     )
                     pmgr = Manager(arity, node_budget=node_budget)
-                    neuron_ref = compile_pseudo(unit, pmgr, order=perm)
+                    neuron_ref = compile_pseudo(unit, pmgr)
                     grid = []
                     for r0 in range(0, ih - fh + 1, layer.stride):
                         row = []
@@ -493,7 +480,7 @@ def compile_network(
                                 for j in range(fw)
                             ]
                             row.append(
-                                compose_unit(neuron_ref, perm, window, (idx, f_idx))
+                                compose_unit(neuron_ref, window, (idx, f_idx))
                             )
                         grid.append(row)
                     out.append(grid)
@@ -518,17 +505,14 @@ def compile_network(
             else:  # DenseStep
                 flat = _flatten_wires(wires)
                 arity = len(flat)
-                perm = _neuron_permutation(neuron_order, arity)
                 out_flat = []
                 for u_idx, (row, bias) in enumerate(zip(layer.weights, layer.biases)):
                     unit = quantize(
                         LinearThresholdUnit(row, bias), quantize_digits, round_mode
                     )
                     pmgr = Manager(arity, node_budget=node_budget)
-                    neuron_ref = compile_pseudo(unit, pmgr, order=perm)
-                    out_flat.append(
-                        compose_unit(neuron_ref, perm, flat, (idx, u_idx))
-                    )
+                    neuron_ref = compile_pseudo(unit, pmgr)
+                    out_flat.append(compose_unit(neuron_ref, flat, (idx, u_idx)))
                 wires = out_flat
         except BudgetExceededError as e:
             raise BudgetExceededError(

@@ -30,8 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Sequence, Union
+from typing import Sequence
 
+from .formats import PathOrFile, opened
 from .obdd import Manager, NodeRef
 
 _INT_LIMIT = 2**63
@@ -367,20 +368,11 @@ def format_neuron(unit: LinearThresholdUnit | IntThresholdUnit) -> str:
     )
 
 
-PathOrFile = Union[str, "IO[str]"]
-
-
 def read_neuron(src: PathOrFile) -> LinearThresholdUnit | IntThresholdUnit:
-    if hasattr(src, "read"):
-        return parse_neuron(src.read())  # type: ignore[union-attr]
-    with open(src, "r") as fp:
+    with opened(src) as fp:
         return parse_neuron(fp.read())
 
 
 def write_neuron(unit, dest: PathOrFile) -> None:
-    text = format_neuron(unit)
-    if hasattr(dest, "write"):
-        dest.write(text)  # type: ignore[union-attr]
-        return
-    with open(dest, "w") as fp:
-        fp.write(text)
+    with opened(dest, "w") as fp:
+        fp.write(format_neuron(unit))

@@ -8,8 +8,10 @@ what makes validity and satisfiability checks plain comparisons against
 the terminals.  A node is always created after its children, so its id
 exceeds theirs and ascending ids are a topological order.
 
-There are no complement edges: negation is a memoized traversal that swaps
-the terminals.  There is no garbage collection; node stores only grow,
+Every combining operation is one memoized if-then-else, `ite`: conjunction,
+disjunction, exclusive or, negation and substitution all reduce to it and
+share its cache.  There are no complement edges, so a negation is a diagram
+of its own.  There is no garbage collection; node stores only grow,
 which is fine at the sizes this package targets, and an optional node
 budget turns runaway growth into a `BudgetExceededError` instead of an
 out-of-memory failure.
@@ -23,7 +25,9 @@ operation caches are the only mutable state.
 from __future__ import annotations
 
 import re
-from typing import IO, Sequence, Union
+from typing import Sequence
+
+from .formats import PathOrFile, opened
 
 
 class OBDDError(Exception):
@@ -122,9 +126,7 @@ class Manager:
             (num_vars, 1, 1),
         ]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._apply_cache: dict[tuple[str, int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
-        self._neg_cache: dict[int, int] = {}
         self._cond_cache: dict[tuple[int, int, int], int] = {}
         self._count_cache: dict[int, int] = {}
         self.false = NodeRef(self, 0)
@@ -195,72 +197,16 @@ class Manager:
         op = op.lower()
         if op not in _OPS:
             raise ValueError("unsupported operation %r" % op)
-        self._own(f)
-        self._own(g)
-        return NodeRef(self, self._apply_id(op, f.i, g.i))
-
-    def _apply_id(self, op: str, a: int, b: int) -> int:
+        a, b = self._own(f).i, self._own(g).i
         if op == "and":
-            if a == 0 or b == 0:
-                return 0
-            if a == 1:
-                return b
-            if b == 1:
-                return a
-            if a == b:
-                return a
-        elif op == "or":
-            if a == 1 or b == 1:
-                return 1
-            if a == 0:
-                return b
-            if b == 0:
-                return a
-            if a == b:
-                return a
-        else:  # xor
-            if a == b:
-                return 0
-            if a == 0:
-                return b
-            if b == 0:
-                return a
-            if a == 1:
-                return self._neg_id(b)
-            if b == 1:
-                return self._neg_id(a)
-        if a > b:
-            a, b = b, a
-        key = (op, a, b)
-        r = self._apply_cache.get(key)
-        if r is None:
-            nodes = self._nodes
-            va, la, ha = nodes[a]
-            vb, lb, hb = nodes[b]
-            v = va if va <= vb else vb
-            a0, a1 = (la, ha) if va == v else (a, a)
-            b0, b1 = (lb, hb) if vb == v else (b, b)
-            r = self._mk_id(
-                v, self._apply_id(op, a0, b0), self._apply_id(op, a1, b1)
-            )
-            self._apply_cache[key] = r
-        return r
+            return NodeRef(self, self._ite_id(a, b, 0))
+        if op == "or":
+            return NodeRef(self, self._ite_id(a, 1, b))
+        return NodeRef(self, self._ite_id(a, self._ite_id(b, 0, 1), b))
 
     def negate(self, f: NodeRef) -> NodeRef:
         """Complement a diagram; an involution on handles."""
-        self._own(f)
-        return NodeRef(self, self._neg_id(f.i))
-
-    def _neg_id(self, u: int) -> int:
-        if u <= 1:
-            return 1 - u
-        r = self._neg_cache.get(u)
-        if r is None:
-            var, lo, hi = self._nodes[u]
-            r = self._mk_id(var, self._neg_id(lo), self._neg_id(hi))
-            self._neg_cache[u] = r
-            self._neg_cache[r] = u
-        return r
+        return NodeRef(self, self._ite_id(self._own(f).i, 0, 1))
 
     def ite(self, i: NodeRef, t: NodeRef, e: NodeRef) -> NodeRef:
         """If-then-else: ``(i and t) or (not i and e)``."""
@@ -269,34 +215,42 @@ class Manager:
         self._own(e)
         return NodeRef(self, self._ite_id(i.i, t.i, e.i))
 
-    def _ite_id(self, i: int, t: int, e: int) -> int:
-        if i == 1:
-            return t
-        if i == 0:
-            return e
-        if t == e:
-            return t
-        if t == 1 and e == 0:
-            return i
-        if t == 0 and e == 1:
-            return self._neg_id(i)
-        key = (i, t, e)
+    def _ite_id(self, f: int, g: int, h: int) -> int:
+        """The one memoized combining operation; every connective reduces to it."""
+        if f <= 1:
+            return g if f else h
+        if g == f:
+            g = 1
+        if h == f:
+            h = 0
+        if g == h:
+            return g
+        if h == 0:
+            if g == 1:
+                return f
+            if f > g:  # f & g and g & f share one key
+                f, g = g, f
+        elif g == 1 and f > h:  # likewise f | h and h | f
+            f, h = h, f
+        key = (f, g, h)
         r = self._ite_cache.get(key)
         if r is None:
             nodes = self._nodes
-            v = min(nodes[i][0], nodes[t][0], nodes[e][0])
-
-            def cof(u: int, b: int) -> int:
-                var, lo, hi = nodes[u]
-                if var != v:
-                    return u
-                return hi if b else lo
-
-            r = self._mk_id(
-                v,
-                self._ite_id(cof(i, 0), cof(t, 0), cof(e, 0)),
-                self._ite_id(cof(i, 1), cof(t, 1), cof(e, 1)),
-            )
+            vf, f0, f1 = nodes[f]
+            vg, g0, g1 = nodes[g]
+            vh, h0, h1 = nodes[h]
+            v = vf
+            if vg < v:
+                v = vg
+            if vh < v:
+                v = vh
+            if vf != v:
+                f0 = f1 = f
+            if vg != v:
+                g0 = g1 = g
+            if vh != v:
+                h0 = h1 = h
+            r = self._mk_id(v, self._ite_id(f0, g0, h0), self._ite_id(f1, g1, h1))
             self._ite_cache[key] = r
         return r
 
@@ -333,9 +287,9 @@ class Manager:
         the result evaluates to f applied to the evaluations of the
         substituents at x.
         """
-        src = f.manager
         if not isinstance(f, NodeRef):
             raise ValueError("expected a NodeRef")
+        src = f.manager
         if len(subs) != src.num_vars:
             raise ValueError(
                 "arity mismatch: %d substituents for %d variables"
@@ -499,20 +453,6 @@ class Manager:
 
 _HEADER = re.compile(r"^obdd\s+n=(\d+)\s+root=(\d+)\s*$")
 
-PathOrFile = Union[str, "IO[str]"]
-
-
-def _writing(dest: PathOrFile) -> tuple[IO[str], bool]:
-    if hasattr(dest, "write"):
-        return dest, False  # type: ignore[return-value]
-    return open(dest, "w"), True
-
-
-def _reading(src: PathOrFile) -> tuple[IO[str], bool]:
-    if hasattr(src, "read"):
-        return src, False  # type: ignore[return-value]
-    return open(src, "r"), True
-
 
 def write_obdd(f: NodeRef, dest: PathOrFile) -> None:
     """Serialize a diagram to the diffable text format."""
@@ -535,15 +475,11 @@ def write_obdd(f: NodeRef, dest: PathOrFile) -> None:
     ids = {0: 0, 1: 1}
     for k, u in enumerate(order):
         ids[u] = k + 2
-    fp, close = _writing(dest)
-    try:
+    with opened(dest, "w") as fp:
         fp.write("obdd n=%d root=%d\n" % (mgr.num_vars, ids[f.i]))
         for u in order:
             var, lo, hi = mgr._nodes[u]
             fp.write("%d %d %d %d\n" % (ids[u], var, ids[lo], ids[hi]))
-    finally:
-        if close:
-            fp.close()
 
 
 def read_obdd(src: PathOrFile, manager: Manager | None = None) -> NodeRef:
@@ -552,12 +488,8 @@ def read_obdd(src: PathOrFile, manager: Manager | None = None) -> NodeRef:
     When ``manager`` is given its variable count must match the file; this
     allows round-trip comparisons against handles built in that manager.
     """
-    fp, close = _reading(src)
-    try:
+    with opened(src) as fp:
         lines = [ln.strip() for ln in fp]
-    finally:
-        if close:
-            fp.close()
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty diagram file")

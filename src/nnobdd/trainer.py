@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .formats import PathOrFile, opened
 from .neuron import (
     LinearThresholdUnit,
     QuantizationError,
@@ -79,17 +80,10 @@ class LabeledDataset:
             yield tuple(int(b) for b in bits), int(label)
 
 
-PathOrFile = Union[str, "IO[str]"]
-
-
 def read_dataset_csv(src: PathOrFile) -> LabeledDataset:
     """Read `bit,...,bit,label` rows (no header)."""
-    if hasattr(src, "read"):
-        reader = csv.reader(src)  # type: ignore[arg-type]
-        rows = [row for row in reader if row]
-    else:
-        with open(src, newline="") as fp:
-            rows = [row for row in csv.reader(fp) if row]
+    with opened(src, newline="") as fp:
+        rows = [row for row in csv.reader(fp) if row]
     if not rows:
         raise ValueError("empty dataset file")
     feats, labels = [], []
@@ -109,16 +103,10 @@ def read_dataset_csv(src: PathOrFile) -> LabeledDataset:
 
 
 def write_dataset_csv(dataset: LabeledDataset, dest: PathOrFile) -> None:
-    def emit(fp):
+    with opened(dest, "w", newline="") as fp:
         writer = csv.writer(fp)
         for bits, label in dataset.rows():
             writer.writerow(list(bits) + [label])
-
-    if hasattr(dest, "write"):
-        emit(dest)
-    else:
-        with open(dest, "w", newline="") as fp:
-            emit(fp)
 
 
 def _sigmoid(z):

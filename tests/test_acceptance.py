@@ -334,7 +334,8 @@ def test_criterion_10_non_reproduced_numbers_documented():
     """The externally-trained reference results are stated as not reproduced."""
     started = time.perf_counter()
     failures = []
-    readme = open(os.path.join(ROOT, "README.md")).read()
+    with open(os.path.join(ROOT, "README.md")) as fp:
+        readme = fp.read()
     needed = [
         "98.74", "98.18", "96.93",
         "5,900", "28,735", "1,298", "3,653", "203", "440",

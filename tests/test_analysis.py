@@ -130,6 +130,19 @@ class TestRobustSets:
         with pytest.raises(ValueError):
             robust_sets(m.true)
 
+    def test_n_out_of_range_rejected(self):
+        m = Manager(3)
+        f = m.literal(0) | m.literal(1) | m.literal(2)
+        for n in (-1, 4):
+            with pytest.raises(ValueError):
+                robust_sets(f, n)
+            with pytest.raises(ValueError):
+                max_robustness(f, n)
+            with pytest.raises(ValueError):
+                model_robustness(f, n)
+            with pytest.raises(ValueError):
+                robustness_histogram(f, n)
+
 
 class TestModelRobustness:
     def test_single_variable(self):
@@ -510,6 +523,31 @@ class TestQueriesAllocateNothing:
                     fooling_complete(f, subset, x)
             with pytest.raises(ValueError):
                 fooling_complete(f, {}, x)
+
+
+class TestRobustnessBuildsOnlyThroughIte:
+    """Level sets come from erosion and dilation passes, never from cofactors."""
+
+    def test_no_negate_or_condition(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("robustness queries must not call this")
+
+        monkeypatch.setattr(Manager, "negate", forbidden)
+        monkeypatch.setattr(Manager, "condition", forbidden)
+        rng = random.Random(421)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            m = Manager(n)
+            f, table = random_nontrivial(rng, n, m)
+            profile = model_robustness(f, polarity="both")
+            assert dict(profile.positive.counts) == robustness_counts(table, n, True)
+            assert dict(profile.negative.counts) == robustness_counts(table, n, False)
+            assert profile.mr == mean_robustness(table, n)
+            assert max_robustness(f) == max_positive_robustness(table, n)
+            negative = robustness_counts(table, n, False)
+            assert robustness_histogram(f, polarity="negative") == {
+                k: Fraction(c, 1 << n) for k, c in negative.items()
+            }
 
 
 class TestDeepDiagrams:

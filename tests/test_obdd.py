@@ -70,6 +70,15 @@ class TestApply:
         with pytest.raises(ValueError):
             m3.apply("and", m3.literal(0), other.literal(0))
 
+    def test_spellings_share_one_ite_entry(self, m3):
+        a = m3.literal(0) | m3.literal(2)
+        b = m3.literal(1) ^ m3.literal(2)
+        conj, disj = a & b, a | b
+        entries = len(m3._ite_cache)
+        assert b & a == conj and m3.ite(a, b, a) == conj
+        assert b | a == disj and m3.ite(a, a, b) == disj
+        assert len(m3._ite_cache) == entries
+
     def test_unknown_op(self, m3):
         with pytest.raises(ValueError):
             m3.apply("nand", m3.literal(0), m3.literal(1))
@@ -140,6 +149,10 @@ class TestCompose:
         base = Manager(2)
         with pytest.raises(ValueError):
             base.compose(holes.literal(0), [base.literal(0)])
+
+    def test_non_handle_rejected(self):
+        with pytest.raises(ValueError):
+            Manager(2).compose("x", [])
 
 
 class TestCounting:
