@@ -37,7 +37,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .obdd import NodeRef
+from .obdd import NodeRef, _reachable
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -61,21 +61,6 @@ def _check_instance(x: Sequence[int], n: int) -> None:
 def _nontrivial(f: NodeRef) -> None:
     if f.is_terminal:
         raise ValueError("trivial function: every instance has infinite robustness")
-
-
-def _reachable(f: NodeRef) -> list[int]:
-    """Nonterminal nodes reachable from ``f``, children before parents."""
-    nodes = f.manager._nodes
-    seen: set[int] = set()
-    stack = [f.i]
-    while stack:
-        u = stack.pop()
-        if u > 1 and u not in seen:
-            seen.add(u)
-            _, lo, hi = nodes[u]
-            stack.append(lo)
-            stack.append(hi)
-    return sorted(seen)  # a node's id exceeds its children's
 
 
 def instance_robustness(f: NodeRef, x: Sequence[int]) -> int | float:

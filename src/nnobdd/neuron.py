@@ -11,7 +11,8 @@ Real parameters are everywhere interpreted at their printed decimal value:
 a weight written 1.15 means the rational 115/100 exactly, not the nearest
 binary float.  Without this, scaling 1.15 by 100 would truncate to 114.
 `exact_decimal` implements the convention and the quantizer, the exact
-compiler and `fires` all go through it.
+compiler and `fires` all go through it; `fires` scales a unit's decimals
+to integers over their common denominator once and then sums integers.
 
 Two compilers are provided.  `compile_pseudo` builds the diagram of an
 integer unit by dynamic programming over residual thresholds: processing
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .formats import PathOrFile, opened
@@ -49,6 +51,18 @@ def exact_decimal(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     return Fraction(str(value))
+
+
+def _common_scale(weights: Sequence, offset) -> tuple[tuple[int, ...], int]:
+    """Exact decimals of the weights and an offset as integers over one denominator.
+
+    The denominator is positive, so sums and comparisons of the integers
+    decide exactly what they decide on the decimals themselves.
+    """
+    exact = [exact_decimal(v) for v in weights] + [exact_decimal(offset)]
+    den = math.lcm(*(q.denominator for q in exact))
+    *scaled, last = (q.numerator * (den // q.denominator) for q in exact)
+    return tuple(scaled), last
 
 
 @dataclass(frozen=True)
@@ -76,15 +90,16 @@ class LinearThresholdUnit:
             raise ValueError("instance width mismatch")
         return sum(w * b for w, b in zip(self.weights, x)) + self.bias
 
+    @cached_property
+    def _scaled(self) -> tuple[tuple[int, ...], int]:
+        return _common_scale(self.weights, self.bias)
+
     def fires(self, x: Sequence[int]) -> int:
         """Step output on one instance, decided in exact decimal arithmetic."""
         if len(x) != self.arity:
             raise ValueError("instance width mismatch")
-        total = sum(
-            (exact_decimal(w) for w, b in zip(self.weights, x) if b),
-            start=Fraction(0),
-        )
-        return 1 if total + exact_decimal(self.bias) >= 0 else 0
+        weights, bias = self._scaled
+        return 1 if sum(w for w, b in zip(weights, x) if b) + bias >= 0 else 0
 
 
 @dataclass(frozen=True)
@@ -102,14 +117,15 @@ class ThresholdForm:
     def arity(self) -> int:
         return len(self.weights)
 
+    @cached_property
+    def _scaled(self) -> tuple[tuple[int, ...], int]:
+        return _common_scale(self.weights, self.threshold)
+
     def fires(self, x: Sequence[int]) -> int:
         if len(x) != self.arity:
             raise ValueError("instance width mismatch")
-        total = sum(
-            (exact_decimal(w) for w, b in zip(self.weights, x) if b),
-            start=Fraction(0),
-        )
-        return 1 if total >= exact_decimal(self.threshold) else 0
+        weights, threshold = self._scaled
+        return 1 if sum(w for w, b in zip(weights, x) if b) >= threshold else 0
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,18 @@ the terminals.  A node is always created after its children, so its id
 exceeds theirs and ascending ids are a topological order.
 
 Every combining operation is one memoized if-then-else, `ite`: conjunction,
-disjunction, exclusive or, negation and substitution all reduce to it and
-share its cache.  There are no complement edges, so a negation is a diagram
-of its own.  There is no garbage collection; node stores only grow,
-which is fine at the sizes this package targets, and an optional node
-budget turns runaway growth into a `BudgetExceededError` instead of an
-out-of-memory failure.
+disjunction, exclusive or and negation all reduce to it and share its
+cache.  Substitution (`compose`) replaces a node testing variable k by
+``ite(s_k, g, h)``, with g and h the substituted branches.  When every
+variable of ``s_k`` comes before the top variables of both g and h, that
+ite is ``s_k`` with its TRUE terminal replaced by g and its FALSE terminal
+by h, so `compose` grafts g and h onto a copy of ``s_k`` in one pass over
+its nodes, without the ite cache; otherwise it calls `ite`.
+
+There are no complement edges, so a negation is a diagram of its own.
+There is no garbage collection; node stores only grow, which is fine at
+the sizes this package targets, and an optional node budget turns runaway
+growth into a `BudgetExceededError` instead of an out-of-memory failure.
 
 A manager and every handle it produced must be confined to a single thread
 of control at a time.  Distinct managers are fully independent and may be
@@ -102,6 +108,21 @@ class NodeRef:
             return "<NodeRef TRUE>"
         var = self.manager._nodes[self.i][0]
         return "<NodeRef %d var=%d>" % (self.i, var)
+
+
+def _reachable(f: NodeRef) -> list[int]:
+    """Nonterminal nodes reachable from ``f``, children before parents."""
+    nodes = f.manager._nodes
+    seen: set[int] = set()
+    stack = [f.i]
+    while stack:
+        u = stack.pop()
+        if u > 1 and u not in seen:
+            seen.add(u)
+            _, lo, hi = nodes[u]
+            stack.append(lo)
+            stack.append(hi)
+    return sorted(seen)  # a node's id exceeds its children's
 
 
 class Manager:
@@ -286,6 +307,13 @@ class Manager:
         replaces its variable ``k``.  For every instance x of this manager,
         the result evaluates to f applied to the evaluations of the
         substituents at x.
+
+        One children-first loop over the nodes of ``f``: a node ``(k, lo,
+        hi)`` becomes ``ite(s, g, h)`` with ``s = subs[k]`` and g, h the
+        results for hi and lo.  When s is not a terminal, g differs from h
+        and the deepest variable of s comes before the top variables of
+        both g and h, the result is s with TRUE replaced by g and FALSE by
+        h, built in one children-first pass over the nodes of s.
         """
         if not isinstance(f, NodeRef):
             raise ValueError("expected a NodeRef")
@@ -297,19 +325,32 @@ class Manager:
             )
         for s in subs:
             self._own(s)
-        sub_ids = [s.i for s in subs]
+        nodes = self._nodes
         src_nodes = src._nodes
-        memo = {0: 0, 1: 1}
-
-        def walk(u: int) -> int:
-            r = memo.get(u)
-            if r is None:
-                var, lo, hi = src_nodes[u]
-                r = self._ite_id(sub_ids[var], walk(hi), walk(lo))
-                memo[u] = r
-            return r
-
-        return NodeRef(self, walk(f.i))
+        mk = self._mk_id
+        # per distinct substituent id: (deepest variable, its nodes children first)
+        grafts: dict[int, tuple[int, list[int]]] = {}
+        res = {0: 0, 1: 1}
+        for u in _reachable(f):
+            k, lo, hi = src_nodes[u]
+            s = subs[k].i
+            g = res[hi]
+            h = res[lo]
+            if s > 1 and g != h:
+                plan = grafts.get(s)
+                if plan is None:
+                    order = _reachable(subs[k])
+                    plan = grafts[s] = (max(nodes[w][0] for w in order), order)
+                deepest, order = plan
+                if deepest < nodes[g][0] and deepest < nodes[h][0]:
+                    new = {0: h, 1: g}
+                    for w in order:
+                        v, wlo, whi = nodes[w]
+                        new[w] = mk(v, new[wlo], new[whi])
+                    res[u] = new[s]
+                    continue
+            res[u] = self._ite_id(s, g, h)
+        return NodeRef(self, res[f.i])
 
     # ------------------------------------------------------------- queries
 

@@ -79,15 +79,21 @@ def table_of(f, n) -> list[int]:
     return [mgr.evaluate(f, bits_of(i, mgr.num_vars)) for i in range(1 << n)]
 
 
-def bdd_from_table(manager, table):
-    """Build a diagram for an explicit truth table via Shannon splits."""
+def bdd_from_table(manager, table, variables=None):
+    """Build a diagram for an explicit truth table via Shannon splits.
+
+    Bit k of the table index is the value of ``variables[k]`` (by default
+    variable k).
+    """
+    if variables is None:
+        variables = range(manager.num_vars)
 
     def build(depth, tbl):
         if len(tbl) == 1:
             return manager.true if tbl[0] else manager.false
         lo = build(depth + 1, tbl[0::2])
         hi = build(depth + 1, tbl[1::2])
-        return manager.ite(manager.literal(depth), hi, lo)
+        return manager.ite(manager.literal(variables[depth]), hi, lo)
 
     return build(0, list(table))
 

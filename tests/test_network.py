@@ -234,3 +234,48 @@ class TestCompileNetwork:
         )
         net = compile_network(spec, 1)
         assert len(net.outputs) == 4
+
+
+class TestComposeDepth:
+    """A 1,024-input neuron compiles without deep recursion in `compose`."""
+
+    @pytest.mark.parametrize("bias", [-1.0, -1024.0], ids=["or", "and"])
+    def test_32x32_single_dense_neuron(self, bias):
+        spec = NetworkSpec((32, 32), (DenseStep(((1.0,) * 1024,), (bias,)),))
+        net = compile_network(spec, 0)
+        assert net.manager.node_count(net.outputs[0]) == 1024
+        rng = random.Random(1024)
+        for x in ((1,) * 1024, (0,) * 1024, bits_of(rng.getrandbits(1024), 1024)):
+            assert net.evaluate(x) == forward_eval(spec, x)
+
+
+def block_order(size, block):
+    """Pixels block by block: block rows, block columns, then raster inside."""
+    return tuple(
+        (br + i) * size + bc + j
+        for br in range(0, size, block)
+        for bc in range(0, size, block)
+        for i in range(block)
+        for j in range(block)
+    )
+
+
+class TestComposeGraftsBlockOrder:
+    def test_conv_then_dense_needs_no_ite(self):
+        # block order puts every window's pixels, and every dense input's
+        # support, before the variables of the inputs that follow it
+        rng = random.Random(16)
+        weights = tuple(
+            tuple(round(rng.uniform(-2, 2), 1) for _ in range(4)) for _ in range(4)
+        )
+        conv = conv_layer(weights, -1.0, 4)
+        rows = tuple(
+            tuple(rng.choice((-1.0, 1.0, 2.0)) for _ in range(16)) for _ in range(2)
+        )
+        dense = DenseStep(rows, (-3.0, -5.0))
+        spec = NetworkSpec((16, 16), (conv, dense))
+        net = compile_network(spec, 1, order_policy=block_order(16, 4))
+        assert len(net.manager._ite_cache) == 0
+        for _ in range(100):
+            x = bits_of(rng.getrandbits(256), 256)
+            assert net.evaluate(x) == forward_eval(spec, x)

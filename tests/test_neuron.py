@@ -1,6 +1,7 @@
 """Threshold units: bias folding, quantization, both compilers."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -56,6 +57,43 @@ class TestThresholdForm:
             form = to_threshold_form(unit)
             for x in all_instances(n):
                 assert unit.fires(x) == form.fires(x)
+
+
+def fraction_fires(weights, threshold, x):
+    """Reference step: exact decimals as Fractions, summed on every call."""
+    total = sum((Fraction(str(w)) for w, b in zip(weights, x) if b), Fraction(0))
+    return 1 if total >= Fraction(str(threshold)) else 0
+
+
+class TestExactFires:
+    POOL = (1.15, 0.95, -1.05, 1e-05, -1e-05, 0.1, 0.2, -0.3, 2.0, -7.0, 123.456)
+
+    def check(self, unit, n):
+        form = to_threshold_form(unit)
+        for x in all_instances(n):
+            expected = fraction_fires(unit.weights, -unit.bias, x)
+            assert unit.fires(x) == expected
+            assert form.fires(x) == expected
+
+    def test_worked_example(self):
+        self.check(WORKED, 3)
+
+    def test_random_units_match_fraction_reference(self):
+        rng = random.Random(77)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            weights = tuple(
+                rng.choice(self.POOL)
+                if rng.random() < 0.5
+                else round(rng.uniform(-3, 3), rng.randint(0, 6))
+                for _ in range(n)
+            )
+            if rng.random() < 0.5:  # a bias that some instance meets exactly
+                on = [w for w in weights if rng.random() < 0.5]
+                bias = -float(sum((Fraction(str(w)) for w in on), Fraction(0)))
+            else:
+                bias = rng.choice(self.POOL)
+            self.check(LinearThresholdUnit(weights, bias), n)
 
 
 class TestQuantize:

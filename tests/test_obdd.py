@@ -6,6 +6,7 @@ import random
 import pytest
 
 from nnobdd import BudgetExceededError, Manager, read_obdd, write_obdd
+from nnobdd.obdd import _reachable
 
 from oracles import (
     all_instances,
@@ -13,6 +14,7 @@ from oracles import (
     build_formula,
     eval_formula,
     formula_table,
+    index_of,
     random_formula,
     table_of,
 )
@@ -153,6 +155,89 @@ class TestCompose:
     def test_non_handle_rejected(self):
         with pytest.raises(ValueError):
             Manager(2).compose("x", [])
+
+
+def ite_compose(base, f, subs):
+    """Reference substitution: one `ite` per placeholder node, nothing else."""
+    res = {0: 0, 1: 1}
+    for u in _reachable(f):
+        k, lo, hi = f.manager._nodes[u]
+        res[u] = base._ite_id(subs[k].i, res[hi], res[lo])
+    return res[f.i]
+
+
+class TestComposeGraft:
+    """`compose` against truth tables and against a pure-ITE substitution.
+
+    Each substituent is given by a truth table over a list of variables of
+    the base manager, so its value on an instance is read off the table.
+    """
+
+    def check(self, rng, k, n, sub_vars):
+        """Compose a random placeholder function; return the ITE entries it made."""
+        holes = Manager(k)
+        base = Manager(n)
+        outer = [rng.randint(0, 1) for _ in range(1 << k)]
+        tables = [
+            [rng.randint(0, 1) for _ in range(1 << len(vs))] for vs in sub_vars
+        ]
+        subs = [bdd_from_table(base, t, vs) for t, vs in zip(tables, sub_vars)]
+        f = bdd_from_table(holes, outer)
+        base._ite_cache.clear()
+        composed = base.compose(f, subs)
+        ite_entries = len(base._ite_cache)
+        for x in all_instances(n):
+            inner = [
+                t[index_of([x[v] for v in vs])] for t, vs in zip(tables, sub_vars)
+            ]
+            assert base.evaluate(composed, x) == outer[index_of(inner)]
+        base.audit(composed)
+        assert composed.i == ite_compose(base, f, subs)
+        return ite_entries
+
+    def test_ascending_disjoint_blocks_take_the_graft(self):
+        rng = random.Random(2001)
+        for _ in range(60):
+            k = rng.randint(1, 5)
+            widths = [rng.randint(1, 3) for _ in range(k)]
+            starts = [sum(widths[:j]) for j in range(k)]
+            sub_vars = [list(range(a, a + w)) for a, w in zip(starts, widths)]
+            assert self.check(rng, k, sum(widths), sub_vars) == 0
+
+    def test_interleaved_and_overlapping_fall_back(self):
+        rng = random.Random(2002)
+        fallbacks = 0
+        for _ in range(60):
+            k = rng.randint(1, 8)
+            n = rng.randint(2, 6)
+            if rng.random() < 0.5:  # interleaved: block j holds every k-th variable
+                sub_vars = [list(range(j % n, n, k)) for j in range(k)]
+            else:  # overlapping: random ascending subsets
+                sub_vars = [
+                    sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(k)
+                ]
+            fallbacks += self.check(rng, k, n, sub_vars) > 0
+        assert fallbacks > 0
+
+    def test_constant_and_repeated_substituents(self):
+        rng = random.Random(2003)
+        for _ in range(60):
+            k = rng.randint(1, 8)
+            n = rng.randint(1, 5)
+            holes = Manager(k)
+            base = Manager(n)
+            outer = [rng.randint(0, 1) for _ in range(1 << k)]
+            pool = [base.true, base.false, base.literal(rng.randrange(n))]
+            table = [rng.randint(0, 1) for _ in range(1 << n)]
+            pool.append(bdd_from_table(base, table))
+            subs = [rng.choice(pool) for _ in range(k)]
+            f = bdd_from_table(holes, outer)
+            composed = base.compose(f, subs)
+            for x in all_instances(n):
+                inner = [base.evaluate(s, x) for s in subs]
+                assert base.evaluate(composed, x) == outer[index_of(inner)]
+            base.audit(composed)
+            assert composed.i == ite_compose(base, f, subs)
 
 
 class TestCounting:
