@@ -42,15 +42,12 @@ from .neuron import (
     IntThresholdUnit,
     LinearThresholdUnit,
     QuantizationError,
-    ThresholdForm,
-    compile_exact,
     compile_pseudo,
     exact_decimal,
     format_neuron,
     parse_neuron,
     quantize,
     read_neuron,
-    to_threshold_form,
     write_neuron,
 )
 from .obdd import (

@@ -544,6 +544,8 @@ def _check_var(f: NodeRef, var: int) -> None:
 
 
 def _check_grid(f: NodeRef, height: int, width: int) -> None:
+    if height < 1 or width < 1:
+        raise ValueError("grid %dx%d: height and width must be positive" % (height, width))
     if height * width != f.manager.num_vars:
         raise ValueError(
             "grid %dx%d does not cover %d variables"

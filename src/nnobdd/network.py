@@ -8,12 +8,14 @@ windows are placed at stride offsets and must fit; pixels a stride pattern
 never covers are reported at load time, not silently padded away.
 
 `forward_eval` is the reference evaluator.  It computes every wire bit
-exactly, with real weights interpreted at their printed decimal value, so
-it can serve as an oracle for the compiled form.  `compile_network` builds
-one canonical diagram per network output over the input pixels: every
-neuron is compiled locally over placeholder variables and then composed
-with the diagrams of its input wires, pooling wires are disjunctions, and
-identical (neuron, input-wires) compositions are shared through a cache.
+exactly, with real weights interpreted at their printed decimal value
+(each neuron decides through `LinearThresholdUnit.fires`, never through
+quantization), so it can serve as an oracle for the compiled form.
+`compile_network` builds one canonical diagram per network output over the
+input pixels: every neuron is compiled locally over placeholder variables
+and then composed with the diagrams of its input wires, pooling wires are
+disjunctions, and identical (neuron, input-wires) compositions are shared
+through a cache.
 
 Model files are JSON; images are ASCII PBM bitmaps (see `formats`).
 Dense weights run over the flattened input in channel-major raster order:
@@ -24,12 +26,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, reduce
+from operator import or_
 from typing import Sequence, Union
 
 from .formats import PathOrFile, opened
-from .neuron import LinearThresholdUnit, compile_pseudo, exact_decimal, quantize
+from .neuron import LinearThresholdUnit, compile_pseudo, quantize
 from .obdd import BudgetExceededError, Manager, NodeRef
 
 
@@ -63,8 +65,12 @@ class ConvFilter:
     def shape(self) -> tuple[int, int, int]:
         return (len(self.weights), len(self.weights[0]), len(self.weights[0][0]))
 
-    def flat_weights(self) -> tuple[float, ...]:
-        return tuple(v for ch in self.weights for row in ch for v in row)
+    @cached_property
+    def unit(self) -> LinearThresholdUnit:
+        """The filter as a unit over its window, flattened channel-major."""
+        return LinearThresholdUnit(
+            tuple(v for ch in self.weights for row in ch for v in row), self.bias
+        )
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,12 @@ class DenseStep:
             raise ValueError("ragged dense weights")
         if len(self.biases) != len(self.weights):
             raise ValueError("one bias per dense unit required")
+
+    @cached_property
+    def units(self) -> tuple[LinearThresholdUnit, ...]:
+        return tuple(
+            LinearThresholdUnit(row, b) for row, b in zip(self.weights, self.biases)
+        )
 
 
 Layer = Union[ConvStep, MaxPoolOr, DenseStep]
@@ -250,28 +262,18 @@ def load_spec(text: str) -> NetworkSpec:
         input_shape = (int(grid["h"]), int(grid["w"]))
     except (TypeError, KeyError):
         raise ValueError("'input' must carry integer fields h and w")
+    if not isinstance(doc["layers"], list):
+        raise ValueError("'layers' must be a list")
     layers: list[Layer] = []
     for idx, entry in enumerate(doc["layers"], start=1):
-        kind = entry.get("type")
-        if kind == "conv_step":
-            filters = tuple(
-                ConvFilter(tuple(tuple(tuple(row) for row in ch) for ch in f["weights"]), f["bias"])
-                for f in entry["filters"]
-            )
-            layers.append(ConvStep(filters, int(entry["stride"])))
-        elif kind == "maxpool_or":
-            layers.append(
-                MaxPoolOr(tuple(int(v) for v in entry["window"]), int(entry["stride"]))
-            )
-        elif kind == "dense_step":
-            layers.append(
-                DenseStep(
-                    tuple(tuple(row) for row in entry["weights"]),
-                    tuple(entry["bias"]),
-                )
-            )
-        else:
-            raise ValueError("layer %d has unknown type %r" % (idx, kind))
+        if not isinstance(entry, dict):
+            raise ValueError("layer %d: expected an object, got %r" % (idx, entry))
+        try:
+            layers.append(_load_layer(entry))
+        except KeyError as e:
+            raise ValueError("layer %d: missing field %s" % (idx, e)) from None
+        except (TypeError, ValueError) as e:
+            raise ValueError("layer %d: %s" % (idx, e)) from None
     spec = NetworkSpec(input_shape, tuple(layers))
     declared = doc.get("outputs")
     if declared is not None and int(declared) != spec.output_count:
@@ -282,26 +284,27 @@ def load_spec(text: str) -> NetworkSpec:
     return spec
 
 
+def _load_layer(entry: dict) -> Layer:
+    kind = entry.get("type")
+    if kind == "conv_step":
+        filters = tuple(
+            ConvFilter(tuple(tuple(tuple(row) for row in ch) for ch in f["weights"]), f["bias"])
+            for f in entry["filters"]
+        )
+        return ConvStep(filters, int(entry["stride"]))
+    if kind == "maxpool_or":
+        return MaxPoolOr(tuple(int(v) for v in entry["window"]), int(entry["stride"]))
+    if kind == "dense_step":
+        return DenseStep(tuple(tuple(row) for row in entry["weights"]), tuple(entry["bias"]))
+    raise ValueError("unknown type %r" % kind)
+
+
 def read_spec(src: PathOrFile) -> NetworkSpec:
     with opened(src) as fp:
         return load_spec(fp.read())
 
 
 # ---------------------------------------------------------------- evaluate
-
-
-@lru_cache(maxsize=None)
-def _exact_filter(f: ConvFilter):
-    flat = tuple(exact_decimal(v) for v in f.flat_weights())
-    return flat, exact_decimal(f.bias)
-
-
-@lru_cache(maxsize=None)
-def _exact_dense(layer: DenseStep):
-    return tuple(
-        (tuple(exact_decimal(v) for v in row), exact_decimal(b))
-        for row, b in zip(layer.weights, layer.biases)
-    )
 
 
 def forward_eval(spec: NetworkSpec, x: Sequence[int]) -> tuple[int, ...]:
@@ -314,58 +317,43 @@ def forward_eval(spec: NetworkSpec, x: Sequence[int]) -> tuple[int, ...]:
     wires: list = [[[x[r * w + c] for c in range(w)] for r in range(h)]]
     for layer in spec.layers:
         if isinstance(layer, ConvStep):
-            fc, fh, fw = layer.filters[0].shape
-            ih, iw = len(wires[0]), len(wires[0][0])
-            out = []
-            for f in layer.filters:
-                flat, bias = _exact_filter(f)
-                grid = []
-                for r0 in range(0, ih - fh + 1, layer.stride):
-                    row = []
-                    for c0 in range(0, iw - fw + 1, layer.stride):
-                        total = bias
-                        k = 0
-                        for ch in range(fc):
-                            plane = wires[ch]
-                            for i in range(fh):
-                                line = plane[r0 + i]
-                                for j in range(fw):
-                                    if line[c0 + j]:
-                                        total += flat[k]
-                                    k += 1
-                        row.append(1 if total >= 0 else 0)
-                    grid.append(row)
-                out.append(grid)
-            wires = out
+            windows = _windows(wires, layer.filters[0].shape, layer.stride)
+            wires = [
+                [[f.unit.fires(bits) for bits in row] for row in windows]
+                for f in layer.filters
+            ]
         elif isinstance(layer, MaxPoolOr):
-            ph, pw = layer.window
-            ih, iw = len(wires[0]), len(wires[0][0])
-            out = []
-            for plane in wires:
-                grid = []
-                for r0 in range(0, ih - ph + 1, layer.stride):
-                    row = []
-                    for c0 in range(0, iw - pw + 1, layer.stride):
-                        row.append(
-                            1
-                            if any(
-                                plane[r0 + i][c0 + j]
-                                for i in range(ph)
-                                for j in range(pw)
-                            )
-                            else 0
-                        )
-                    grid.append(row)
-                out.append(grid)
-            wires = out
+            wires = [
+                [[1 if any(bits) else 0 for bits in row] for row in windows]
+                for windows in _pool_windows(wires, layer)
+            ]
         else:  # DenseStep
             flat = _flatten_wires(wires)
-            units = _exact_dense(layer)
-            wires = [
-                1 if sum((wt for wt, b in zip(row, flat) if b), start=Fraction(0)) + bias >= 0 else 0
-                for row, bias in units
-            ]
+            wires = [unit.fires(flat) for unit in layer.units]
     return tuple(_flatten_wires(wires))
+
+
+def _windows(wires, shape: tuple[int, int, int], stride: int) -> list:
+    """Rows of the windows at each stride offset, flattened channel-major."""
+    fc, fh, fw = shape
+    ih, iw = len(wires[0]), len(wires[0][0])
+    return [
+        [
+            [
+                wires[ch][r0 + i][c0 + j]
+                for ch in range(fc)
+                for i in range(fh)
+                for j in range(fw)
+            ]
+            for c0 in range(0, iw - fw + 1, stride)
+        ]
+        for r0 in range(0, ih - fh + 1, stride)
+    ]
+
+
+def _pool_windows(wires, layer: MaxPoolOr) -> list:
+    """Per channel, the rows of pooling windows."""
+    return [_windows([plane], (1, *layer.window), layer.stride) for plane in wires]
 
 
 def _flatten_wires(wires) -> list:
@@ -457,59 +445,29 @@ def compile_network(
     for idx, layer in enumerate(spec.layers, start=1):
         try:
             if isinstance(layer, ConvStep):
-                fc, fh, fw = layer.filters[0].shape
-                ih, iw = len(wires[0]), len(wires[0][0])
-                arity = fc * fh * fw
+                windows = _windows(wires, layer.filters[0].shape, layer.stride)
+                arity = len(windows[0][0])
                 out = []
                 for f_idx, f in enumerate(layer.filters):
-                    unit = quantize(
-                        LinearThresholdUnit(f.flat_weights(), f.bias),
-                        quantize_digits,
-                        round_mode,
-                    )
+                    unit = quantize(f.unit, quantize_digits, round_mode)
                     pmgr = Manager(arity, node_budget=node_budget)
                     neuron_ref = compile_pseudo(unit, pmgr)
-                    grid = []
-                    for r0 in range(0, ih - fh + 1, layer.stride):
-                        row = []
-                        for c0 in range(0, iw - fw + 1, layer.stride):
-                            window = [
-                                wires[ch][r0 + i][c0 + j]
-                                for ch in range(fc)
-                                for i in range(fh)
-                                for j in range(fw)
-                            ]
-                            row.append(
-                                compose_unit(neuron_ref, window, (idx, f_idx))
-                            )
-                        grid.append(row)
-                    out.append(grid)
+                    tag = (idx, f_idx)
+                    out.append(
+                        [[compose_unit(neuron_ref, b, tag) for b in row] for row in windows]
+                    )
                 wires = out
             elif isinstance(layer, MaxPoolOr):
-                ph, pw = layer.window
-                ih, iw = len(wires[0]), len(wires[0][0])
-                out = []
-                for plane in wires:
-                    grid = []
-                    for r0 in range(0, ih - ph + 1, layer.stride):
-                        row = []
-                        for c0 in range(0, iw - pw + 1, layer.stride):
-                            acc = manager.false
-                            for i in range(ph):
-                                for j in range(pw):
-                                    acc = acc | plane[r0 + i][c0 + j]
-                            row.append(acc)
-                        grid.append(row)
-                    out.append(grid)
-                wires = out
+                wires = [
+                    [[reduce(or_, bits, manager.false) for bits in row] for row in windows]
+                    for windows in _pool_windows(wires, layer)
+                ]
             else:  # DenseStep
                 flat = _flatten_wires(wires)
                 arity = len(flat)
                 out_flat = []
-                for u_idx, (row, bias) in enumerate(zip(layer.weights, layer.biases)):
-                    unit = quantize(
-                        LinearThresholdUnit(row, bias), quantize_digits, round_mode
-                    )
+                for u_idx, real in enumerate(layer.units):
+                    unit = quantize(real, quantize_digits, round_mode)
                     pmgr = Manager(arity, node_budget=node_budget)
                     neuron_ref = compile_pseudo(unit, pmgr)
                     out_flat.append(compose_unit(neuron_ref, flat, (idx, u_idx)))
@@ -521,3 +479,4 @@ def compile_network(
             ) from e
 
     return CompiledNetwork(manager, tuple(_flatten_wires(wires)), input_order, spec)
+

@@ -2,28 +2,29 @@
 
 A neuron with binary inputs and a step activation is just a linear
 threshold classifier: it fires exactly when a weighted sum of its input
-bits reaches a threshold.  Two representations are used here.
+bits reaches a threshold.  There is one real type and one integer type.
 `LinearThresholdUnit` carries real weights and a bias (fires when
 ``sum(w*x) + bias >= 0``); `IntThresholdUnit` carries integer weights and
-an explicit threshold (fires when ``sum(w*x) >= threshold``).
+an explicit threshold (fires when ``sum(w*x) >= threshold``) and is the
+only place a step is decided.
 
 Real parameters are everywhere interpreted at their printed decimal value:
 a weight written 1.15 means the rational 115/100 exactly, not the nearest
 binary float.  Without this, scaling 1.15 by 100 would truncate to 114.
-`exact_decimal` implements the convention and the quantizer, the exact
-compiler and `fires` all go through it; `fires` scales a unit's decimals
-to integers over their common denominator once and then sums integers.
+`exact_decimal` implements the convention.  A real unit's `exact` form
+scales its weights and ``-bias`` to integers over the common denominator
+of their decimals, so it decides exactly what the decimals decide, and
+`LinearThresholdUnit.fires` is that form's `fires`.  `quantize` instead
+scales by a fixed power of ten and rounds, which may change decisions.
 
-Two compilers are provided.  `compile_pseudo` builds the diagram of an
-integer unit by dynamic programming over residual thresholds: processing
-inputs top-down, every partial assignment is summarized by the threshold
-still to be met, residuals that can no longer fail resolve to TRUE and
-residuals that can no longer succeed resolve to FALSE, and each remaining
-(level, residual) cell becomes one decision node.  The work and the
-reduced node count are bounded by ``n * (2W + 1)`` cells, where W is the
-magnitude ``|T| + sum(|w|)``.  `compile_exact` is the reference compiler:
-a memoized Shannon expansion on exact rational residuals, capped to small
-arities, used as an oracle for the pseudo-polynomial route.
+`compile_pseudo` builds the diagram of an integer unit by dynamic
+programming over residual thresholds: processing inputs top-down, every
+partial assignment is summarized by the threshold still to be met,
+residuals that can no longer fail resolve to TRUE and residuals that can
+no longer succeed resolve to FALSE, and each remaining (level, residual)
+cell becomes one decision node.  The work and the reduced node count are
+bounded by ``n * (2W + 1)`` cells, where W is the magnitude
+``|T| + sum(|w|)``.
 """
 
 from __future__ import annotations
@@ -53,18 +54,6 @@ def exact_decimal(value) -> Fraction:
     return Fraction(str(value))
 
 
-def _common_scale(weights: Sequence, offset) -> tuple[tuple[int, ...], int]:
-    """Exact decimals of the weights and an offset as integers over one denominator.
-
-    The denominator is positive, so sums and comparisons of the integers
-    decide exactly what they decide on the decimals themselves.
-    """
-    exact = [exact_decimal(v) for v in weights] + [exact_decimal(offset)]
-    den = math.lcm(*(q.denominator for q in exact))
-    *scaled, last = (q.numerator * (den // q.denominator) for q in exact)
-    return tuple(scaled), last
-
-
 @dataclass(frozen=True)
 class LinearThresholdUnit:
     """A neuron in bias form: fires iff ``sum(w_i * x_i) + bias >= 0``."""
@@ -91,41 +80,21 @@ class LinearThresholdUnit:
         return sum(w * b for w, b in zip(self.weights, x)) + self.bias
 
     @cached_property
-    def _scaled(self) -> tuple[tuple[int, ...], int]:
-        return _common_scale(self.weights, self.bias)
+    def exact(self) -> IntThresholdUnit:
+        """The same classifier over integers, without rounding.
+
+        Weights and ``-bias`` are scaled by the common denominator of their
+        printed decimals; the denominator is positive, so the integer unit
+        fires on exactly the instances where the decimals do.
+        """
+        exact = [exact_decimal(w) for w in self.weights] + [-exact_decimal(self.bias)]
+        den = math.lcm(*(q.denominator for q in exact))
+        *weights, threshold = (q.numerator * (den // q.denominator) for q in exact)
+        return IntThresholdUnit(tuple(weights), threshold)
 
     def fires(self, x: Sequence[int]) -> int:
         """Step output on one instance, decided in exact decimal arithmetic."""
-        if len(x) != self.arity:
-            raise ValueError("instance width mismatch")
-        weights, bias = self._scaled
-        return 1 if sum(w for w, b in zip(weights, x) if b) + bias >= 0 else 0
-
-
-@dataclass(frozen=True)
-class ThresholdForm:
-    """A unit rewritten with the bias folded into an explicit threshold."""
-
-    weights: tuple[float, ...]
-    threshold: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "threshold", float(self.threshold))
-
-    @property
-    def arity(self) -> int:
-        return len(self.weights)
-
-    @cached_property
-    def _scaled(self) -> tuple[tuple[int, ...], int]:
-        return _common_scale(self.weights, self.threshold)
-
-    def fires(self, x: Sequence[int]) -> int:
-        if len(x) != self.arity:
-            raise ValueError("instance width mismatch")
-        weights, threshold = self._scaled
-        return 1 if sum(w for w, b in zip(weights, x) if b) >= threshold else 0
+        return self.exact.fires(x)
 
 
 @dataclass(frozen=True)
@@ -157,28 +126,25 @@ class IntThresholdUnit:
         return 1 if sum(w for w, b in zip(self.weights, x) if b) >= self.threshold else 0
 
 
-def to_threshold_form(unit: LinearThresholdUnit) -> ThresholdForm:
-    """Fold the bias: fires iff the weighted sum reaches ``-bias``."""
-    return ThresholdForm(unit.weights, -unit.bias)
-
-
 def quantize(
-    unit: LinearThresholdUnit | ThresholdForm,
+    unit: LinearThresholdUnit,
     digits: int,
     mode: str = "truncate",
 ) -> IntThresholdUnit:
     """Scale parameters by ``10**digits`` and round to an integer unit.
 
     ``truncate`` rounds toward zero (the default); ``nearest`` uses
-    round-half-even.  Raises `QuantizationError` when a scaled parameter
-    leaves the supported integer range.
+    round-half-even.  The threshold is ``-bias`` scaled; both roundings are
+    odd functions, so this equals rounding the scaled bias and negating.
+    Raises `QuantizationError` when a scaled parameter leaves the supported
+    integer range.
     """
+    if not isinstance(unit, LinearThresholdUnit):
+        raise TypeError("quantize takes a LinearThresholdUnit")
     if not isinstance(digits, int) or not 0 <= digits <= 9:
         raise ValueError("digits must be an integer in 0..9")
     if mode not in ("truncate", "nearest"):
         raise ValueError("mode must be 'truncate' or 'nearest'")
-    if isinstance(unit, LinearThresholdUnit):
-        unit = to_threshold_form(unit)
     scale = 10**digits
 
     def scaled(value: float) -> int:
@@ -191,18 +157,7 @@ def quantize(
             )
         return n
 
-    return IntThresholdUnit(
-        tuple(scaled(w) for w in unit.weights), scaled(unit.threshold)
-    )
-
-
-def _resolve_order(order, n: int) -> tuple[int, ...]:
-    if order is None:
-        return tuple(range(n))
-    order = tuple(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of the %d inputs" % n)
-    return order
+    return IntThresholdUnit(tuple(scaled(w) for w in unit.weights), scaled(-unit.bias))
 
 
 def compile_pseudo(
@@ -224,8 +179,10 @@ def compile_pseudo(
         raise ValueError(
             "manager has %d variables, unit has %d inputs" % (manager.num_vars, n)
         )
-    order = _resolve_order(order, n)
-    w = [unit.weights[order[k]] for k in range(n)]
+    order = tuple(range(n)) if order is None else tuple(order)
+    if sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of the %d inputs" % n)
+    w = [unit.weights[k] for k in order]
     t0 = unit.threshold
 
     # suffix sums of the negative and positive weight mass below each level
@@ -276,60 +233,6 @@ def compile_pseudo(
             table[t] = mk(i, lo, hi)
         prev = table
     return NodeRef(manager, prev[t0])
-
-
-def compile_exact(
-    unit: LinearThresholdUnit | ThresholdForm | IntThresholdUnit,
-    manager: Manager,
-    order: Sequence[int] | None = None,
-    max_inputs: int = 20,
-) -> NodeRef:
-    """Reference compiler: memoized Shannon expansion on exact residuals.
-
-    Accepts real-weight or integer-weight units; real parameters are taken
-    at their printed decimal value.  Intended as an oracle, so the arity is
-    capped (worst case is exponential in half the inputs).
-    """
-    n = unit.arity
-    if n > max_inputs:
-        raise ValueError("arity %d exceeds the cap of %d inputs" % (n, max_inputs))
-    if manager.num_vars != n:
-        raise ValueError(
-            "manager has %d variables, unit has %d inputs" % (manager.num_vars, n)
-        )
-    order = _resolve_order(order, n)
-    if isinstance(unit, LinearThresholdUnit):
-        unit = to_threshold_form(unit)
-    if isinstance(unit, IntThresholdUnit):
-        w = [unit.weights[k] for k in order]
-        t0 = unit.threshold
-    else:
-        w = [exact_decimal(unit.weights[k]) for k in order]
-        t0 = exact_decimal(unit.threshold)
-
-    zero = 0 if isinstance(t0, int) else Fraction(0)
-    mins = [zero] * (n + 1)
-    maxs = [zero] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        mins[i] = mins[i + 1] + (w[i] if w[i] < 0 else zero)
-        maxs[i] = maxs[i + 1] + (w[i] if w[i] > 0 else zero)
-
-    mk = manager._mk_id
-    memo: dict[tuple[int, object], int] = {}
-
-    def build(i: int, t) -> int:
-        if t <= mins[i]:
-            return 1
-        if t > maxs[i]:
-            return 0
-        key = (i, t)
-        r = memo.get(key)
-        if r is None:
-            r = mk(i, build(i + 1, t), build(i + 1, t - w[i]))
-            memo[key] = r
-        return r
-
-    return NodeRef(manager, build(0, t0))
 
 
 # --------------------------------------------------------------- text format

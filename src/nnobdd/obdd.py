@@ -113,15 +113,16 @@ class NodeRef:
 def _reachable(f: NodeRef) -> list[int]:
     """Nonterminal nodes reachable from ``f``, children before parents."""
     nodes = f.manager._nodes
-    seen: set[int] = set()
+    seen = {0, 1}  # the terminals stop the walk without a test of their own
     stack = [f.i]
     while stack:
         u = stack.pop()
-        if u > 1 and u not in seen:
+        if u not in seen:
             seen.add(u)
             _, lo, hi = nodes[u]
             stack.append(lo)
             stack.append(hi)
+    seen -= {0, 1}
     return sorted(seen)  # a node's id exceeds its children's
 
 
@@ -148,7 +149,6 @@ class Manager:
         ]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
-        self._cond_cache: dict[tuple[int, int, int], int] = {}
         self._count_cache: dict[int, int] = {}
         self.false = NodeRef(self, 0)
         self.true = NodeRef(self, 1)
@@ -282,23 +282,32 @@ class Manager:
             raise ValueError("variable %d out of range" % var)
         if value not in (0, 1):
             raise ValueError("value must be 0 or 1")
-        return NodeRef(self, self._cond_id(f.i, var, value))
-
-    def _cond_id(self, u: int, var: int, value: int) -> int:
         nodes = self._nodes
-        v, lo, hi = nodes[u]
-        if v > var:
+        mk = self._mk_id
+        # the nodes above var that f reaches without passing var; only they change
+        above: set[int] = set()
+        stack = [f.i]
+        while stack:
+            u = stack.pop()
+            if u not in above and nodes[u][0] < var:
+                above.add(u)
+                _, lo, hi = nodes[u]
+                stack.append(lo)
+                stack.append(hi)
+        res: dict[int, int] = {}
+
+        def cut(u: int) -> int:
+            v, lo, hi = nodes[u]
+            if v < var:
+                return res[u]
+            if v == var:
+                return hi if value else lo
             return u
-        if v == var:
-            return hi if value else lo
-        key = (u, var, value)
-        r = self._cond_cache.get(key)
-        if r is None:
-            r = self._mk_id(
-                v, self._cond_id(lo, var, value), self._cond_id(hi, var, value)
-            )
-            self._cond_cache[key] = r
-        return r
+
+        for u in sorted(above):  # a node's id exceeds its children's
+            v, lo, hi = nodes[u]
+            res[u] = mk(v, cut(lo), cut(hi))
+        return NodeRef(self, cut(f.i))
 
     def compose(self, f: NodeRef, subs: Sequence[NodeRef]) -> NodeRef:
         """Substitute a diagram of this manager for every variable of ``f``.
@@ -430,59 +439,26 @@ class Manager:
 
     def node_count(self, f: NodeRef) -> int:
         """Distinct nonterminal nodes reachable from ``f``."""
-        self._own(f)
-        seen = {0, 1}
-        stack = [f.i]
-        count = 0
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            count += 1
-            _, lo, hi = self._nodes[u]
-            stack.append(lo)
-            stack.append(hi)
-        return count
+        return len(_reachable(self._own(f)))
 
     def support(self, f: NodeRef) -> set[int]:
         """Variables actually tested somewhere in the diagram."""
-        self._own(f)
-        seen = {0, 1}
-        stack = [f.i]
-        sup: set[int] = set()
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            var, lo, hi = self._nodes[u]
-            sup.add(var)
-            stack.append(lo)
-            stack.append(hi)
-        return sup
+        nodes = self._nodes
+        return {nodes[u][0] for u in _reachable(self._own(f))}
 
     def audit(self, f: NodeRef) -> None:
         """Verify ordering, reducedness and hash-consing for all reachable nodes."""
-        self._own(f)
-        seen = {0, 1}
-        stack = [f.i]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            var, lo, hi = self._nodes[u]
+        nodes = self._nodes
+        for u in _reachable(self._own(f)):
+            var, lo, hi = nodes[u]
             if not 0 <= var < self.num_vars:
                 raise OBDDError("node %d labeled with bad variable %d" % (u, var))
             if lo == hi:
                 raise OBDDError("node %d is not reduced" % u)
-            if var >= self._nodes[lo][0] or var >= self._nodes[hi][0]:
+            if var >= nodes[lo][0] or var >= nodes[hi][0]:
                 raise OBDDError("node %d violates the variable order" % u)
             if self._unique.get((var, lo, hi)) != u:
                 raise OBDDError("node %d is not hash-consed" % u)
-            stack.append(lo)
-            stack.append(hi)
 
 
 # ------------------------------------------------------------- text format

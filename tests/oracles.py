@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the library.
 
-Everything here works on explicit truth tables and exhaustive enumeration,
-deliberately avoiding the code paths under test.  A truth table is a list
-of 2**n bits indexed so that bit k of the index is the value of variable k.
+Everything here works on explicit truth tables, exhaustive enumeration or
+plain Shannon expansion, deliberately avoiding the code paths under test.
+A truth table is a list of 2**n bits indexed so that bit k of the index is
+the value of variable k.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+from nnobdd import NodeRef
 
 
 def bits_of(i: int, n: int) -> tuple[int, ...]:
@@ -96,6 +99,41 @@ def bdd_from_table(manager, table, variables=None):
         return manager.ite(manager.literal(variables[depth]), hi, lo)
 
     return build(0, list(table))
+
+
+def compile_exact(unit, manager):
+    """Reference compiler: memoized Shannon expansion on exact residuals.
+
+    Takes a real unit (``weights``, ``bias``) or an integer one (``weights``,
+    ``threshold``); real parameters are read at their printed decimal value
+    with ``Fraction(str(v))``.  Level i tests input i.  Exponential in the
+    worst case, so only for small arities.
+    """
+    n = len(unit.weights)
+    assert manager.num_vars == n
+    w = [Fraction(str(v)) for v in unit.weights]
+    if hasattr(unit, "bias"):
+        t0 = -Fraction(str(unit.bias))
+    else:
+        t0 = Fraction(unit.threshold)
+    mins = [Fraction(0)] * (n + 1)
+    maxs = [Fraction(0)] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        mins[i] = mins[i + 1] + min(w[i], 0)
+        maxs[i] = maxs[i + 1] + max(w[i], 0)
+    memo = {}
+
+    def build(i, t):
+        if t <= mins[i]:
+            return 1
+        if t > maxs[i]:
+            return 0
+        key = (i, t)
+        if key not in memo:
+            memo[key] = manager._mk_id(i, build(i + 1, t), build(i + 1, t - w[i]))
+        return memo[key]
+
+    return NodeRef(manager, build(0, t0))
 
 
 # ------------------------------------------------------------- robustness

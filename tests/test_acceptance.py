@@ -21,7 +21,6 @@ from nnobdd import (
     Manager,
     TrainConfig,
     accuracy,
-    compile_exact,
     compile_network,
     compile_pseudo,
     forward_eval,
@@ -43,6 +42,7 @@ from oracles import (
     all_instances,
     bdd_from_table,
     bits_of,
+    compile_exact,
     forces_label,
     formula_table,
     hamming_robustness,

@@ -387,6 +387,14 @@ class TestGridsAndDatasets:
         with pytest.raises(ValueError):
             marginal_grid(m.true, 3, 2)
 
+    @pytest.mark.parametrize("grid", [marginal_grid, unateness_grid])
+    def test_grid_sizes_must_be_positive(self, grid):
+        m = Manager(4)
+        with pytest.raises(ValueError, match="positive"):
+            grid(m.literal(0), -2, -2)
+        with pytest.raises(ValueError, match="positive"):
+            grid(Manager(0).true, 0, 5)
+
     def test_dataset_average(self):
         m, f = or2()
         rows = [(0, 0), (0, 1), (1, 0), (1, 1)]

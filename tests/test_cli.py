@@ -1,5 +1,7 @@
 """End-to-end command-line flows and exit codes."""
 
+import json
+
 import pytest
 
 from nnobdd import Manager, read_obdd, write_obdd
@@ -74,6 +76,20 @@ class TestCompileAndEval:
         )
         assert rc == 0
         assert (workdir / "net-out0.obdd").exists()
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            [1],
+            [{"type": "dense_step", "weights": [[1, 1, 1, 1]]}],
+            5,
+        ],
+    )
+    def test_malformed_model_exits_2(self, workdir, capsys, layers):
+        model = workdir / "bad.json"
+        model.write_text(json.dumps({"input": {"h": 2, "w": 2}, "layers": layers}))
+        assert main(["compile-net", str(model), "-o", str(workdir / "net")]) == 2
+        assert capsys.readouterr().err.startswith("nnobdd: error:")
 
     def test_compile_net_budget_abort_exits_3(self, workdir):
         rc = main(
@@ -192,6 +208,17 @@ class TestGridCommands:
         assert lines[0] == "var,row,col,marginal"
         assert lines[1] == "0,0,0,2/3"
         assert pgm_path.read_text().startswith("P2\n2 1\n255\n")
+
+    @pytest.mark.parametrize("command", ["marginals", "unate"])
+    def test_negative_grid_exits_2(self, workdir, capsys, command):
+        m = Manager(4)
+        path = workdir / "and4.obdd"
+        write_obdd(m.literal(0) & m.literal(3), str(path))
+        csv_path = workdir / "grid.csv"
+        argv = [command, str(path), "--height", "-2", "--width", "-2"]
+        assert main(argv + ["-o", str(csv_path)]) == 2
+        assert capsys.readouterr().err.startswith("nnobdd: error:")
+        assert not csv_path.exists()
 
     def test_unate_csv(self, workdir):
         out = compile_or(workdir)

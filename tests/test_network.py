@@ -92,8 +92,49 @@ class TestLoadSpec:
                 '{"input": {"h": 2, "w": 2}, "layers": [{"type": "softmax"}]}'
             )
 
+    @pytest.mark.parametrize(
+        "layers, message",
+        [
+            ([1], "layer 1: expected an object"),
+            (
+                [{"type": "dense_step", "weights": [[1, 1, 1, 1]]}],
+                "layer 1: missing field 'bias'",
+            ),
+            (
+                [{"type": "dense_step", "weights": 5, "bias": [0]}],
+                "layer 1: ",
+            ),
+            (
+                [
+                    {"type": "maxpool_or", "window": [1, 1], "stride": 1},
+                    {"type": "maxpool_or", "window": [1], "stride": "x"},
+                ],
+                "layer 2: ",
+            ),
+        ],
+    )
+    def test_malformed_layer_names_it(self, layers, message):
+        doc = {"input": {"h": 2, "w": 2}, "layers": layers}
+        with pytest.raises(ValueError) as exc:
+            load_spec(json.dumps(doc))
+        assert str(exc.value).startswith(message)
+
+    def test_layers_must_be_a_list(self):
+        with pytest.raises(ValueError, match="'layers' must be a list"):
+            load_spec('{"input": {"h": 2, "w": 2}, "layers": 5}')
+
 
 class TestForwardEval:
+    def test_decides_at_printed_decimals(self):
+        # 0.1 + 0.7 - 0.8 is exactly 0, but about -1.1e-16 in float
+        assert 0.1 + 0.7 - 0.8 < 0
+        dense = NetworkSpec((1, 2), (DenseStep(((0.1, 0.7),), (-0.8,)),))
+        conv = NetworkSpec((1, 2), (conv_layer(((0.1, 0.7),), -0.8, 1),))
+        for spec in (dense, conv):
+            assert forward_eval(spec, (1, 1)) == (1,)
+            assert forward_eval(spec, (0, 1)) == (0,)
+            assert compile_network(spec, 1).evaluate((1, 1)) == (1,)
+
     def test_zero_image_fires_nonnegative_bias_conv(self):
         spec = NetworkSpec((4, 4), (conv_layer(((0.5,) * 2,) * 2, 0.0, 2),))
         assert forward_eval(spec, (0,) * 16) == (1,) * 4

@@ -1,4 +1,4 @@
-"""Threshold units: bias folding, quantization, both compilers."""
+"""Threshold units: exact integer form, quantization, the compiler."""
 
 import random
 from fractions import Fraction
@@ -10,18 +10,15 @@ from nnobdd import (
     LinearThresholdUnit,
     Manager,
     QuantizationError,
-    ThresholdForm,
     Unateness,
-    compile_exact,
     compile_pseudo,
     format_neuron,
     parse_neuron,
     quantize,
-    to_threshold_form,
     unateness,
 )
 
-from oracles import all_instances
+from oracles import all_instances, compile_exact
 
 WORKED = LinearThresholdUnit((1.15, 0.95, -1.05), -0.52)
 
@@ -35,17 +32,17 @@ def random_int_unit(rng, max_n=12, max_w=20):
 
 class TestThresholdForm:
     def test_worked_example_threshold(self):
-        form = to_threshold_form(WORKED)
-        assert form.threshold == 0.52
-        assert form.weights == WORKED.weights
+        exact = WORKED.exact
+        assert exact.threshold == 52
+        assert exact.weights == (115, 95, -105)
 
     def test_zero_unit_is_constant_true(self):
-        form = to_threshold_form(LinearThresholdUnit((0.0, 0.0), 0.0))
-        assert all(form.fires(x) == 1 for x in all_instances(2))
+        unit = LinearThresholdUnit((0.0, 0.0), 0.0)
+        assert all(unit.fires(x) == 1 for x in all_instances(2))
 
     def test_unreachable_threshold_is_constant_false(self):
-        form = to_threshold_form(LinearThresholdUnit((1.0,), -2.0))
-        assert form.fires((0,)) == 0 and form.fires((1,)) == 0
+        unit = LinearThresholdUnit((1.0,), -2.0)
+        assert unit.fires((0,)) == 0 and unit.fires((1,)) == 0
 
     def test_form_semantics_match_bias_form(self):
         rng = random.Random(42)
@@ -54,9 +51,10 @@ class TestThresholdForm:
             unit = LinearThresholdUnit(
                 tuple(rng.uniform(-2, 2) for _ in range(n)), rng.uniform(-2, 2)
             )
-            form = to_threshold_form(unit)
             for x in all_instances(n):
-                assert unit.fires(x) == form.fires(x)
+                value = unit.activation(x)
+                if abs(value) > 1e-9:  # away from the float rounding margin
+                    assert unit.exact.fires(x) == (1 if value >= 0 else 0)
 
 
 def fraction_fires(weights, threshold, x):
@@ -69,11 +67,10 @@ class TestExactFires:
     POOL = (1.15, 0.95, -1.05, 1e-05, -1e-05, 0.1, 0.2, -0.3, 2.0, -7.0, 123.456)
 
     def check(self, unit, n):
-        form = to_threshold_form(unit)
         for x in all_instances(n):
             expected = fraction_fires(unit.weights, -unit.bias, x)
             assert unit.fires(x) == expected
-            assert form.fires(x) == expected
+            assert unit.exact.fires(x) == expected
 
     def test_worked_example(self):
         self.check(WORKED, 3)
@@ -104,7 +101,7 @@ class TestQuantize:
         assert q.magnitude == 367
 
     def test_truncation_to_zero(self):
-        q = quantize(ThresholdForm((0.9, -0.9), 0.5), 0)
+        q = quantize(LinearThresholdUnit((0.9, -0.9), -0.5), 0)
         assert q.weights == (0, 0)
         assert q.threshold == 0
         assert all(q.fires(x) == 1 for x in all_instances(2))
@@ -116,6 +113,10 @@ class TestQuantize:
     def test_nearest_mode(self):
         q = quantize(LinearThresholdUnit((0.06, -0.06), -0.1), 1, mode="nearest")
         assert q.weights == (1, -1)
+
+    def test_only_real_units(self):
+        with pytest.raises(TypeError):
+            quantize(IntThresholdUnit((1, 2), 1), 0)
 
     def test_digits_out_of_range(self):
         with pytest.raises(ValueError):
@@ -261,12 +262,6 @@ class TestCompileExact:
             f = compile_exact(unit, m)
             for x in all_instances(n):
                 assert m.evaluate(f, x) == unit.fires(x)
-
-    def test_arity_cap(self):
-        unit = IntThresholdUnit((1,) * 25, 3)
-        with pytest.raises(ValueError):
-            compile_exact(unit, Manager(25))
-        assert compile_exact(unit, Manager(25), max_inputs=25) is not None
 
 
 class TestNeuronText:

@@ -121,6 +121,18 @@ class TestCondition:
         assert m3.condition(once, 1, 1) == once
         assert m3.condition(once, 1, 0) == once
 
+    def test_deeper_than_the_recursion_limit(self):
+        m = Manager(1200)
+
+        def conjunction(n):
+            f = m.true
+            for v in reversed(range(n)):
+                f = m.literal(v) & f
+            return f
+
+        assert m.condition(conjunction(1200), 1199, 1) == conjunction(1199)
+        assert m.condition(conjunction(1200), 1199, 0) == m.false
+
 
 class TestCompose:
     def test_identity_substitution(self):
