@@ -73,14 +73,19 @@ def instance_robustness(f: NodeRef, x: Sequence[int]) -> int | float:
     Variables skipped by reduction never need flipping, so each node's
     cost is computed once.
     """
-    mgr = f.manager
-    _check_instance(x, mgr.num_vars)
+    _check_instance(x, f.manager.num_vars)
     if f.is_terminal:
         return math.inf
+    return _robustness(f, _reachable(f), x)
+
+
+def _robustness(f: NodeRef, order: list[int], x: Sequence[int]) -> int:
+    """`instance_robustness` of a checked ``x``; ``order`` is `_reachable(f)`."""
+    mgr = f.manager
     label = mgr.evaluate(f, x)
     nodes = mgr._nodes
     cost: dict[int, int | float] = {1 - label: 0, label: math.inf}
-    for u in _reachable(f):
+    for u in order:
         var, lo, hi = nodes[u]
         same, other = (hi, lo) if x[var] else (lo, hi)
         cost[u] = min(cost[same], 1 + cost[other])
@@ -559,7 +564,10 @@ def dataset_average_robustness(f: NodeRef, dataset) -> Fraction:
     rows = dataset.features.tolist() if hasattr(dataset, "features") else list(dataset)
     if not rows:
         raise ValueError("empty dataset")
+    n = f.manager.num_vars
+    order = _reachable(f)  # one walk serves every row
     total = 0
     for row in rows:
-        total += instance_robustness(f, row)
+        _check_instance(row, n)
+        total += _robustness(f, order, row)
     return Fraction(total, len(rows))

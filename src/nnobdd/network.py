@@ -258,10 +258,9 @@ def load_spec(text: str) -> NetworkSpec:
     if not isinstance(doc, dict) or "input" not in doc or "layers" not in doc:
         raise ValueError("model file needs 'input' and 'layers' fields")
     grid = doc["input"]
-    try:
-        input_shape = (int(grid["h"]), int(grid["w"]))
-    except (TypeError, KeyError):
+    if not isinstance(grid, dict):
         raise ValueError("'input' must carry integer fields h and w")
+    input_shape = (_size(grid.get("h"), "'input' h"), _size(grid.get("w"), "'input' w"))
     if not isinstance(doc["layers"], list):
         raise ValueError("'layers' must be a list")
     layers: list[Layer] = []
@@ -276,12 +275,19 @@ def load_spec(text: str) -> NetworkSpec:
             raise ValueError("layer %d: %s" % (idx, e)) from None
     spec = NetworkSpec(input_shape, tuple(layers))
     declared = doc.get("outputs")
-    if declared is not None and int(declared) != spec.output_count:
+    if declared is not None and _size(declared, "'outputs'") != spec.output_count:
         raise ShapeError(
             "model declares %d outputs but the layers yield %d"
-            % (int(declared), spec.output_count)
+            % (declared, spec.output_count)
         )
     return spec
+
+
+def _size(value, field: str) -> int:
+    """``value`` if it is a JSON integer; floats and booleans are rejected."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise ValueError("%s must be an integer, got %r" % (field, value))
+    return value
 
 
 def _load_layer(entry: dict) -> Layer:
@@ -291,9 +297,10 @@ def _load_layer(entry: dict) -> Layer:
             ConvFilter(tuple(tuple(tuple(row) for row in ch) for ch in f["weights"]), f["bias"])
             for f in entry["filters"]
         )
-        return ConvStep(filters, int(entry["stride"]))
+        return ConvStep(filters, _size(entry["stride"], "stride"))
     if kind == "maxpool_or":
-        return MaxPoolOr(tuple(int(v) for v in entry["window"]), int(entry["stride"]))
+        window = tuple(_size(v, "window entry") for v in entry["window"])
+        return MaxPoolOr(window, _size(entry["stride"], "stride"))
     if kind == "dense_step":
         return DenseStep(tuple(tuple(row) for row in entry["weights"]), tuple(entry["bias"]))
     raise ValueError("unknown type %r" % kind)

@@ -111,19 +111,27 @@ class NodeRef:
 
 
 def _reachable(f: NodeRef) -> list[int]:
-    """Nonterminal nodes reachable from ``f``, children before parents."""
+    """Nonterminal nodes reachable from ``f``, children before parents.
+
+    Each node is queued once, when first met, onto the list being read,
+    and the list is sorted once at the end: a node's id exceeds its
+    children's.
+    """
+    if f.i <= 1:
+        return []
     nodes = f.manager._nodes
-    seen = {0, 1}  # the terminals stop the walk without a test of their own
-    stack = [f.i]
-    while stack:
-        u = stack.pop()
-        if u not in seen:
-            seen.add(u)
-            _, lo, hi = nodes[u]
-            stack.append(lo)
-            stack.append(hi)
-    seen -= {0, 1}
-    return sorted(seen)  # a node's id exceeds its children's
+    seen = {0, 1, f.i}  # the terminals stop the walk without a test of their own
+    order = [f.i]
+    for u in order:
+        _, lo, hi = nodes[u]
+        if lo not in seen:
+            seen.add(lo)
+            order.append(lo)
+        if hi not in seen:
+            seen.add(hi)
+            order.append(hi)
+    order.sort()
+    return order
 
 
 class Manager:
@@ -285,15 +293,17 @@ class Manager:
         nodes = self._nodes
         mk = self._mk_id
         # the nodes above var that f reaches without passing var; only they change
-        above: set[int] = set()
-        stack = [f.i]
-        while stack:
-            u = stack.pop()
-            if u not in above and nodes[u][0] < var:
-                above.add(u)
-                _, lo, hi = nodes[u]
-                stack.append(lo)
-                stack.append(hi)
+        above = [f.i] if nodes[f.i][0] < var else []
+        seen = set(above)
+        for u in above:
+            _, lo, hi = nodes[u]
+            if lo not in seen and nodes[lo][0] < var:
+                seen.add(lo)
+                above.append(lo)
+            if hi not in seen and nodes[hi][0] < var:
+                seen.add(hi)
+                above.append(hi)
+        above.sort()  # a node's id exceeds its children's
         res: dict[int, int] = {}
 
         def cut(u: int) -> int:
@@ -304,7 +314,7 @@ class Manager:
                 return hi if value else lo
             return u
 
-        for u in sorted(above):  # a node's id exceeds its children's
+        for u in above:
             v, lo, hi = nodes[u]
             res[u] = mk(v, cut(lo), cut(hi))
         return NodeRef(self, cut(f.i))
@@ -406,24 +416,27 @@ class Manager:
     def _count_id(self, u: int) -> int:
         """Models over the variables from this node's level to the end.
 
-        Fills ``_count_cache`` for every uncached node below ``u`` with an
-        explicit stack, children first, so no diagram depth can overflow
-        the interpreter stack.
+        Fills ``_count_cache`` for every uncached node below ``u``, children
+        first, without recursion, so no diagram depth can overflow the
+        interpreter stack.  The walk is `_reachable`'s, with cached nodes
+        stopping it like terminals.
         """
-        if u <= 1:
-            return u
         cache = self._count_cache
+        if u <= 1 or u in cache:
+            return cache.get(u, u)
         nodes = self._nodes
-        todo: set[int] = set()
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            if w > 1 and w not in cache and w not in todo:
-                todo.add(w)
-                _, lo, hi = nodes[w]
-                stack.append(lo)
-                stack.append(hi)
-        for w in sorted(todo):  # a node's id exceeds its children's
+        seen = {0, 1, u}
+        todo = [u]
+        for w in todo:
+            _, lo, hi = nodes[w]
+            if lo not in seen and lo not in cache:
+                seen.add(lo)
+                todo.append(lo)
+            if hi not in seen and hi not in cache:
+                seen.add(hi)
+                todo.append(hi)
+        todo.sort()  # a node's id exceeds its children's
+        for w in todo:
             var, lo, hi = nodes[w]
             # a terminal's count is its own id
             cache[w] = (cache.get(lo, lo) << (nodes[lo][0] - var - 1)) + (

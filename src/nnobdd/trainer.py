@@ -76,8 +76,9 @@ class LabeledDataset:
         return self.features.shape[0]
 
     def rows(self):
-        for bits, label in zip(self.features, self.labels):
-            yield tuple(int(b) for b in bits), int(label)
+        """(bits, label) pairs of Python ints, converted from numpy once."""
+        for bits, label in zip(self.features.tolist(), self.labels.tolist()):
+            yield tuple(bits), label
 
 
 def read_dataset_csv(src: PathOrFile) -> LabeledDataset:

@@ -10,6 +10,7 @@ from nnobdd import (
     Explanation,
     Manager,
     Unateness,
+    analysis,
     dataset_average_robustness,
     fooling_complete,
     instance_robustness,
@@ -415,6 +416,24 @@ class TestGridsAndDatasets:
         m = Manager(2)
         with pytest.raises(ValueError):
             dataset_average_robustness(m.true, [(0, 0)])
+
+    def test_dataset_walks_the_diagram_once(self, monkeypatch):
+        rng = random.Random(1201)
+        m = Manager(6)
+        f = bdd_from_table(m, [rng.randint(0, 1) for _ in range(64)])
+        rows = [bits_of(rng.randrange(64), 6) for _ in range(20)]
+        expected = Fraction(sum(instance_robustness(f, x) for x in rows), len(rows))
+        walks = []
+        real = analysis._reachable
+        monkeypatch.setattr(analysis, "_reachable", lambda g: walks.append(g) or real(g))
+        assert dataset_average_robustness(f, rows) == expected
+        assert walks == [f]
+
+    @pytest.mark.parametrize("bad", [(0, 1, 1), (0, 2)])
+    def test_dataset_every_row_checked(self, bad):
+        m, f = or2()
+        with pytest.raises(ValueError):
+            dataset_average_robustness(f, [(0, 1), bad])
 
 
 def oracle_functions(rng, count):

@@ -91,6 +91,13 @@ class TestCompileAndEval:
         assert main(["compile-net", str(model), "-o", str(workdir / "net")]) == 2
         assert capsys.readouterr().err.startswith("nnobdd: error:")
 
+    def test_non_integer_size_exits_2(self, workdir, capsys):
+        model = workdir / "bad.json"
+        layer = {"type": "maxpool_or", "window": [1.9, 1], "stride": True}
+        model.write_text(json.dumps({"input": {"h": 2, "w": 2}, "layers": [layer]}))
+        assert main(["compile-net", str(model), "-o", str(workdir / "net")]) == 2
+        assert capsys.readouterr().err.startswith("nnobdd: error: layer 1: window")
+
     def test_compile_net_budget_abort_exits_3(self, workdir):
         rc = main(
             [

@@ -123,6 +123,60 @@ class TestLoadSpec:
         with pytest.raises(ValueError, match="'layers' must be a list"):
             load_spec('{"input": {"h": 2, "w": 2}, "layers": 5}')
 
+    @staticmethod
+    def sized_doc():
+        return {
+            "input": {"h": 2, "w": 2},
+            "layers": [
+                {
+                    "type": "conv_step",
+                    "filters": [{"weights": [[[1.0]]], "bias": -0.5}],
+                    "stride": 1,
+                },
+                {"type": "maxpool_or", "window": [1, 1], "stride": 1},
+            ],
+            "outputs": 4,
+        }
+
+    def test_integer_sizes_load(self):
+        spec = load_spec(json.dumps(self.sized_doc()))
+        assert spec.input_shape == (2, 2)
+        assert spec.output_count == 4
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["input"].update(h=2.7), "'input' h must be an integer"),
+            (lambda d: d["input"].update(h=2.0), "'input' h must be an integer"),
+            (lambda d: d["input"].update(w=True), "'input' w must be an integer"),
+            (lambda d: d.update(outputs=4.0), "'outputs' must be an integer"),
+            (lambda d: d.update(outputs="4"), "'outputs' must be an integer"),
+            (lambda d: d["layers"][0].update(stride=1.0), "layer 1: stride"),
+            (lambda d: d["layers"][0].update(stride=True), "layer 1: stride"),
+            (lambda d: d["layers"][1].update(stride=True), "layer 2: stride"),
+            (lambda d: d["layers"][1].update(window=[1.9, 1]), "layer 2: window"),
+            (lambda d: d["layers"][1].update(window=[1, False]), "layer 2: window"),
+        ],
+        ids=[
+            "h-float",
+            "h-integral-float",
+            "w-bool",
+            "outputs-float",
+            "outputs-string",
+            "conv-stride-float",
+            "conv-stride-bool",
+            "pool-stride-bool",
+            "window-float",
+            "window-bool",
+        ],
+    )
+    def test_sizes_must_be_json_integers(self, edit, message):
+        doc = self.sized_doc()
+        edit(doc)
+        with pytest.raises(ValueError) as exc:
+            load_spec(json.dumps(doc))
+        assert str(exc.value).startswith(message)
+
 
 class TestForwardEval:
     def test_decides_at_printed_decimals(self):

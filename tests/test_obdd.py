@@ -276,6 +276,77 @@ class TestCounting:
         assert m.model_count(m.literal(17)) == 2**255
 
 
+def path_nodes(m, f):
+    """Nonterminals on the evaluation paths of all instances, ascending."""
+    found = set()
+    for x in all_instances(m.num_vars):
+        u = f.i
+        while u > 1:
+            found.add(u)
+            var, lo, hi = m._nodes[u]
+            u = hi if x[var] else lo
+    return sorted(found)
+
+
+def conjunction(m, variables):
+    f = m.true
+    for v in sorted(variables, reverse=True):
+        f = m.literal(v) & f
+    return f
+
+
+class TestReachable:
+    """The shared node walk against the evaluation paths of every instance."""
+
+    def test_equals_the_nodes_on_evaluation_paths(self):
+        rng = random.Random(1101)
+        for _ in range(40):
+            n = rng.randint(1, 10)
+            m = Manager(n)
+            funcs = []
+            for _ in range(4):
+                # an unrelated diagram between each two interleaves the ids
+                build_formula(random_formula(rng, n, 4), m)
+                table = [rng.randint(0, 1) for _ in range(1 << n)]
+                funcs.append(bdd_from_table(m, table))
+            for f in funcs:
+                expected = path_nodes(m, f)
+                assert _reachable(f) == expected
+                assert m.node_count(f) == len(expected)
+
+    def test_terminals_reach_no_nodes(self, m3):
+        assert _reachable(m3.true) == []
+        assert _reachable(m3.false) == []
+
+    def test_counts_after_caching_match_truth_tables(self):
+        rng = random.Random(1102)
+        for _ in range(30):
+            n = rng.randint(1, 10)
+            m = Manager(n)
+            tables = [[rng.randint(0, 1) for _ in range(1 << n)] for _ in range(4)]
+            funcs = [bdd_from_table(m, t) for t in tables]
+            # shared subdiagrams are cached by the earlier counts
+            funcs += [funcs[0] & funcs[1], funcs[2] | funcs[3]]
+            tables += [
+                [a & b for a, b in zip(tables[0], tables[1])],
+                [a | b for a, b in zip(tables[2], tables[3])],
+            ]
+            for _ in range(2):
+                for f, t in zip(funcs, tables):
+                    assert m.model_count(f) == sum(t)
+
+    def test_1200_variable_conjunction(self):
+        m = Manager(1200)
+        f = conjunction(m, range(1200))
+        assert m.node_count(f) == 1200
+        assert m.support(f) == set(range(1200))
+        m.audit(f)
+        assert m.model_count(f) == 1
+        assert m.condition(f, 0, 1) == conjunction(m, range(1, 1200))
+        assert m.condition(f, 600, 0) == m.false
+        assert m.node_count(m.condition(f, 600, 1)) == 1199
+
+
 class TestQueries:
     def test_is_valid_on_excluded_middle(self, m3):
         assert m3.is_valid(m3.literal(0) | ~m3.literal(0))

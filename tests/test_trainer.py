@@ -50,6 +50,15 @@ class TestDataset:
         with pytest.raises(ValueError):
             read_dataset_csv(io.StringIO(""))
 
+    def test_rows_are_python_ints(self):
+        data = LabeledDataset([[0, 1, 1], [1, 0, 0]], [1, 0])
+        rows = list(data.rows())
+        assert rows == [((0, 1, 1), 1), ((1, 0, 0), 0)]
+        for bits, label in rows:
+            assert type(bits) is tuple
+            assert all(type(b) is int for b in bits)
+            assert type(label) is int
+
 
 class TestTrainNeuron:
     def test_separable_data_reaches_full_accuracy(self):
