@@ -21,7 +21,6 @@ from .analysis import (
     pi_explanation,
     polarity_summary,
     robust_sets,
-    robustness_histogram,
     unateness,
     unateness_grid,
 )

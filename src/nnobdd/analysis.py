@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .obdd import NodeRef, _reachable
 
@@ -92,7 +92,7 @@ def _robustness(f: NodeRef, order: list[int], x: Sequence[int]) -> int:
     return cost[f.i]
 
 
-def robust_sets(f: NodeRef, n: int | None = None) -> list[NodeRef]:
+def robust_sets(f: NodeRef) -> list[NodeRef]:
     """Diagrams of the positive instances with robustness >= k, for k = 1, 2, ...
 
     The first entry is ``f`` itself; each next level is the erosion of the
@@ -100,10 +100,10 @@ def robust_sets(f: NodeRef, n: int | None = None) -> list[NodeRef]:
     flip.  The list stops before the first unsatisfiable level, which for a
     non-trivial function arrives after at most n steps.
     """
-    return _level_chain(f, n, dilate=False)
+    return _level_chain(f, dilate=False)
 
 
-def _level_chain(f: NodeRef, n: int | None, dilate: bool) -> list[NodeRef]:
+def _level_chain(f: NodeRef, dilate: bool) -> list[NodeRef]:
     """``f`` and its repeated erosions (or dilations) until FALSE (or TRUE).
 
     Erosion keeps the instances whose every single flip satisfies the
@@ -115,16 +115,6 @@ def _level_chain(f: NodeRef, n: int | None, dilate: bool) -> list[NodeRef]:
     """
     mgr = f.manager
     _nontrivial(f)
-    if n is None:
-        n = mgr.num_vars
-    if not 0 <= n <= mgr.num_vars:
-        raise ValueError("n must be between 0 and the variable count")
-    if n < mgr.num_vars:
-        sup = mgr.support(f)
-        if max(sup) >= n:
-            raise ValueError(
-                "function depends on variable %d, beyond n=%d" % (max(sup), n)
-            )
     nodes = mgr._nodes
     mk = mgr._mk_id
     ite = mgr._ite_id
@@ -199,19 +189,22 @@ class RobustnessProfile:
         )
 
 
-def polarity_summary(f: NodeRef, n: int, polarity: str) -> PolaritySummary:
+def polarity_summary(f: NodeRef, polarity: str) -> PolaritySummary:
     """Exact per-level robustness counts for one polarity of ``f``.
 
     The negative side dilates ``f`` instead of eroding its complement: the
     negative instances with robustness > k are those outside ``D^k(f)``.
     """
     mgr = f.manager
+    n = mgr.num_vars
     if polarity == POSITIVE:
-        levels = _level_chain(f, n, dilate=False)
-        sizes = [mgr.model_count(level, n) for level in levels]
+        levels = _level_chain(f, dilate=False)
+        sizes = [mgr.model_count(level) for level in levels]
+    elif polarity == NEGATIVE:
+        levels = _level_chain(f, dilate=True)
+        sizes = [2**n - mgr.model_count(level) for level in levels]
     else:
-        levels = _level_chain(f, n, dilate=True)
-        sizes = [2**n - mgr.model_count(level, n) for level in levels]
+        raise ValueError("polarity must be 'positive' or 'negative'")
     sizes.append(0)  # the level after the last satisfiable one is empty
     counts = tuple(
         (k, sizes[k - 1] - sizes[k])
@@ -221,45 +214,28 @@ def polarity_summary(f: NodeRef, n: int, polarity: str) -> PolaritySummary:
     return PolaritySummary(polarity, n, counts)
 
 
-def model_robustness(
-    f: NodeRef, n: int | None = None, polarity: str = BOTH
-) -> RobustnessProfile:
+def model_robustness(f: NodeRef, polarity: str = BOTH) -> RobustnessProfile:
     """Exact robustness profile of a non-trivial function.
 
     ``polarity`` selects whose instances are tallied: the positive ones,
     the negative ones (levels from dilation rather than erosion), or both.
     """
     _nontrivial(f)
-    if n is None:
-        n = f.manager.num_vars
     if polarity not in (POSITIVE, NEGATIVE, BOTH):
         raise ValueError("polarity must be 'positive', 'negative' or 'both'")
-    pos = polarity_summary(f, n, POSITIVE) if polarity in (POSITIVE, BOTH) else None
-    neg = polarity_summary(f, n, NEGATIVE) if polarity in (NEGATIVE, BOTH) else None
-    return RobustnessProfile(n, pos, neg)
+    pos = polarity_summary(f, POSITIVE) if polarity in (POSITIVE, BOTH) else None
+    neg = polarity_summary(f, NEGATIVE) if polarity in (NEGATIVE, BOTH) else None
+    return RobustnessProfile(f.manager.num_vars, pos, neg)
 
 
-def max_robustness(f: NodeRef, n: int | None = None) -> int:
+def max_robustness(f: NodeRef) -> int:
     """Largest robustness among the positive instances.
 
     Equals the number of satisfiable robustness levels; the level chain can
     be abandoned as soon as one level empties out.
     """
     _nontrivial(f)
-    return len(robust_sets(f, n))
-
-
-def robustness_histogram(
-    f: NodeRef, n: int | None = None, polarity: str = POSITIVE
-) -> dict[int, Fraction]:
-    """Per-level proportions: instances with robustness exactly k over 2**n."""
-    _nontrivial(f)
-    if n is None:
-        n = f.manager.num_vars
-    if polarity not in (POSITIVE, NEGATIVE):
-        raise ValueError("histogram polarity must be 'positive' or 'negative'")
-    summary = polarity_summary(f, n, polarity)
-    return {k: Fraction(c, 2**n) for k, c in summary.counts}
+    return len(robust_sets(f))
 
 
 # ------------------------------------------------------------ explanations
@@ -275,9 +251,6 @@ class Explanation:
     @property
     def cardinality(self) -> int:
         return len(self.literals)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.literals)
 
 
 def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
@@ -326,7 +299,7 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
 
 def fooling_complete(
     f: NodeRef,
-    reason: Explanation | Mapping[int, int] | Iterable[tuple[int, int]],
+    reason: Explanation | Mapping[int, int],
     fill: Sequence[int],
 ) -> tuple[int, ...]:
     """Extend a sufficient reason with arbitrary filler bits.
@@ -338,16 +311,7 @@ def fooling_complete(
     """
     mgr = f.manager
     _check_instance(fill, mgr.num_vars)
-    if isinstance(reason, Explanation):
-        pairs = dict(reason.literals)
-    elif isinstance(reason, Mapping):
-        pairs = dict(reason)
-    else:
-        pairs = {}
-        for var, bit in reason:
-            if var in pairs:
-                raise ValueError("variable %d assigned twice" % var)
-            pairs[var] = bit
+    pairs = dict(reason.literals if isinstance(reason, Explanation) else reason)
     for var, bit in pairs.items():
         if not 0 <= var < mgr.num_vars or bit not in (0, 1):
             raise ValueError("bad literal (%r, %r)" % (var, bit))
@@ -389,7 +353,7 @@ def _forced_label(f: NodeRef, pairs: Mapping[int, int]) -> int:
 # ------------------------------------------------------- per-variable views
 
 
-def _marginals(f: NodeRef, n: int | None = None) -> list[Fraction]:
+def _marginals(f: NodeRef) -> list[Fraction]:
     """Probability that each variable is 1 among the satisfying instances.
 
     Darwiche's differential pass: bottom-up model counts (the manager's
@@ -402,7 +366,6 @@ def _marginals(f: NodeRef, n: int | None = None) -> list[Fraction]:
     mgr = f.manager
     if not mgr.is_sat(f):
         raise ValueError("marginals of an unsatisfiable function are undefined")
-    mgr.model_count(f, n)  # validates n against the support
     nvars = mgr.num_vars
     nodes = mgr._nodes
     root_level = nodes[f.i][0]
@@ -437,10 +400,10 @@ def _marginals(f: NodeRef, n: int | None = None) -> list[Fraction]:
     return result
 
 
-def marginal(f: NodeRef, var: int, n: int | None = None) -> Fraction:
+def marginal(f: NodeRef, var: int) -> Fraction:
     """Probability that ``var`` is 1 among the satisfying instances."""
     _check_var(f, var)
-    return _marginals(f, n)[var]
+    return _marginals(f)[var]
 
 
 def _implies(nodes: list[tuple[int, int, int]], memo: dict, a: int, b: int) -> bool:
@@ -524,11 +487,11 @@ def unateness(f: NodeRef, var: int) -> Unateness:
 
 
 def marginal_grid(
-    f: NodeRef, height: int, width: int, n: int | None = None
+    f: NodeRef, height: int, width: int
 ) -> list[tuple[int, int, int, Fraction]]:
     """(var, row, col, marginal) rows for a raster-ordered pixel grid."""
     _check_grid(f, height, width)
-    return _grid(_marginals(f, n), width)
+    return _grid(_marginals(f), width)
 
 
 def unateness_grid(

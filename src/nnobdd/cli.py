@@ -35,18 +35,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def _parse_order(text, n):
-    if text is None:
-        return None
-    try:
-        order = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError("--order must be a comma-separated permutation")
-    if sorted(order) != list(range(n)):
-        raise ValueError("--order must be a permutation of 0..%d" % (n - 1))
-    return order
-
-
 def _load_image_for(f, path):
     height, width, bits = formats.read_pbm(path)
     if height * width != f.manager.num_vars:
@@ -63,9 +51,8 @@ def _cmd_compile_neuron(args):
         if args.digits is None:
             raise ValueError("real-weight neurons need --digits to quantize")
         unit = quantize(unit, args.digits, args.round)
-    order = _parse_order(args.order, unit.arity)
     manager = Manager(unit.arity, node_budget=args.budget)
-    root = compile_pseudo(unit, manager, order=order)
+    root = compile_pseudo(unit, manager)
     write_obdd(root, args.output)
     print(
         "compiled %d inputs, magnitude %d, %d nodes"
@@ -132,7 +119,7 @@ def _cmd_robustness(args):
         print(analysis.max_robustness(f))
     else:  # hist
         polarity = args.polarity if args.polarity != "both" else "positive"
-        summary = analysis.polarity_summary(f, mgr.num_vars, polarity)
+        summary = analysis.polarity_summary(f, polarity)
         dest = args.output if args.output else sys.stdout
         formats.write_histogram_csv(dict(summary.counts), mgr.num_vars, dest)
     return 0
@@ -244,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--digits", type=int, default=None)
     p.add_argument("--round", choices=["truncate", "nearest"], default="truncate")
-    p.add_argument("--order", default=None)
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_compile_neuron)
 

@@ -202,7 +202,7 @@ def _flat_width(shape: Shape) -> int:
 class NetworkSpec:
     input_shape: tuple[int, int]
     layers: tuple[Layer, ...]
-    coverage_notes: tuple[str, ...] = field(default=())
+    coverage_notes: tuple[str, ...] = field(init=False, default=())
 
     def __post_init__(self):
         h, w = self.input_shape
@@ -224,26 +224,6 @@ class NetworkSpec:
     @property
     def pixel_count(self) -> int:
         return self.input_shape[0] * self.input_shape[1]
-
-    def covered_pixels(self) -> set[int]:
-        """Raster indices of input pixels read by the first layer."""
-        h, w = self.input_shape
-        if not self.layers or isinstance(self.layers[0], DenseStep):
-            return set(range(h * w))
-        layer = self.layers[0]
-        if isinstance(layer, ConvStep):
-            _, fh, fw = layer.filters[0].shape
-            stride = layer.stride
-        else:
-            fh, fw = layer.window
-            stride = layer.stride
-        covered = set()
-        for r0 in range(0, h - fh + 1, stride):
-            for c0 in range(0, w - fw + 1, stride):
-                for i in range(fh):
-                    for j in range(fw):
-                        covered.add((r0 + i) * w + (c0 + j))
-        return covered
 
 
 # ------------------------------------------------------------ JSON format
@@ -391,40 +371,29 @@ class CompiledNetwork:
 def compile_network(
     spec: NetworkSpec,
     quantize_digits: int,
-    order_policy="raster",
+    order_policy: Sequence[int] | None = None,
     round_mode: str = "truncate",
     node_budget: int | None = None,
-    manager: Manager | None = None,
 ) -> CompiledNetwork:
     """Compile every network output to a canonical diagram over the pixels.
 
     Each neuron is quantized at ``quantize_digits`` decimal digits, compiled
     locally over placeholder variables, and composed with its input wires.
     ``order_policy`` fixes which pixel each diagram variable stands for:
-    ``"raster"`` (row-major, the default) or an explicit permutation of the
-    pixel indices.  Passing a ``manager`` compiles into it (so separate
-    compilations become handle-comparable); otherwise a fresh one is created
-    with the budget.
+    an explicit permutation of the pixel indices, or None for raster
+    (row-major) order.  A fresh manager is created with the budget.
 
     Raises `BudgetExceededError`, annotated with how far compilation got,
     when the node budget is exhausted.
     """
     pixels = spec.pixel_count
-    if order_policy == "raster" or order_policy is None:
+    if order_policy is None:
         input_order = tuple(range(pixels))
     else:
         input_order = tuple(order_policy)
         if sorted(input_order) != list(range(pixels)):
             raise ValueError("order policy must be a permutation of the pixels")
-    if manager is None:
-        manager = Manager(pixels, node_budget=node_budget)
-    elif manager.num_vars != pixels:
-        raise ValueError(
-            "manager has %d variables, the input grid has %d pixels"
-            % (manager.num_vars, pixels)
-        )
-    if node_budget is None:
-        node_budget = manager.node_budget
+    manager = Manager(pixels, node_budget=node_budget)
     var_of_pixel = [0] * pixels
     for var, pixel in enumerate(input_order):
         var_of_pixel[pixel] = var

@@ -160,18 +160,13 @@ def quantize(
     return IntThresholdUnit(tuple(scaled(w) for w in unit.weights), scaled(-unit.bias))
 
 
-def compile_pseudo(
-    unit: IntThresholdUnit,
-    manager: Manager,
-    order: Sequence[int] | None = None,
-) -> NodeRef:
+def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
     """Compile an integer threshold unit by residual-threshold dynamic programming.
 
-    Level k of the diagram tests input ``order[k]`` (identity by default).
-    Setting that input keeps the residual or lowers it by the input's
-    weight; a residual at or below the remaining negative mass is TRUE, one
-    above the remaining positive mass is FALSE, and the fully assigned case
-    is TRUE iff the residual is <= 0.  The manager's node budget, if any,
+    Level k of the diagram tests input k.  Setting it keeps the residual or
+    lowers it by the input's weight; a residual at or below the remaining
+    negative mass is TRUE, one above the remaining positive mass is FALSE,
+    and the fully assigned case is TRUE iff the residual is <= 0.  The manager's node budget, if any,
     also bounds the number of materialized cells.
     """
     n = unit.arity
@@ -179,10 +174,7 @@ def compile_pseudo(
         raise ValueError(
             "manager has %d variables, unit has %d inputs" % (manager.num_vars, n)
         )
-    order = tuple(range(n)) if order is None else tuple(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of the %d inputs" % n)
-    w = [unit.weights[k] for k in order]
+    w = unit.weights
     t0 = unit.threshold
 
     # suffix sums of the negative and positive weight mass below each level

@@ -176,9 +176,6 @@ class Manager:
             raise ValueError("handle does not belong to this manager")
         return f
 
-    def _level(self, u: int) -> int:
-        return self._nodes[u][0]
-
     def _mk_id(self, var: int, lo: int, hi: int) -> int:
         """Hash-consed, reduced node constructor (internal id form)."""
         if lo == hi:
@@ -393,25 +390,13 @@ class Manager:
                 raise ValueError("instance bits must be 0 or 1")
         return u
 
-    def model_count(self, f: NodeRef, n: int | None = None) -> int:
-        """Exact number of satisfying assignments over the first ``n`` variables.
+    def model_count(self, f: NodeRef) -> int:
+        """Exact number of satisfying assignments over all the variables.
 
         Variables skipped by reduction are counted as free.  Arbitrary
-        precision: the result may be as large as ``2**n``.
+        precision: the result may be as large as ``2**num_vars``.
         """
-        self._own(f)
-        if n is None:
-            n = self.num_vars
-        if not 0 <= n <= self.num_vars:
-            raise ValueError("n must be between 0 and the variable count")
-        if n < self.num_vars:
-            sup = self.support(f)
-            if sup and max(sup) >= n:
-                raise ValueError(
-                    "function depends on variable %d, beyond n=%d" % (max(sup), n)
-                )
-        total = self._count_id(f.i) << self._level(f.i)
-        return total >> (self.num_vars - n)
+        return self._count_id(self._own(f).i) << self._nodes[f.i][0]
 
     def _count_id(self, u: int) -> int:
         """Models over the variables from this node's level to the end.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -59,14 +59,6 @@ class LabeledDataset:
             raise ValueError("features must be 0 or 1")
         if self.labels.size and not np.isin(self.labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[Sequence[int], int]]) -> "LabeledDataset":
-        feats, labels = [], []
-        for bits, label in rows:
-            feats.append(list(bits))
-            labels.append(label)
-        return cls(feats, labels)
 
     @property
     def n_features(self) -> int:
@@ -168,7 +160,6 @@ def precision_sweep(
     unit: LinearThresholdUnit,
     data: LabeledDataset,
     digits_range: Iterable[int],
-    mode: str = "truncate",
     node_budget: int | None = None,
 ) -> list[SweepRow]:
     """Quantize, compile and measure at each precision; failures become rows.
@@ -180,7 +171,7 @@ def precision_sweep(
     rows = []
     for digits in digits_range:
         try:
-            quantized = quantize(unit, digits, mode)
+            quantized = quantize(unit, digits)
         except QuantizationError:
             rows.append(SweepRow(digits, None, None, "overflow"))
             continue

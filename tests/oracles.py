@@ -12,7 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from nnobdd import NodeRef
+from nnobdd import ConvStep, DenseStep, NodeRef
 
 
 def bits_of(i: int, n: int) -> tuple[int, ...]:
@@ -134,6 +134,25 @@ def compile_exact(unit, manager):
         return memo[key]
 
     return NodeRef(manager, build(0, t0))
+
+
+def covered_pixels(spec) -> set[int]:
+    """Raster indices of the input pixels that a network's first layer reads."""
+    h, w = spec.input_shape
+    if not spec.layers or isinstance(spec.layers[0], DenseStep):
+        return set(range(h * w))
+    layer = spec.layers[0]
+    if isinstance(layer, ConvStep):
+        _, fh, fw = layer.filters[0].shape
+    else:
+        fh, fw = layer.window
+    covered = set()
+    for r0 in range(0, h - fh + 1, layer.stride):
+        for c0 in range(0, w - fw + 1, layer.stride):
+            for i in range(fh):
+                for j in range(fw):
+                    covered.add((r0 + i) * w + (c0 + j))
+    return covered
 
 
 # ------------------------------------------------------------- robustness

@@ -19,8 +19,8 @@ from nnobdd import (
     max_robustness,
     model_robustness,
     pi_explanation,
+    polarity_summary,
     robust_sets,
-    robustness_histogram,
     unateness,
     unateness_grid,
 )
@@ -29,6 +29,7 @@ from oracles import (
     all_instances,
     bdd_from_table,
     bits_of,
+    build_formula,
     formula_table,
     forces_label,
     hamming_robustness,
@@ -131,19 +132,6 @@ class TestRobustSets:
         with pytest.raises(ValueError):
             robust_sets(m.true)
 
-    def test_n_out_of_range_rejected(self):
-        m = Manager(3)
-        f = m.literal(0) | m.literal(1) | m.literal(2)
-        for n in (-1, 4):
-            with pytest.raises(ValueError):
-                robust_sets(f, n)
-            with pytest.raises(ValueError):
-                max_robustness(f, n)
-            with pytest.raises(ValueError):
-                model_robustness(f, n)
-            with pytest.raises(ValueError):
-                robustness_histogram(f, n)
-
 
 class TestModelRobustness:
     def test_single_variable(self):
@@ -226,11 +214,11 @@ class TestMaxRobustness:
 class TestHistogram:
     def test_disjunction(self):
         _, f = or2()
-        assert robustness_histogram(f) == {1: Fraction(1, 2), 2: Fraction(1, 4)}
+        assert polarity_summary(f, "positive").counts == ((1, 2), (2, 1))
 
     def test_single_literal(self):
         m = Manager(1)
-        assert robustness_histogram(m.literal(0)) == {1: Fraction(1, 2)}
+        assert polarity_summary(m.literal(0), "positive").counts == ((1, 1),)
 
     def test_proportions_sum_to_positive_mass(self):
         rng = random.Random(411)
@@ -238,9 +226,40 @@ class TestHistogram:
             n = rng.randint(1, 7)
             m = Manager(n)
             f, table = random_nontrivial(rng, n, m)
-            hist = robustness_histogram(f)
-            assert sum(hist.values()) == Fraction(sum(table), 1 << n)
-            assert sum(hist.values()) <= 1
+            counts = polarity_summary(f, "positive").counts
+            assert sum(c for _, c in counts) == sum(table)
+            assert sum(c for _, c in counts) <= 1 << n
+
+    def test_unknown_polarity_rejected(self):
+        _, f = or2()
+        with pytest.raises(ValueError):
+            polarity_summary(f, "bogus")
+
+
+class TestUnreadVariables:
+    """Variables a function never reads scale its counts, not its ratios."""
+
+    def test_counts_scale_and_ratios_stay(self):
+        rng = random.Random(422)
+        checked = 0
+        while checked < 30:
+            expr = random_formula(rng, 3)
+            f = build_formula(expr, Manager(3))
+            g = build_formula(expr, Manager(5))
+            if f.is_terminal:
+                continue
+            checked += 1
+            small, large = model_robustness(f), model_robustness(g)
+            for a, b in ((small.positive, large.positive), (small.negative, large.negative)):
+                assert [(k, 4 * c) for k, c in a.counts] == list(b.counts)
+                assert 4 * a.flip_sum == b.flip_sum
+                assert a.mean_over_all == b.mean_over_all
+                assert a.mean_over_polarity == b.mean_over_polarity
+            assert small.mr == large.mr
+            assert small.maxr == large.maxr
+            for v in range(3):
+                assert marginal(f, v) == marginal(g, v)
+                assert unateness(f, v) == unateness(g, v)
 
 
 class TestPiExplanation:
@@ -312,11 +331,6 @@ class TestFooling:
         _, f = or2()
         with pytest.raises(ValueError):
             fooling_complete(f, {0: 0}, (0, 0))
-
-    def test_duplicate_assignment_rejected(self):
-        _, f = or2()
-        with pytest.raises(ValueError):
-            fooling_complete(f, [(0, 1), (0, 0)], (0, 0))
 
 
 class TestMarginal:
@@ -479,10 +493,8 @@ class TestSinglePassOracles:
     def test_marginals_with_fewer_counted_variables(self):
         m = Manager(5)
         f = m.literal(1) | m.literal(2)
-        assert marginal(f, 2, n=3) == Fraction(2, 3)
-        assert marginal(f, 4, n=3) == Fraction(1, 2)
-        with pytest.raises(ValueError):
-            marginal(f, 0, n=2)  # f depends on variable 2
+        assert marginal(f, 2) == Fraction(2, 3)
+        assert marginal(f, 4) == Fraction(1, 2)
 
     def test_unateness_matches_truth_table(self):
         rng = random.Random(418)
@@ -572,9 +584,9 @@ class TestRobustnessBuildsOnlyThroughIte:
             assert profile.mr == mean_robustness(table, n)
             assert max_robustness(f) == max_positive_robustness(table, n)
             negative = robustness_counts(table, n, False)
-            assert robustness_histogram(f, polarity="negative") == {
-                k: Fraction(c, 1 << n) for k, c in negative.items()
-            }
+            assert polarity_summary(f, "negative").counts == tuple(
+                sorted(negative.items())
+            )
 
 
 class TestDeepDiagrams:

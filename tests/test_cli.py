@@ -1,6 +1,9 @@
 """End-to-end command-line flows and exit codes."""
 
 import json
+import shlex
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ from nnobdd.formats import write_pbm
 
 NEURON3 = "weights: 1.15 0.95 -1.05\nbias: -0.52\n"
 OR_NEURON = "weights: 1 1\nthreshold: 1\n"  # x0 or x1
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -340,3 +344,22 @@ class TestDeepDiagrams:
         path, image = deep
         assert main(["explain", str(path), str(image)]) == 3
         assert "nnobdd: budget abort: explain:" in capsys.readouterr().err
+
+
+def readme_commands():
+    """Every `nnobdd ...` line of README's "Command line" block, as argv."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln, comments=True)[1:] for ln in lines if ln.startswith("nnobdd ")]
+
+
+class TestReadme:
+    def test_command_line_examples_exit_0(self, tmp_path, monkeypatch):
+        shutil.copytree(ROOT / "docs", tmp_path / "docs")
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert commands
+        for argv in commands:
+            assert main(argv) == 0, argv

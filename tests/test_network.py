@@ -19,7 +19,7 @@ from nnobdd import (
     read_spec,
 )
 
-from oracles import all_instances, bits_of
+from oracles import all_instances, bits_of, covered_pixels
 
 FIXTURE = "docs/net4x4.json"
 
@@ -62,9 +62,14 @@ class TestShapes:
         spec = NetworkSpec((4, 4), (conv_layer(((0.5,) * 2,) * 2, -1.0, 2),))
         assert spec.coverage_notes == ()
 
+    def test_coverage_notes_are_derived_not_given(self):
+        layers = (conv_layer(((0.5,) * 2,) * 2, -1.0, 2),)
+        with pytest.raises(TypeError):
+            NetworkSpec((4, 4), layers, coverage_notes=("made up",))
+
     def test_covered_pixels_excludes_borders(self):
         spec = NetworkSpec((5, 5), (conv_layer(((0.5,) * 2,) * 2, -1.0, 2),))
-        covered = spec.covered_pixels()
+        covered = covered_pixels(spec)
         border = {4, 9, 14, 19, 20, 21, 22, 23, 24}
         assert covered == set(range(25)) - border
 
@@ -300,7 +305,7 @@ class TestCompileNetwork:
         for out in net.outputs:
             support |= net.manager.support(out)
         touched = {net.input_order[v] for v in support}
-        assert touched <= spec.covered_pixels()
+        assert touched <= covered_pixels(spec)
 
     def test_custom_pixel_order(self):
         spec = read_spec(FIXTURE)

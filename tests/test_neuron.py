@@ -199,21 +199,6 @@ class TestCompilePseudo:
             for v in range(n):
                 assert unateness(f, v) in (Unateness.POSITIVE, Unateness.UNUSED)
 
-    def test_order_independence_of_classifier_semantics(self):
-        rng = random.Random(77)
-        for _ in range(30):
-            unit = random_int_unit(rng, max_n=8, max_w=9)
-            n = unit.arity
-            order = list(range(n))
-            rng.shuffle(order)
-            f_id = compile_pseudo(unit, Manager(n))
-            f_pi = compile_pseudo(unit, Manager(n), order=order)
-            for x in all_instances(n):
-                direct = unit.fires(x)
-                assert f_id.manager.evaluate(f_id, x) == direct
-                remapped = tuple(x[order[k]] for k in range(n))
-                assert f_pi.manager.evaluate(f_pi, remapped) == direct
-
     def test_scaling_invariance(self):
         rng = random.Random(31)
         for _ in range(30):
@@ -227,10 +212,6 @@ class TestCompilePseudo:
     def test_manager_width_must_match(self):
         with pytest.raises(ValueError):
             compile_pseudo(IntThresholdUnit((1, 1), 1), Manager(3))
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(ValueError):
-            compile_pseudo(IntThresholdUnit((1, 1), 1), Manager(2), order=(0, 0))
 
 
 class TestCompileExact:

@@ -254,21 +254,14 @@ class TestComposeGraft:
 
 class TestCounting:
     def test_true_over_three_vars(self, m3):
-        assert m3.model_count(m3.true, 3) == 8
+        assert m3.model_count(m3.true) == 8
 
     def test_conjunction(self):
         m = Manager(2)
-        assert m.model_count(m.literal(0) & m.literal(1), 2) == 1
+        assert m.model_count(m.literal(0) & m.literal(1)) == 1
 
     def test_skipped_variables_are_free(self, m3):
         assert m3.model_count(m3.literal(1)) == 4
-
-    def test_explicit_smaller_n(self, m3):
-        assert m3.model_count(m3.literal(0), 1) == 1
-
-    def test_n_below_support_rejected(self, m3):
-        with pytest.raises(ValueError):
-            m3.model_count(m3.literal(2), 2)
 
     def test_huge_counts_are_exact(self):
         m = Manager(256)
@@ -411,8 +404,8 @@ class TestRandomizedInvariants:
             for i, x in enumerate(all_instances(n)):
                 if x[v] == b:
                     assert m.evaluate(conditioned, x) == table[i]
-            assert m.model_count(f, n) == sum(table)
-            assert m.model_count(f, n) + m.model_count(~f, n) == 2**n
+            assert m.model_count(f) == sum(table)
+            assert m.model_count(f) + m.model_count(~f) == 2**n
             m.audit(f)
 
     def test_compose_agrees_with_truth_tables(self):
