@@ -10,8 +10,14 @@ single passes over the nodes the diagram already has: they allocate no
 nodes, never negate, condition or combine diagrams, and use explicit
 stacks, so no diagram depth can raise `RecursionError`.  A query about the
 negative label swaps the roles of the terminals instead of complementing
-the diagram.  Node ids double as a topological order, because a node is
-always created after both of its children.
+the diagram.  Node ids order a diagram's nodes children first, because a
+node is always created after both of its children.
+
+PI explanation walks without recursion of its own too, but it also visits
+releases: conjunctions (or disjunctions) of a node's two cofactors, built
+through `ite`, whose own calls still recurse.  A release of incomparable
+cofactors can be built after the node that needs it, so ids do not order
+that walk; variable levels do, since a release tests only deeper variables.
 
 The robustness of an instance is the least number of input flips that
 changes the classifier's label; the robustness of a whole function is
@@ -263,6 +269,16 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     disjunction must reach FALSE for label 0.  Among equal-cardinality
     witnesses the lower-indexed variable is committed first, so the result
     is deterministic.
+
+    Every node builds the conjunction of its cofactors, whatever the
+    label, so both labels share one family of ITE entries.  When the
+    conjunction is one of the cofactors they are ordered and the
+    disjunction is the other one; only a label-0 query on incomparable
+    cofactors also builds their disjunction.  Three steps without
+    recursion: queue each node reached through an instance branch or a
+    release once, cost them deepest variable first (not by id: a release
+    may be newer than the node that needs it), then follow the cheaper
+    choice down from the root.
     """
     mgr = f.manager
     _check_instance(x, mgr.num_vars)
@@ -270,30 +286,48 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     label = mgr.evaluate(f, x)
     ite = mgr._ite_id
     nodes = mgr._nodes
+    step: dict[int, tuple[int, int]] = {}  # node: (instance branch, release)
+    seen = {0, 1, f.i}
+    order = [f.i]
+    for u in order:
+        var, lo, hi = nodes[u]
+        both = ite(lo, hi, 0)
+        if label:
+            release = both
+        elif both == lo:
+            release = hi
+        elif both == hi:
+            release = lo
+        else:
+            release = ite(lo, 1, hi)
+        branch = hi if x[var] else lo
+        step[u] = (branch, release)
+        if branch not in seen:
+            seen.add(branch)
+            order.append(branch)
+        if release not in seen:
+            seen.add(release)
+            order.append(release)
+    order.sort(key=lambda u: nodes[u][0], reverse=True)  # both edges go deeper
     cost: dict[int, int | float] = {label: 0, 1 - label: math.inf}
-    include: dict[int, bool] = {}
-
-    def best(u: int) -> int | float:
-        r = cost.get(u)
-        if r is None:
-            var, lo, hi = nodes[u]
-            committed = 1 + best(hi if x[var] else lo)
-            released = best(ite(lo, hi, 0) if label else ite(lo, 1, hi))
-            include[u] = committed <= released
-            r = cost[u] = min(committed, released)
-        return r
-
-    total = best(f.i)
+    commit: dict[int, bool] = {}
+    for u in order:
+        branch, release = step[u]
+        committed = 1 + cost[branch]
+        released = cost[release]
+        commit[u] = committed <= released
+        cost[u] = min(committed, released)
     literals: list[tuple[int, int]] = []
     u = f.i
     while u > 1:
-        var, lo, hi = nodes[u]
-        if include[u]:
+        branch, release = step[u]
+        if commit[u]:
+            var = nodes[u][0]
             literals.append((var, x[var]))
-            u = hi if x[var] else lo
+            u = branch
         else:
-            u = ite(lo, hi, 0) if label else ite(lo, 1, hi)
-    assert len(literals) == total
+            u = release
+    assert len(literals) == cost[f.i]
     return Explanation(tuple(literals), label)
 
 

@@ -7,6 +7,7 @@ All diagnostics go to stderr; results go to stdout or to the named files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import analysis, formats
@@ -222,7 +223,9 @@ def _add_train_flags(p):
     p.add_argument("--l2", type=float, default=0.0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommand tree, built once per process and shared by every `main`."""
     parser = _Parser(prog="nnobdd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -303,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as e:

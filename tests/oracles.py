@@ -249,6 +249,46 @@ def forces_label(table, n, pairs, label) -> bool:
     return True
 
 
+def recursive_pi_explanation(f, x) -> tuple[tuple[int, int], ...]:
+    """PI-explanation literals by the memoized recursive dynamic program.
+
+    At each node, the cheaper of committing the instance's literal and
+    releasing the variable, whose release is the conjunction of the
+    cofactors for label 1 and their disjunction for label 0; ties commit.
+    Recursion depth grows with the diagram's, so only for small inputs.
+    """
+    mgr = f.manager
+    label = mgr.evaluate(f, x)
+    ite = mgr._ite_id
+    nodes = mgr._nodes
+    cost = {label: 0, 1 - label: math.inf}
+    include = {}
+
+    def release(lo, hi):
+        return ite(lo, hi, 0) if label else ite(lo, 1, hi)
+
+    def best(u):
+        if u not in cost:
+            var, lo, hi = nodes[u]
+            committed = 1 + best(hi if x[var] else lo)
+            released = best(release(lo, hi))
+            include[u] = committed <= released
+            cost[u] = min(committed, released)
+        return cost[u]
+
+    best(f.i)
+    literals = []
+    u = f.i
+    while u > 1:
+        var, lo, hi = nodes[u]
+        if include[u]:
+            literals.append((var, x[var]))
+            u = hi if x[var] else lo
+        else:
+            u = release(lo, hi)
+    return tuple(literals)
+
+
 # ------------------------------------------------------ per-variable views
 
 

@@ -7,10 +7,15 @@ from fractions import Fraction
 import pytest
 
 from nnobdd import (
+    ConvFilter,
+    ConvStep,
+    DenseStep,
     Explanation,
     Manager,
+    NetworkSpec,
     Unateness,
     analysis,
+    compile_network,
     dataset_average_robustness,
     fooling_complete,
     instance_robustness,
@@ -24,6 +29,7 @@ from nnobdd import (
     unateness,
     unateness_grid,
 )
+from nnobdd.obdd import _reachable
 
 from oracles import (
     all_instances,
@@ -37,6 +43,7 @@ from oracles import (
     mean_robustness,
     min_sufficient_size,
     random_formula,
+    recursive_pi_explanation,
     robustness_counts,
     tt_marginal,
     tt_unateness,
@@ -305,6 +312,66 @@ class TestPiExplanation:
         m = Manager(2)
         with pytest.raises(ValueError):
             pi_explanation(m.true, (0, 0))
+
+
+class TestPiExplanationMatchesRecursion:
+    """The depth-safe pass gives the recursive program's literals exactly."""
+
+    def test_both_labels_alternately_in_one_manager(self):
+        rng = random.Random(422)
+        functions = 0
+        while functions < 40:
+            n = rng.randint(2, 9)
+            m = Manager(n)
+            f, table = random_nontrivial(rng, n, m)
+            if all(tt_unateness(table, n, v) != "none" for v in range(n)):
+                continue
+            functions += 1
+            by_label = [
+                [i for i in range(1 << n) if table[i] == label] for label in (0, 1)
+            ]
+            # both labels share the manager, so both ITE families are cached
+            for k in range(12):
+                x = bits_of(rng.choice(by_label[k % 2]), n)
+                if k % 4 < 2:  # the pass first, then the reference, then swapped
+                    got = pi_explanation(f, x).literals
+                    expected = recursive_pi_explanation(f, x)
+                else:
+                    expected = recursive_pi_explanation(f, x)
+                    got = pi_explanation(f, x).literals
+                assert got == expected
+
+    def test_release_built_after_the_node_that_needs_it(self):
+        # 4x4 pixels, two 2x2 stride-2 filters, one dense unit, raster order
+        spec = NetworkSpec(
+            (4, 4),
+            (
+                ConvStep(
+                    (
+                        ConvFilter((((-0.4, 0.2), (0.1, 0.3)),), -0.2),
+                        ConvFilter((((0.1, 0.2), (0.3, -0.4)),), -0.2),
+                    ),
+                    2,
+                ),
+                DenseStep(((0.1, -0.4, 0.7, 0.3, 0.2, -0.8, 0.6, 0.5),), (-1.0,)),
+            ),
+        )
+        f = compile_network(spec, 1).outputs[0]
+        m = f.manager
+        labels = set()
+        for i in range(0, 1 << 16, 331):
+            x = bits_of(i, 16)
+            reason = pi_explanation(f, x)
+            assert reason.literals == recursive_pi_explanation(f, x)
+            labels.add(reason.label)
+        assert labels == {0, 1}
+        nodes = m._nodes
+        newer = [
+            u
+            for u in _reachable(f)
+            if m._ite_id(nodes[u][1], nodes[u][2], 0) > u
+        ]
+        assert newer  # ascending ids would cost such a node before its release
 
 
 class TestFooling:
@@ -608,3 +675,16 @@ class TestDeepDiagrams:
         assert fooling_complete(f, {v: 1 for v in range(n)}, (0,) * n) == ones
         assert fooling_complete(f, {7: 0}, ones) == ones[:7] + (0,) + ones[8:]
         assert m.model_count(f) == 1
+
+    def test_explanations_return(self):
+        n = 1200
+        m = Manager(n)
+        f = m.true
+        for v in reversed(range(n)):
+            f = m.literal(v) & f
+        ones = (1,) * n
+        assert pi_explanation(f, ones) == Explanation(
+            tuple((v, 1) for v in range(n)), 1
+        )
+        x = ones[:700] + (0,) + ones[701:]
+        assert pi_explanation(f, x) == Explanation(((700, 0),), 0)

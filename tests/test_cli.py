@@ -149,6 +149,18 @@ class TestRobustnessCommands:
         assert lines[1] == "1,2,1/2"
         assert lines[2] == "2,1,1/4"
 
+    def test_flags_do_not_carry_over_between_calls(self, workdir, capsys):
+        out = compile_or(workdir)
+        neg, pos = workdir / "neg.csv", workdir / "pos.csv"
+        argv = ["robustness", "hist", str(out)]
+        assert main(argv + ["--polarity", "negative", "-o", str(neg)]) == 0
+        assert main(argv + ["-o", str(pos)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert neg.read_text().splitlines()[1:] == ["1,1,1/4"]
+        assert pos.read_text().splitlines()[1:] == ["1,2,1/2", "2,1,1/4"]
+        assert capsys.readouterr().out.splitlines()[1:] == ["1,2,1/2", "2,1,1/4"]
+
     def test_dataset_average(self, workdir, capsys):
         out = compile_or(workdir)
         capsys.readouterr()
@@ -340,8 +352,33 @@ class TestDeepDiagrams:
         assert "nodes 1200" in text
         assert "models 1" in text
 
-    def test_recursion_is_a_budget_abort(self, deep, capsys):
+    def test_explain(self, deep, workdir, capsys):
         path, image = deep
+        assert main(["explain", str(path), str(image)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["label 1", "cardinality 1200"]
+        assert len(lines) == 1202
+        one_zero = workdir / "one_zero.pbm"
+        write_pbm((1,) * 700 + (0,) + (1,) * 499, 30, 40, str(one_zero))
+        assert main(["explain", str(path), str(one_zero)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["label 0", "cardinality 1", "700 17 20 0"]
+
+    def test_recursion_is_a_budget_abort(self, workdir, capsys):
+        # ite(x0, x1 & ... & x1198, x1 & ... & x1199): releasing x0 for the
+        # all-ones image conjoins two chains about 1,200 levels deep
+        m = Manager(1200)
+
+        def conjunction(last):
+            f = m.true
+            for v in reversed(range(1, last + 1)):
+                f = m.literal(v) & f
+            return f
+
+        path = workdir / "deep_release.obdd"
+        write_obdd(m.ite(m.literal(0), conjunction(1198), conjunction(1199)), str(path))
+        image = workdir / "ones.pbm"
+        write_pbm((1,) * 1200, 30, 40, str(image))
         assert main(["explain", str(path), str(image)]) == 3
         assert "nnobdd: budget abort: explain:" in capsys.readouterr().err
 
