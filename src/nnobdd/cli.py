@@ -225,7 +225,11 @@ def _add_train_flags(p):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The subcommand tree, built once per process and shared by every `main`."""
+    """The subcommand tree, built once per process and shared by every `main`.
+
+    Handlers are looked up by name when `main` runs, not stored in the
+    tree, so a `_cmd_*` function rebound after the first call still runs.
+    """
     parser = _Parser(prog="nnobdd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -235,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=None)
     p.add_argument("--round", choices=["truncate", "nearest"], default="truncate")
     p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=_cmd_compile_neuron)
 
     p = sub.add_parser("compile-net", help="model file to per-output diagram files")
     p.add_argument("model")
@@ -243,12 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=2)
     p.add_argument("--round", choices=["truncate", "nearest"], default="truncate")
     p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=_cmd_compile_net)
 
     p = sub.add_parser("eval", help="classify one PBM image")
     p.add_argument("obdd")
     p.add_argument("image")
-    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("robustness", help="robustness queries")
     p.add_argument("mode", choices=["instance", "model", "max", "hist"])
@@ -259,14 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--polarity", choices=["positive", "negative", "both"], default="both"
     )
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_robustness)
 
     p = sub.add_parser("explain", help="minimum sufficient reason for one image")
     p.add_argument("obdd")
     p.add_argument("image")
     p.add_argument("--fool-fill", default=None, help="PBM filler for a fooling image")
     p.add_argument("--fool-out", default=None)
-    p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser("marginals", help="per-pixel marginals as CSV")
     p.add_argument("obdd")
@@ -274,20 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--pgm", default=None, help="also write a rescaled PGM heatmap")
-    p.set_defaults(func=_cmd_marginals)
 
     p = sub.add_parser("unate", help="per-pixel unateness as CSV")
     p.add_argument("obdd")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_unate)
 
     p = sub.add_parser("train", help="fit a threshold neuron on a dataset")
     p.add_argument("dataset")
     p.add_argument("-o", "--output", required=True)
     _add_train_flags(p)
-    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("sweep", help="train, then quantize and compile per precision")
     p.add_argument("dataset")
@@ -296,11 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-digits", type=int, default=4)
     p.add_argument("--budget", type=int, default=None)
     _add_train_flags(p)
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("stats", help="node count, support size, model count")
     p.add_argument("obdd")
-    p.set_defaults(func=_cmd_stats)
 
     return parser
 
@@ -308,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except BudgetExceededError as e:
         print("nnobdd: budget abort: %s" % e, file=sys.stderr)
         return 3

@@ -313,8 +313,7 @@ class Manager:
 
         for u in above:
             v, lo, hi = nodes[u]
-            a, b = cut(lo), cut(hi)
-            res[u] = u if a == lo and b == hi else mk(v, a, b)  # keep an unchanged node
+            res[u] = mk(v, cut(lo), cut(hi))
         return NodeRef(self, cut(f.i))
 
     def compose(self, f: NodeRef, subs: Sequence[NodeRef]) -> NodeRef:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nnobdd import Manager, read_obdd, write_obdd
+from nnobdd import Manager, cli, read_obdd, write_obdd
 from nnobdd.cli import main
 from nnobdd.formats import write_pbm
 
@@ -160,6 +160,17 @@ class TestRobustnessCommands:
         assert neg.read_text().splitlines()[1:] == ["1,1,1/4"]
         assert pos.read_text().splitlines()[1:] == ["1,2,1/2", "2,1,1/4"]
         assert capsys.readouterr().out.splitlines()[1:] == ["1,2,1/2", "2,1,1/4"]
+
+    def test_handler_rebound_after_first_call_runs(self, workdir, monkeypatch):
+        # wrappers that time a command replace the module's `_cmd_*` function
+        out = compile_or(workdir)
+        assert main(["robustness", "max", str(out)]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_robustness", lambda args: seen.append(args.mode) or 0)
+        monkeypatch.setattr(cli, "_cmd_stats", lambda args: seen.append("stats") or 0)
+        assert main(["robustness", "max", str(out)]) == 0
+        assert main(["stats", str(out)]) == 0
+        assert seen == ["max", "stats"]
 
     def test_dataset_average(self, workdir, capsys):
         out = compile_or(workdir)

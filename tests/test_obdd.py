@@ -121,17 +121,6 @@ class TestCondition:
         assert m3.condition(once, 1, 1) == once
         assert m3.condition(once, 1, 0) == once
 
-    def test_unread_variable_returns_f_without_building(self, monkeypatch):
-        m = Manager(5)
-        f = (m.literal(0) | m.literal(1)) & ~m.literal(3)
-        calls = []
-        real = m._mk_id
-        monkeypatch.setattr(m, "_mk_id", lambda *key: calls.append(key) or real(*key))
-        for var in (2, 4):
-            for value in (0, 1):
-                assert m.condition(f, var, value) == f
-        assert calls == []
-
     def test_every_variable_matches_truth_tables(self):
         rng = random.Random(1006)
         for _ in range(40):
