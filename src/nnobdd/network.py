@@ -13,9 +13,11 @@ exactly, with real weights interpreted at their printed decimal value
 quantization), so it can serve as an oracle for the compiled form.
 `compile_network` builds one canonical diagram per network output over the
 input pixels: every neuron is compiled locally over placeholder variables
-and then composed with the diagrams of its input wires, pooling wires are
-disjunctions, and identical (neuron, input-wires) compositions are shared
-through a cache.
+and then composed with the diagrams of its input wires, and pooling wires
+are disjunctions.  Both treat a dense layer as a convolution with one
+window, the whole input, so they handle two kinds of layer: pooling and
+threshold units.  A dense layer's outputs are 1x1 planes, which keeps
+every set of wires a channel/row/column grid.
 
 Model files are JSON; images are ASCII PBM bitmaps (see `formats`).
 Dense weights run over the flattened input in channel-major raster order:
@@ -303,21 +305,29 @@ def forward_eval(spec: NetworkSpec, x: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("image bits must be 0 or 1")
     wires: list = [[[x[r * w + c] for c in range(w)] for r in range(h)]]
     for layer in spec.layers:
-        if isinstance(layer, ConvStep):
-            windows = _windows(wires, layer.filters[0].shape, layer.stride)
-            wires = [
-                [[f.unit.fires(bits) for bits in row] for row in windows]
-                for f in layer.filters
-            ]
-        elif isinstance(layer, MaxPoolOr):
+        if isinstance(layer, MaxPoolOr):
             wires = [
                 [[1 if any(bits) else 0 for bits in row] for row in windows]
                 for windows in _pool_windows(wires, layer)
             ]
-        else:  # DenseStep
-            flat = _flatten_wires(wires)
-            wires = [unit.fires(flat) for unit in layer.units]
+        else:
+            units, windows = _threshold_layer(wires, layer)
+            wires = [
+                [[unit.fires(bits) for bits in row] for row in windows] for unit in units
+            ]
     return tuple(_flatten_wires(wires))
+
+
+def _threshold_layer(wires, layer: ConvStep | DenseStep):
+    """A conv or dense layer's units, and the rows of windows they all read.
+
+    A dense layer is a convolution with one window: the whole input.
+    """
+    if isinstance(layer, ConvStep):
+        windows = _windows(wires, layer.filters[0].shape, layer.stride)
+        return [f.unit for f in layer.filters], windows
+    shape = (len(wires), len(wires[0]), len(wires[0][0]))
+    return layer.units, _windows(wires, shape, 1)
 
 
 def _windows(wires, shape: tuple[int, int, int], stride: int) -> list:
@@ -344,9 +354,7 @@ def _pool_windows(wires, layer: MaxPoolOr) -> list:
 
 
 def _flatten_wires(wires) -> list:
-    if wires and isinstance(wires[0], list):
-        return [v for plane in wires for row in plane for v in row]
-    return list(wires)
+    return [v for plane in wires for row in plane for v in row]
 
 
 # ----------------------------------------------------------------- compile
@@ -359,7 +367,6 @@ class CompiledNetwork:
     manager: Manager
     outputs: tuple[NodeRef, ...]
     input_order: tuple[int, ...]
-    spec: NetworkSpec
 
     def evaluate(self, x: Sequence[int]) -> tuple[int, ...]:
         if len(x) != len(self.input_order):
@@ -408,51 +415,31 @@ def compile_network(
         ]
     except BudgetExceededError as e:
         raise BudgetExceededError("%s while building the input wires" % e) from e
-    share: dict = {}
-
-    def compose_unit(neuron_ref: NodeRef, inputs: list[NodeRef], tag) -> NodeRef:
-        key = (tag, tuple(s.i for s in inputs))
-        out = share.get(key)
-        if out is None:
-            out = manager.compose(neuron_ref, inputs)
-            share[key] = out
-        return out
 
     for idx, layer in enumerate(spec.layers, start=1):
         try:
-            if isinstance(layer, ConvStep):
-                windows = _windows(wires, layer.filters[0].shape, layer.stride)
-                arity = len(windows[0][0])
-                out = []
-                for f_idx, f in enumerate(layer.filters):
-                    unit = quantize(f.unit, quantize_digits, round_mode)
-                    pmgr = Manager(arity, node_budget=node_budget)
-                    neuron_ref = compile_pseudo(unit, pmgr)
-                    tag = (idx, f_idx)
-                    out.append(
-                        [[compose_unit(neuron_ref, b, tag) for b in row] for row in windows]
-                    )
-                wires = out
-            elif isinstance(layer, MaxPoolOr):
+            if isinstance(layer, MaxPoolOr):
                 wires = [
                     [[reduce(or_, bits, manager.false) for bits in row] for row in windows]
                     for windows in _pool_windows(wires, layer)
                 ]
-            else:  # DenseStep
-                flat = _flatten_wires(wires)
-                arity = len(flat)
-                out_flat = []
-                for u_idx, real in enumerate(layer.units):
+            else:
+                units, windows = _threshold_layer(wires, layer)
+                arity = len(windows[0][0])
+                out = []
+                for real in units:
                     unit = quantize(real, quantize_digits, round_mode)
                     pmgr = Manager(arity, node_budget=node_budget)
                     neuron_ref = compile_pseudo(unit, pmgr)
-                    out_flat.append(compose_unit(neuron_ref, flat, (idx, u_idx)))
-                wires = out_flat
+                    out.append(
+                        [[manager.compose(neuron_ref, b) for b in row] for row in windows]
+                    )
+                wires = out
         except BudgetExceededError as e:
             raise BudgetExceededError(
                 "%s while compiling layer %d of %d (%s)"
                 % (e, idx, len(spec.layers), type(layer).__name__)
             ) from e
 
-    return CompiledNetwork(manager, tuple(_flatten_wires(wires)), input_order, spec)
+    return CompiledNetwork(manager, tuple(_flatten_wires(wires)), input_order)
 

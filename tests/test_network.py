@@ -10,12 +10,14 @@ from nnobdd import (
     ConvFilter,
     ConvStep,
     DenseStep,
+    Manager,
     MaxPoolOr,
     NetworkSpec,
     ShapeError,
     compile_network,
     forward_eval,
     load_spec,
+    network,
     read_spec,
 )
 
@@ -327,13 +329,142 @@ class TestCompileNetwork:
             compile_network(spec, 2, node_budget=4)
 
     def test_wire_sharing_reuses_identical_windows(self):
-        # a constant-ish filter sees identical windows; composition is cached
+        # one filter diagram is composed over each of the four windows
         spec = NetworkSpec(
             (4, 4),
             (conv_layer(((0.5, 0.5), (0.5, 0.5)), -0.5, 2),),
         )
         net = compile_network(spec, 1)
         assert len(net.outputs) == 4
+        for x in seeded_images(16, 256, seed=13):
+            assert net.evaluate(x) == forward_eval(spec, x)
+
+
+def seeded_images(n, count, seed):
+    rng = random.Random(seed)
+    return [bits_of(rng.getrandbits(n), n) for _ in range(count)]
+
+
+def step(weights, bias, inputs):
+    """A threshold unit written out; weights and bias are exact binary floats."""
+    return 1 if sum(w * v for w, v in zip(weights, inputs)) + bias >= 0 else 0
+
+
+class TestDenseInputOrder:
+    """Dense units read the previous layer channel, then row, then column.
+
+    The expected outputs come from loops written here, not from the
+    window helper that both `forward_eval` and `compile_network` share.
+    """
+
+    # filter ch reads the pixel at offset (ch, ch) of each 2x2 stride-2 window
+    CONV = ConvStep(
+        (
+            ConvFilter((((1.0, 0.0), (0.0, 0.0)),), -1.0),
+            ConvFilter((((0.0, 0.0), (0.0, 1.0)),), -1.0),
+        ),
+        2,
+    )
+    DENSE = (1.0, 2.0, 3.0, 5.0, -1.5, -2.5, -4.0, -6.0)
+    BIAS = -0.5
+
+    def conv_planes(self, x):
+        planes = []
+        for ch in range(2):
+            plane = []
+            for r in range(2):
+                plane.append([x[(2 * r + ch) * 4 + 2 * c + ch] for c in range(2)])
+            planes.append(plane)
+        return planes
+
+    def expected(self, x, channel_first=True):
+        planes = self.conv_planes(x)
+        flat = []
+        if channel_first:
+            for ch in range(2):
+                for r in range(2):
+                    for c in range(2):
+                        flat.append(planes[ch][r][c])
+        else:
+            for r in range(2):
+                for c in range(2):
+                    for ch in range(2):
+                        flat.append(planes[ch][r][c])
+        return (step(self.DENSE, self.BIAS, flat),)
+
+    def images(self):
+        # every assignment of the eight pixels the filters read, with the
+        # other eight pixels all 0 or all 1
+        read = [
+            (2 * r + ch) * 4 + 2 * c + ch
+            for ch in range(2)
+            for r in range(2)
+            for c in range(2)
+        ]
+        for bits in all_instances(8):
+            for fill in (0, 1):
+                x = [fill] * 16
+                for pixel, b in zip(read, bits):
+                    x[pixel] = b
+                yield tuple(x)
+
+    def test_conv_then_dense_is_channel_major(self):
+        spec = NetworkSpec((4, 4), (self.CONV, DenseStep((self.DENSE,), (self.BIAS,))))
+        net = compile_network(spec, 1)
+        images = list(self.images())
+        # the order matters: row-first reading changes some labels
+        assert any(self.expected(x) != self.expected(x, channel_first=False) for x in images)
+        for x in images:
+            assert forward_eval(spec, x) == self.expected(x)
+            assert net.evaluate(x) == self.expected(x)
+
+    def test_dense_stack_on_two_by_two(self):
+        first = (((1.0, 2.0, -1.0, 0.5), (-1.0, 1.0, 2.0, -0.5)), (-1.0, 0.0))
+        second = (((1.0, -1.0), (1.0, 1.0)), (-1.0, -2.0))
+        third = (((1.0, -1.0), (-1.0, 1.0)), (-1.0, -1.0))
+        layers = (first, second, third)
+        spec = NetworkSpec((2, 2), tuple(DenseStep(w, b) for w, b in layers))
+        net = compile_network(spec, 1)
+        outputs = set()
+        for x in all_instances(4):
+            wires = list(x)
+            for weights, biases in layers:
+                wires = [step(w, b, wires) for w, b in zip(weights, biases)]
+            outputs.add(tuple(wires))
+            assert forward_eval(spec, x) == tuple(wires)
+            assert net.evaluate(x) == tuple(wires)
+        assert len(outputs) > 1
+
+
+class TestCompileCalls:
+    def test_one_pseudo_per_unit_and_one_compose_per_window(self, monkeypatch):
+        arities, composes = [], []
+        real_pseudo, real_compose = network.compile_pseudo, Manager.compose
+
+        def pseudo(unit, manager):
+            arities.append(unit.arity)
+            return real_pseudo(unit, manager)
+
+        def compose(mgr, f, subs):
+            composes.append(len(subs))
+            return real_compose(mgr, f, subs)
+
+        monkeypatch.setattr(network, "compile_pseudo", pseudo)
+        monkeypatch.setattr(Manager, "compose", compose)
+        conv = ConvStep(
+            (
+                ConvFilter((((0.5, -0.25), (0.25, 0.5)),), -0.25),
+                ConvFilter((((-0.5, 0.5), (0.5, -0.25)),), 0.0),
+            ),
+            2,
+        )
+        dense = DenseStep(((1.0, -1.0), (-1.0, 1.0), (0.5, 0.5)), (-1.0, -1.0, -1.0))
+        spec = NetworkSpec((4, 4), (conv, MaxPoolOr((2, 2), 2), dense))
+        net = compile_network(spec, 2)
+        assert arities == [4, 4, 2, 2, 2]
+        assert composes == [4] * 8 + [2] * 3
+        for x in seeded_images(16, 256, seed=14):
+            assert net.evaluate(x) == forward_eval(spec, x)
 
 
 class TestComposeDepth:
