@@ -43,7 +43,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .obdd import NodeRef, _reachable
+from .obdd import NodeRef, _counts, _reachable
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -390,12 +390,12 @@ def _forced_label(f: NodeRef, pairs: Mapping[int, int]) -> int:
 def _marginals(f: NodeRef) -> list[Fraction]:
     """Probability that each variable is 1 among the satisfying instances.
 
-    Darwiche's differential pass: bottom-up model counts (the manager's
-    count cache) times top-down path mass give the models flowing along
-    every edge.  The models through a node labelled v's high edge are those
-    with v = 1; an edge that skips variables carries them with each skipped
-    variable free, so half of its models set it to 1, which a difference
-    array spreads over the skipped range.
+    Darwiche's differential pass over one `_reachable` walk: bottom-up
+    model counts (`_counts`) times top-down path mass give the models
+    flowing along every edge.  The models through a node labelled v's high
+    edge are those with v = 1; an edge that skips variables carries them
+    with each skipped variable free, so half of its models set it to 1,
+    which a difference array spreads over the skipped range.
     """
     mgr = f.manager
     if not mgr.is_sat(f):
@@ -403,14 +403,15 @@ def _marginals(f: NodeRef) -> list[Fraction]:
     nvars = mgr.num_vars
     nodes = mgr._nodes
     root_level = nodes[f.i][0]
-    total = mgr._count_id(f.i) << root_level
-    count = mgr._count_cache  # filled for every node below f by the line above
+    order = _reachable(f)
+    count = _counts(f, order)
+    total = count[f.i] << root_level
     on = [0] * nvars  # models through the high edges of each variable's nodes
     skipped = [0] * (nvars + 1)  # difference array of models on skipping edges
     skipped[0] = total  # the variables above the root are free
     skipped[root_level] -= total
     mass = {f.i: 1 << root_level}  # assignments above a node that reach it
-    for u in reversed(_reachable(f)):
+    for u in reversed(order):
         var, lo, hi = nodes[u]
         m = mass.pop(u)
         for child in (lo, hi):
@@ -420,7 +421,7 @@ def _marginals(f: NodeRef) -> list[Fraction]:
             gap = level - var - 1
             if child > 1:
                 mass[child] = mass.get(child, 0) + (m << gap)
-            flow = (m * count.get(child, child)) << gap  # TRUE counts 1
+            flow = (m * count[child]) << gap
             if child == hi:
                 on[var] += flow
             if gap:

@@ -117,7 +117,10 @@ def _cmd_robustness(args):
             )
         print("mr=%s maxr=%d vars=%d" % (profile.mr, profile.maxr, profile.num_vars))
     elif args.mode == "max":
-        print(analysis.max_robustness(f))
+        if args.polarity == "negative":
+            print(analysis.polarity_summary(f, "negative").max_robustness)
+        else:
+            print(analysis.max_robustness(f))
     else:  # hist
         polarity = args.polarity if args.polarity != "both" else "positive"
         summary = analysis.polarity_summary(f, polarity)

@@ -42,6 +42,8 @@ def read_pbm(src: PathOrFile) -> tuple[int, int, tuple[int, ...]]:
         width, height = int(tokens[1]), int(tokens[2])
     except ValueError:
         raise ValueError("bad PBM dimensions")
+    if width <= 0 or height <= 0:
+        raise ValueError("PBM dimensions must be positive")
     digits = "".join(tokens[3:])
     if len(digits) != width * height or any(d not in "01" for d in digits):
         raise ValueError(

@@ -25,7 +25,8 @@ growth into a `BudgetExceededError` instead of an out-of-memory failure.
 A manager and every handle it produced must be confined to a single thread
 of control at a time.  Distinct managers are fully independent and may be
 used in parallel.  No operation ever mutates an existing diagram; the
-operation caches are the only mutable state.
+unique table and the if-then-else cache are the only mutable state besides
+the node store.
 """
 
 from __future__ import annotations
@@ -134,13 +135,30 @@ def _reachable(f: NodeRef) -> list[int]:
     return order
 
 
+def _counts(f: NodeRef, order: list[int]) -> dict[int, int]:
+    """Models of each node over the variables from its level to the end.
+
+    ``order`` is `_reachable(f)`; one pass over it, children first.  A
+    terminal's count is its own id.
+    """
+    nodes = f.manager._nodes
+    count = {0: 0, 1: 1}
+    for u in order:
+        var, lo, hi = nodes[u]
+        count[u] = (count[lo] << (nodes[lo][0] - var - 1)) + (
+            count[hi] << (nodes[hi][0] - var - 1)
+        )
+    return count
+
+
 class Manager:
-    """Node store plus operation caches for diagrams over a fixed variable order.
+    """Node store, unique table and ite cache for diagrams over a fixed variable order.
 
     Variables are the integers ``0 .. num_vars-1``; every edge goes from a
     variable to a strictly larger variable or to a terminal.  ``node_budget``,
     when set, caps the total number of nodes ever allocated (terminals
-    included).
+    included).  Queries keep no state here: model counts, for instance, are
+    computed per call from one walk over the diagram's nodes.
     """
 
     def __init__(self, num_vars: int, node_budget: int | None = None):
@@ -157,7 +175,6 @@ class Manager:
         ]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
-        self._count_cache: dict[int, int] = {}
         self.false = NodeRef(self, 0)
         self.true = NodeRef(self, 1)
 
@@ -396,38 +413,7 @@ class Manager:
         Variables skipped by reduction are counted as free.  Arbitrary
         precision: the result may be as large as ``2**num_vars``.
         """
-        return self._count_id(self._own(f).i) << self._nodes[f.i][0]
-
-    def _count_id(self, u: int) -> int:
-        """Models over the variables from this node's level to the end.
-
-        Fills ``_count_cache`` for every uncached node below ``u``, children
-        first, without recursion, so no diagram depth can overflow the
-        interpreter stack.  The walk is `_reachable`'s, with cached nodes
-        stopping it like terminals.
-        """
-        cache = self._count_cache
-        if u <= 1 or u in cache:
-            return cache.get(u, u)
-        nodes = self._nodes
-        seen = {0, 1, u}
-        todo = [u]
-        for w in todo:
-            _, lo, hi = nodes[w]
-            if lo not in seen and lo not in cache:
-                seen.add(lo)
-                todo.append(lo)
-            if hi not in seen and hi not in cache:
-                seen.add(hi)
-                todo.append(hi)
-        todo.sort()  # a node's id exceeds its children's
-        for w in todo:
-            var, lo, hi = nodes[w]
-            # a terminal's count is its own id
-            cache[w] = (cache.get(lo, lo) << (nodes[lo][0] - var - 1)) + (
-                cache.get(hi, hi) << (nodes[hi][0] - var - 1)
-            )
-        return cache[u]
+        return _counts(self._own(f), _reachable(f))[f.i] << self._nodes[f.i][0]
 
     def is_valid(self, f: NodeRef) -> bool:
         return self._own(f).i == 1

@@ -579,6 +579,11 @@ class TestSinglePassOracles:
             unateness(f, -1)
 
 
+def container_sizes(m):
+    """Length of every dict and list the manager holds."""
+    return {k: len(v) for k, v in vars(m).items() if isinstance(v, (dict, list))}
+
+
 class TestQueriesAllocateNothing:
     """The node store must not grow across a query: a deterministic gate."""
 
@@ -595,12 +600,15 @@ class TestQueriesAllocateNothing:
                 # first call may add their conjunction (or disjunction)
                 reason = pi_explanation(f, x)
                 before = m.allocated
+                sizes = container_sizes(m)
                 instance_robustness(f, x)
                 assert pi_explanation(f, x) == reason
                 fooling_complete(f, reason, bits_of(i ^ ((1 << n) - 1), n))
                 marginal_grid(f, 1, n)
                 unateness_grid(f, 1, n)
+                m.model_count(f)
                 assert m.allocated == before
+                assert container_sizes(m) == sizes
 
     def test_no_negated_copy_for_label_zero(self):
         m = Manager(6)

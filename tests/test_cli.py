@@ -120,8 +120,15 @@ class TestRobustnessCommands:
     def test_max(self, workdir, capsys):
         out = compile_or(workdir)
         capsys.readouterr()
-        assert main(["robustness", "max", str(out)]) == 0
-        assert capsys.readouterr().out.strip() == "2"
+        # x0 or x1: 11 needs two flips to turn negative, 00 one to turn positive
+        for flags, expected in (
+            ([], "2"),
+            (["--polarity", "both"], "2"),
+            (["--polarity", "positive"], "2"),
+            (["--polarity", "negative"], "1"),
+        ):
+            assert main(["robustness", "max", str(out)] + flags) == 0
+            assert capsys.readouterr().out.strip() == expected, flags
 
     def test_instance(self, workdir, capsys):
         out = compile_or(workdir)
@@ -338,7 +345,10 @@ class TestStatsAndExitCodes:
 
     def test_mismatched_image_exits_2(self, workdir):
         out = compile_or(workdir)
-        assert main(["eval", str(out), str(workdir / "img3.pbm")]) == 2
+        # negative dimensions whose product matches the diagram's 2 inputs
+        (workdir / "negative.pbm").write_text("P1\n-1 -2\n1 1\n")
+        for image in ("img3.pbm", "negative.pbm"):
+            assert main(["eval", str(out), str(workdir / image)]) == 2, image
 
 
 class TestDeepDiagrams:
@@ -411,3 +421,11 @@ class TestReadme:
         assert commands
         for argv in commands:
             assert main(argv) == 0, argv
+
+    def test_library_tour_runs(self, capsys):
+        text = (ROOT / "README.md").read_text()
+        block = text.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "5/4"
+        assert lines[1].startswith("Explanation(")
