@@ -211,10 +211,11 @@ def _cmd_sweep(args):
 def _cmd_stats(args):
     f = read_obdd(args.obdd)
     mgr = f.manager
-    print("vars %d" % mgr.num_vars)
-    print("nodes %d" % mgr.node_count(f))
-    print("support %d" % len(mgr.support(f)))
-    print("models %d" % mgr.model_count(f))
+    # formatted whole before any of it is written: a failure leaves stdout empty
+    print(
+        "vars %d\nnodes %d\nsupport %d\nmodels %d"
+        % (mgr.num_vars, mgr.node_count(f), len(mgr.support(f)), mgr.model_count(f))
+    )
     return 0
 
 

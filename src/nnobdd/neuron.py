@@ -196,7 +196,7 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
     for i in range(n):
         levels.append(cur)
         cells += len(cur)
-        manager.charge_cells(cells)
+        manager._charge_cells(cells)
         wi = w[i]
         lo_b = mins[i + 1]
         hi_b = maxs[i + 1]

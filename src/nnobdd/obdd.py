@@ -15,7 +15,8 @@ cache.  Substitution (`compose`) replaces a node testing variable k by
 variable of ``s_k`` comes before the top variables of both g and h, that
 ite is ``s_k`` with its TRUE terminal replaced by g and its FALSE terminal
 by h, so `compose` grafts g and h onto a copy of ``s_k`` in one pass over
-its nodes, without the ite cache; otherwise it calls `ite`.
+its nodes, without the ite cache; otherwise it calls `ite`.  The copies are
+ordered and reduced by construction, so they go straight into the unique table.
 
 There are no complement edges, so a negation is a diagram of its own.
 There is no garbage collection; node stores only grow, which is fine at
@@ -212,7 +213,7 @@ class Manager:
             self._unique[key] = u
         return u
 
-    def charge_cells(self, count: int) -> None:
+    def _charge_cells(self, count: int) -> None:
         """Raise if ``count`` work items already exceed the node budget.
 
         Construction algorithms that build tables before allocating nodes
@@ -346,7 +347,8 @@ class Manager:
         results for hi and lo.  When s is not a terminal, g differs from h
         and the deepest variable of s comes before the top variables of
         both g and h, the result is s with TRUE replaced by g and FALSE by
-        h, built in one children-first pass over the nodes of s.
+        h, built from a plan of s's nodes made once per distinct s.  The
+        copies are ordered and reduced, so they skip `_mk_id`'s checks.
         """
         if not isinstance(f, NodeRef):
             raise ValueError("expected a NodeRef")
@@ -358,11 +360,11 @@ class Manager:
             )
         for s in subs:
             self._own(s)
-        nodes = self._nodes
+        nodes, unique, budget = self._nodes, self._unique, self.node_budget
         src_nodes = src._nodes
-        mk = self._mk_id
-        # per distinct substituent id: (deepest variable, its nodes children first)
-        grafts: dict[int, tuple[int, list[int]]] = {}
+        # per distinct substituent id: its deepest variable and its nodes as
+        # (var, lo, hi) steps, children first, lo and hi indexing [FALSE, TRUE, steps...]
+        grafts: dict[int, tuple[int, list[tuple[int, int, int]]]] = {}
         res = {0: 0, 1: 1}
         for u in _reachable(f):
             k, lo, hi = src_nodes[u]
@@ -372,15 +374,31 @@ class Manager:
             if s > 1 and g != h:
                 plan = grafts.get(s)
                 if plan is None:
-                    order = _reachable(subs[k])
-                    plan = grafts[s] = (max(nodes[w][0] for w in order), order)
-                deepest, order = plan
+                    pos = {0: 0, 1: 1}
+                    steps = []
+                    for w in _reachable(subs[k]):
+                        v, a, b = nodes[w]
+                        steps.append((v, pos[a], pos[b]))
+                        pos[w] = len(pos)
+                    plan = grafts[s] = (max(steps)[0], steps)
+                deepest, steps = plan
                 if deepest < nodes[g][0] and deepest < nodes[h][0]:
-                    new = {0: h, 1: g}
-                    for w in order:
-                        v, wlo, whi = nodes[w]
-                        new[w] = mk(v, new[wlo], new[whi])
-                    res[u] = new[s]
+                    # Copies skip _mk_id's checks, which cannot fail here: every
+                    # variable of s comes before the top variables of g and h, so
+                    # each copy is ordered, and g != h makes the map from s's
+                    # nodes to copies injective, so no copy has lo == hi.
+                    new = [h, g]
+                    for v, a, b in steps:
+                        key = (v, new[a], new[b])
+                        w = unique.get(key)
+                        if w is None:
+                            w = len(nodes)
+                            if budget is not None and w >= budget:
+                                raise BudgetExceededError("node budget of %d exhausted" % budget)
+                            nodes.append(key)
+                            unique[key] = w
+                        new.append(w)
+                    res[u] = new[-1]  # s has the largest id of its nodes
                     continue
             res[u] = self._ite_id(s, g, h)
         return NodeRef(self, res[f.i])

@@ -49,16 +49,19 @@ class LabeledDataset:
     """Rows of binary feature vectors with 0/1 labels."""
 
     def __init__(self, features, labels):
-        self.features = np.asarray(features, dtype=np.uint8)
-        self.labels = np.asarray(labels, dtype=np.uint8)
-        if self.features.ndim != 2:
+        # checked before narrowing to uint8, which overflows or wraps other values
+        features = np.asarray(features)
+        labels = np.asarray(labels)
+        if features.ndim != 2:
             raise ValueError("features must be a 2-d array")
-        if self.labels.shape != (self.features.shape[0],):
+        if labels.shape != (features.shape[0],):
             raise ValueError("one label per row required")
-        if self.features.size and not np.isin(self.features, (0, 1)).all():
+        if features.size and not np.isin(features, (0, 1)).all():
             raise ValueError("features must be 0 or 1")
-        if self.labels.size and not np.isin(self.labels, (0, 1)).all():
+        if labels.size and not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
+        self.features = features.astype(np.uint8)
+        self.labels = labels.astype(np.uint8)
 
     @property
     def n_features(self) -> int:

@@ -311,6 +311,24 @@ class TestTrainAndSweep:
         assert lines[0] == "digits,accuracy,nodes,status"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("value", ["-1", "2", "99999999999999999999"])
+    def test_out_of_range_dataset_value_exits_2(self, workdir, capsys, value):
+        out = compile_or(workdir)
+        for cell in ((1, 0), (1, 2)):  # a feature, then a label
+            rows = [["0", "1", "1"], ["1", "0", "1"]]
+            rows[cell[0]][cell[1]] = value
+            data = workdir / "bad.csv"
+            data.write_text("".join(",".join(r) + "\n" for r in rows))
+            for argv in (
+                ["train", str(data), "-o", str(workdir / "t.txt")],
+                ["sweep", str(data), "-o", str(workdir / "s.csv")],
+                ["robustness", "instance", str(out), "--dataset", str(data)],
+            ):
+                capsys.readouterr()
+                assert main(argv) == 2, (argv, cell)
+                err = capsys.readouterr().err
+                assert err.startswith("nnobdd: error:") and "must be 0 or 1" in err
+
     def test_deterministic_given_flags(self, workdir):
         out1 = workdir / "a.txt"
         out2 = workdir / "b.txt"
@@ -329,6 +347,15 @@ class TestStatsAndExitCodes:
         text = capsys.readouterr().out
         assert "nodes 0" in text
         assert "models 0" in text
+
+    def test_failed_stats_writes_nothing(self, workdir, capsys):
+        # 2**99999999 models has far more digits than Python will print
+        path = workdir / "wide.obdd"
+        path.write_text("obdd n=100000000 root=2\n2 0 0 1\n")
+        assert main(["stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nnobdd: error:")
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:

@@ -323,6 +323,26 @@ class TestCompileNetwork:
         with pytest.raises(BudgetExceededError, match="layer 1"):
             compile_network(spec, 2, node_budget=20)
 
+    def test_block_order_budget_abort_in_a_graft_names_layer(self):
+        spec = read_spec(FIXTURE)
+        # pixels 2x2 block by block, so every window's pixels are contiguous
+        order = tuple(
+            (br + i) * 4 + bc + j
+            for br in (0, 2)
+            for bc in (0, 2)
+            for i in (0, 1)
+            for j in (0, 1)
+        )
+        net = compile_network(spec, 2, order_policy=order)
+        assert net.manager._ite_cache == {}  # every composed node is a graft copy
+        budget = net.manager.allocated - 1
+        with pytest.raises(BudgetExceededError) as exc:
+            compile_network(spec, 2, order_policy=order, node_budget=budget)
+        assert str(exc.value) == (
+            "node budget of %d exhausted while compiling layer 2 of 2 (DenseStep)"
+            % budget
+        )
+
     def test_budget_abort_on_input_wires(self):
         spec = read_spec(FIXTURE)
         with pytest.raises(BudgetExceededError, match="input wires"):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from nnobdd import BudgetExceededError, Manager, read_obdd, write_obdd
+from nnobdd import BudgetExceededError, Manager, OBDDError, read_obdd, write_obdd
 from nnobdd.obdd import _reachable
 
 from oracles import (
@@ -269,6 +269,58 @@ class TestComposeGraft:
             assert composed.i == ite_compose(base, f, subs)
 
 
+class TestComposeGraftTable:
+    """Graft copies go straight into the unique table: budget and reuse."""
+
+    @staticmethod
+    def xor_then_or(budget=None):
+        # h0 & h1 with h0 <- x0 ^ x1 ^ x2 and h1 <- x3 | x4: h1 grafts onto
+        # itself, then the five-node xor chain is copied with TRUE -> x3 | x4
+        holes = Manager(2)
+        base = Manager(5, node_budget=budget)
+        subs = [
+            base.literal(0) ^ base.literal(1) ^ base.literal(2),
+            base.literal(3) | base.literal(4),
+        ]
+        base._ite_cache.clear()
+        return base, holes.literal(0) & holes.literal(1), subs
+
+    def test_budget_runs_out_mid_graft(self):
+        base, f, subs = self.xor_then_or()
+        before = base.allocated
+        base.compose(f, subs)
+        assert base.allocated - before == 5
+        budget = before + 2
+        base, f, subs = self.xor_then_or(budget)
+        with pytest.raises(BudgetExceededError) as graft:
+            base.compose(f, subs)
+        assert base.allocated == base.node_budget  # two copies made, the third refused
+        assert base._ite_cache == {}  # no fallback ran: the graft hit the budget
+        assert len(base._unique) == base.allocated - 2  # every copy made is in the table
+        with pytest.raises(BudgetExceededError) as direct:
+            base.literal(4, positive=False)  # a new node through _mk_id
+        assert str(graft.value) == str(direct.value) == "node budget of %d exhausted" % budget
+
+    def test_graft_does_not_call_mk_id(self, monkeypatch):
+        base, f, subs = self.xor_then_or()
+        monkeypatch.setattr(base, "_mk_id", None)
+        base.audit(base.compose(f, subs))
+
+    def test_copies_already_in_the_table_are_reused(self):
+        base, f, subs = self.xor_then_or()
+        base.compose(f, subs)
+        total = base.allocated
+        base, f, subs = self.xor_then_or()
+        part = base.literal(2) & subs[1]  # the copy of x2's node
+        base._ite_cache.clear()
+        composed = base.compose(f, subs)
+        assert base.allocated == total
+        assert part.i in _reachable(composed)
+        assert base._ite_cache == {}
+        base.audit(composed)
+        assert composed.i == ite_compose(base, f, subs)
+
+
 class TestCounting:
     def test_true_over_three_vars(self, m3):
         assert m3.model_count(m3.true) == 8
@@ -519,6 +571,17 @@ class TestSerialization:
     def test_reader_rejects_undefined_children(self):
         with pytest.raises(ValueError):
             read_obdd(io.StringIO("obdd n=2 root=2\n2 0 5 1\n"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "obdd n=2 root=3\n2 1 0 1\n3 1 0 2\n",  # a child at its parent's level
+            "obdd n=2 root=3\n2 0 0 1\n3 1 2 1\n",  # a child above its parent
+        ],
+    )
+    def test_reader_rejects_order_violations(self, text):
+        with pytest.raises(OBDDError, match="ordering violation"):
+            read_obdd(io.StringIO(text))
 
     def test_reader_rejects_wrong_manager_width(self, m3):
         with pytest.raises(ValueError):
