@@ -55,9 +55,10 @@ def _cmd_compile_neuron(args):
     manager = Manager(unit.arity, node_budget=args.budget)
     root = compile_pseudo(unit, manager)
     write_obdd(root, args.output)
+    # a fresh manager holds only root's nodes, as in precision_sweep
     print(
         "compiled %d inputs, magnitude %d, %d nodes"
-        % (unit.arity, unit.magnitude, manager.node_count(root))
+        % (unit.arity, unit.magnitude, manager.allocated - 2)
     )
     return 0
 
@@ -132,20 +133,20 @@ def _cmd_robustness(args):
 def _cmd_explain(args):
     f = read_obdd(args.obdd)
     _, width, bits = _load_image_for(f, args.image)
+    if args.fool_fill and not args.fool_out:
+        raise ValueError("--fool-fill needs --fool-out for the result")
+    fill = _load_image_for(f, args.fool_fill) if args.fool_fill else None
     reason = analysis.pi_explanation(f, bits)
-    print("label %d" % reason.label)
-    print("cardinality %d" % reason.cardinality)
+    lines = ["label %d" % reason.label, "cardinality %d" % reason.cardinality]
     for var, bit in reason.literals:
-        print("%d %d %d %d" % (var, var // width, var % width, bit))
-    if args.fool_fill:
-        if not args.fool_out:
-            raise ValueError("--fool-fill needs --fool-out for the result")
-        fh, fw, fill = formats.read_pbm(args.fool_fill)
-        if fh * fw != f.manager.num_vars:
-            raise ValueError("fill image does not match the diagram")
-        fooled = analysis.fooling_complete(f, reason, fill)
+        lines.append("%d %d %d %d" % (var, var // width, var % width, bit))
+    if fill:
+        fh, fw, fill_bits = fill
+        fooled = analysis.fooling_complete(f, reason, fill_bits)
         formats.write_pbm(fooled, fh, fw, args.fool_out)
-        print("fooling image written to %s" % args.fool_out)
+        lines.append("fooling image written to %s" % args.fool_out)
+    # printed after every step that can fail: a failure leaves stdout empty
+    print("\n".join(lines))
     return 0
 
 

@@ -83,12 +83,13 @@ def write_pgm(values: Sequence[float], height: int, width: int, dest: PathOrFile
 
 
 def write_histogram_csv(counts, num_vars: int, dest: PathOrFile) -> None:
-    """Rows `k,count,proportion`; proportions are exact fractions."""
+    """Rows `k,count,proportion`; proportions are exact fractions.  Every row
+    is formatted before ``dest`` is opened, so a failure writes nothing."""
+    rows = [(k, str(n), str(Fraction(n, 2**num_vars))) for k, n in sorted(dict(counts).items())]
     with opened(dest, "w", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(["k", "count", "proportion"])
-        for k, count in sorted(dict(counts).items()):
-            writer.writerow([k, count, str(Fraction(count, 2**num_vars))])
+        writer.writerows(rows)
 
 
 def write_marginal_grid_csv(rows, dest: PathOrFile) -> None:

@@ -22,9 +22,10 @@ programming over residual thresholds: processing inputs top-down, every
 partial assignment is summarized by the threshold still to be met,
 residuals that can no longer fail resolve to TRUE and residuals that can
 no longer succeed resolve to FALSE, and each remaining (level, residual)
-cell becomes one decision node.  The work and the reduced node count are
-bounded by ``n * (2W + 1)`` cells, where W is the magnitude
-``|T| + sum(|w|)``.
+cell becomes one decision node.  Those nodes are ordered and reduced by
+construction, so they go straight into the manager's unique table.  The
+work and the reduced node count are bounded by ``n * (2W + 1)`` cells,
+where W is the magnitude ``|T| + sum(|w|)``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .formats import PathOrFile, opened
-from .obdd import Manager, NodeRef
+from .obdd import BudgetExceededError, Manager, NodeRef
 
 _INT_LIMIT = 2**63
 
@@ -166,8 +167,10 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
     Level k of the diagram tests input k.  Setting it keeps the residual or
     lowers it by the input's weight; a residual at or below the remaining
     negative mass is TRUE, one above the remaining positive mass is FALSE,
-    and the fully assigned case is TRUE iff the residual is <= 0.  The manager's node budget, if any,
-    also bounds the number of materialized cells.
+    and the fully assigned case is TRUE iff the residual is <= 0.  Each cell's
+    node is ordered and reduced by construction and goes straight into the
+    unique table, without `_mk_id`.  The manager's node budget, if any, also
+    bounds the number of materialized cells.
     """
     n = unit.arity
     if manager.num_vars != n:
@@ -210,8 +213,10 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
         cur = nxt
     assert cells <= n * (2 * unit.magnitude + 1)
 
-    # backward pass: one node per surviving cell
-    mk = manager._mk_id
+    # backward pass: one node per surviving cell, straight into the unique
+    # table.  _mk_id's ordering check cannot fail here: a cell's children are
+    # next-level cells, terminals, or the deeper node a reduced cell stands for.
+    nodes, unique, budget = manager._nodes, manager._unique, manager.node_budget
     prev: dict[int, int] = {}
     for i in range(n - 1, -1, -1):
         wi = w[i]
@@ -222,7 +227,14 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
             lo = 1 if t <= lo_b else (0 if t > hi_b else prev[t])
             u = t - wi
             hi = 1 if u <= lo_b else (0 if u > hi_b else prev[u])
-            table[t] = mk(i, lo, hi)
+            v = lo if lo == hi else unique.get(key := (i, lo, hi))
+            if v is None:
+                v = len(nodes)
+                if budget is not None and v >= budget:
+                    raise BudgetExceededError("node budget of %d exhausted" % budget)
+                nodes.append(key)
+                unique[key] = v
+            table[t] = v
         prev = table
     return NodeRef(manager, prev[t0])
 

@@ -185,5 +185,8 @@ def precision_sweep(
         except BudgetExceededError:
             rows.append(SweepRow(digits, acc, None, "budget"))
             continue
-        rows.append(SweepRow(digits, acc, manager.node_count(root), "ok"))
+        # every node of this fresh manager is reachable from root: each cell
+        # was reached from the root cell, and a cell's node has the next
+        # cell's node as a child or equals it, so no walk is needed
+        rows.append(SweepRow(digits, acc, manager.allocated - 2, "ok"))
     return rows

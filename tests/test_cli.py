@@ -53,6 +53,15 @@ class TestCompileAndEval:
         assert rc == 0
         assert capsys.readouterr().out.strip().splitlines()[-1] == "1"
 
+    def test_compile_neuron_prints_the_node_count(self, workdir, capsys):
+        out = workdir / "n3.obdd"
+        argv = ["compile-neuron", str(workdir / "neuron3.txt"), "--digits", "2"]
+        assert main(argv + ["-o", str(out)]) == 0
+        f = read_obdd(str(out))
+        assert capsys.readouterr().out == (
+            "compiled 3 inputs, magnitude 367, %d nodes\n" % f.manager.node_count(f)
+        )
+
     def test_real_neuron_without_digits_is_input_error(self, workdir):
         rc = main(
             ["compile-neuron", str(workdir / "neuron3.txt"), "-o", str(workdir / "x")]
@@ -156,6 +165,18 @@ class TestRobustnessCommands:
         assert lines[1] == "1,2,1/2"
         assert lines[2] == "2,1,1/4"
 
+    def test_failed_hist_writes_nothing(self, workdir, capsys):
+        # the count 2**14999 has more digits than Python will print
+        path = workdir / "wide.obdd"
+        path.write_text("obdd n=15000 root=2\n2 0 0 1\n")
+        csv_path = workdir / "hist.csv"
+        for extra in ([], ["-o", str(csv_path)]):
+            assert main(["robustness", "hist", str(path)] + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("nnobdd: error:")
+        assert not csv_path.exists()
+
     def test_flags_do_not_carry_over_between_calls(self, workdir, capsys):
         out = compile_or(workdir)
         neg, pos = workdir / "neg.csv", workdir / "pos.csv"
@@ -211,8 +232,9 @@ class TestExplainCommand:
         assert lines[2] == "0 0 0 1"
         assert fooled.read_text() == "P1\n2 1\n1 0\n"
 
-    def test_fool_fill_requires_out(self, workdir):
+    def test_fool_fill_requires_out(self, workdir, capsys):
         out = compile_or(workdir)
+        capsys.readouterr()
         rc = main(
             [
                 "explain",
@@ -223,6 +245,19 @@ class TestExplainCommand:
             ]
         )
         assert rc == 2
+        assert capsys.readouterr().out == ""  # checked before the explanation prints
+
+    def test_wrong_size_fill_prints_nothing(self, workdir, capsys, monkeypatch):
+        shutil.copytree(ROOT / "docs", workdir / "docs")
+        monkeypatch.chdir(workdir / "docs")
+        assert main(["compile-net", "net4x4.json", "-o", "net"]) == 0
+        capsys.readouterr()
+        argv = ["explain", "net-out0.obdd", "image4x4.pbm", "--fool-fill", "image3.pbm"]
+        assert main(argv + ["--fool-out", "x.pbm"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nnobdd: error:")
+        assert not Path("x.pbm").exists()
 
 
 class TestGridCommands:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nnobdd import (
+    BudgetExceededError,
     IntThresholdUnit,
     LinearThresholdUnit,
     Manager,
@@ -212,6 +213,89 @@ class TestCompilePseudo:
     def test_manager_width_must_match(self):
         with pytest.raises(ValueError):
             compile_pseudo(IntThresholdUnit((1, 1), 1), Manager(3))
+
+
+class UniqueHits(dict):
+    """A unique table that counts the lookups that find a node."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        self.hits += found is not None
+        return found
+
+
+class TestCompilePseudoTable:
+    """Cells go straight into the unique table: counts, reuse and budget."""
+
+    def test_fresh_manager_holds_only_the_root_diagram(self):
+        rng = random.Random(4242)
+        hits = terminal = 0
+        for _ in range(300):
+            unit = random_int_unit(rng, max_n=10, max_w=4)
+            m = Manager(unit.arity)
+            m._unique = UniqueHits()
+            f = compile_pseudo(unit, m)
+            assert m.allocated - 2 == m.node_count(f)
+            hits += m._unique.hits
+            terminal += f.is_terminal
+        assert hits and terminal  # equal-residual merges and terminal roots occurred
+
+    @pytest.mark.parametrize(
+        "unit, nodes",
+        [
+            (IntThresholdUnit((1, 0, 1), 1), 2),  # the level-1 cell reduces
+            (IntThresholdUnit((1, 1, 5), 3), 1),  # three level-2 residuals merge
+            (IntThresholdUnit((1, 2), 0), 0),  # TRUE root
+            (IntThresholdUnit((1, 2), 4), 0),  # FALSE root
+            (IntThresholdUnit((), 0), 0),
+        ],
+    )
+    def test_reduced_merged_and_terminal_cases(self, unit, nodes):
+        m = Manager(unit.arity)
+        f = compile_pseudo(unit, m)
+        assert m.allocated - 2 == m.node_count(f) == nodes
+        m.audit(f)
+
+    def test_existing_diagram_is_reused(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            unit = random_int_unit(rng, max_n=8)
+            m = Manager(unit.arity)
+            f = compile_exact(unit, m)
+            before = m.allocated
+            g = compile_pseudo(unit, m)
+            assert m.allocated == before
+            assert g == f
+            m.audit(g)
+
+    def test_budget_runs_out_in_the_backward_pass(self):
+        unit = IntThresholdUnit((1,) * 6, 6)  # six cells, six nodes
+        budget = 2 + 6 - 1
+        m = Manager(6, node_budget=budget)
+        with pytest.raises(BudgetExceededError) as built:
+            compile_pseudo(unit, m)
+        assert m.allocated == m.node_budget  # five nodes made, the sixth refused
+        assert len(m._unique) == m.allocated - 2
+        with pytest.raises(BudgetExceededError) as direct:
+            m.literal(0)  # a new node through _mk_id
+        assert str(built.value) == str(direct.value) == "node budget of %d exhausted" % budget
+
+    def test_does_not_call_mk_id(self, monkeypatch):
+        rng = random.Random(8)
+        units = [random_int_unit(rng) for _ in range(30)]
+        m = Manager(12)
+        monkeypatch.setattr(Manager, "_mk_id", None)
+        built = []
+        for unit in units:
+            unit = IntThresholdUnit(unit.weights + (0,) * (12 - unit.arity), unit.threshold)
+            f = compile_pseudo(unit, m)
+            m.audit(f)
+            built.append((unit, f))
+        monkeypatch.undo()
+        for unit, f in built:
+            assert f == compile_exact(unit, m)
 
 
 class TestCompileExact:

@@ -168,9 +168,17 @@ class TestPrecisionSweep:
         assert rows[-1].accuracy == accuracy(unit, data)
 
     def test_nodes_match_direct_compile(self):
-        data = separable(seed=8)
-        unit = train_neuron(data, TrainConfig(epochs=80))
-        rows = precision_sweep(unit, data, [2])
-        q = quantize(unit, 2)
-        m = Manager(q.arity)
-        assert rows[0].nodes == m.node_count(compile_pseudo(q, m))
+        datasets = [(separable(seed=8), TrainConfig(epochs=80))]
+        for seed in (3, 9, 21):
+            rng = np.random.default_rng(seed)
+            feats = rng.integers(0, 2, size=(60, 10))
+            labels = (feats[:, :4].sum(axis=1) >= 2).astype(int)
+            datasets.append((LabeledDataset(feats, labels), TrainConfig(epochs=60, seed=seed)))
+        for data, config in datasets:
+            unit = train_neuron(data, config)
+            rows = precision_sweep(unit, data, range(0, 4))
+            for row in rows:
+                q = quantize(unit, row.digits)
+                m = Manager(q.arity)
+                assert row.nodes == m.node_count(compile_pseudo(q, m))
+            assert any(row.nodes for row in rows)
