@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
 
 from . import analysis, formats
@@ -70,10 +71,13 @@ def _cmd_compile_net(args):
     net = compile_network(
         spec, args.digits, round_mode=args.round, node_budget=args.budget
     )
+    lines = []
     for i, out in enumerate(net.outputs):
         path = "%s-out%d.obdd" % (args.output, i)
         write_obdd(out, path)
-        print("output %d: %d nodes -> %s" % (i, net.manager.node_count(out), path))
+        lines.append("output %d: %d nodes -> %s" % (i, net.manager.node_count(out), path))
+    # printed once every file is written: a failure leaves stdout empty
+    print("\n".join(lines))
     return 0
 
 
@@ -153,11 +157,18 @@ def _cmd_explain(args):
 def _cmd_marginals(args):
     f = read_obdd(args.obdd)
     rows = analysis.marginal_grid(f, args.height, args.width)
-    formats.write_marginal_grid_csv(rows, args.output)
+    # both outputs are formatted before either file is opened
+    texts = {args.output: io.StringIO()}
+    formats.write_marginal_grid_csv(rows, texts[args.output])
     if args.pgm:
+        texts[args.pgm] = io.StringIO()
         formats.write_pgm(
-            [float(value) for _, _, _, value in rows], args.height, args.width, args.pgm
+            [float(value) for _, _, _, value in rows],
+            args.height,
+            args.width,
+            texts[args.pgm],
         )
+    formats.write_files({path: text.getvalue() for path, text in texts.items()})
     return 0
 
 

@@ -1,10 +1,12 @@
-"""File formats: PBM/PGM images, the CSV table writers, and `opened`, which
-every reader and writer in the package uses to accept a path or a handle."""
+"""File formats: PBM/PGM images, the CSV table writers, `opened`, which
+every reader and writer in the package uses to accept a path or a handle,
+and `write_files`, which writes several formatted outputs or none."""
 
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
+import os
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from typing import IO, Iterator, Sequence, Union
 
@@ -24,6 +26,32 @@ def opened(
     else:
         with open(target, mode, newline=newline) as fp:  # type: ignore[arg-type]
             yield fp
+
+
+def write_files(texts: dict[str, str]) -> None:
+    """Write each text to its path, after every path has been opened.
+
+    Paths are opened without truncation, so when one cannot be opened the
+    others keep their old contents, and a file created here is removed.
+    """
+    created = []
+    with ExitStack() as stack:
+        handles = []
+        try:
+            for path in texts:
+                existed = os.path.exists(path)
+                handles.append(stack.enter_context(open(path, "a", newline="")))
+                if not existed:
+                    created.append(path)
+        except OSError:
+            stack.close()
+            for path in created:
+                os.remove(path)
+            raise
+        for (path, text), fp in zip(texts.items(), handles):
+            if os.path.isfile(path):  # not a device such as /dev/null
+                fp.truncate(0)
+            fp.write(text)
 
 
 def read_pbm(src: PathOrFile) -> tuple[int, int, tuple[int, ...]]:

@@ -276,7 +276,7 @@ def _load_layer(entry: dict) -> Layer:
     kind = entry.get("type")
     if kind == "conv_step":
         filters = tuple(
-            ConvFilter(tuple(tuple(tuple(row) for row in ch) for ch in f["weights"]), f["bias"])
+            ConvFilter(_nested(f["weights"], 3, "filter weights[channel][row][col]"), f["bias"])
             for f in entry["filters"]
         )
         return ConvStep(filters, _size(entry["stride"], "stride"))
@@ -284,8 +284,18 @@ def _load_layer(entry: dict) -> Layer:
         window = tuple(_size(v, "window entry") for v in entry["window"])
         return MaxPoolOr(window, _size(entry["stride"], "stride"))
     if kind == "dense_step":
-        return DenseStep(tuple(tuple(row) for row in entry["weights"]), tuple(entry["bias"]))
+        return DenseStep(
+            _nested(entry["weights"], 2, "dense weights[out][in]"),
+            _nested(entry["bias"], 1, "dense bias[out]"),
+        )
     raise ValueError("unknown type %r" % kind)
+
+
+def _nested(value, depth: int, shape: str):
+    """``value`` as tuples nested ``depth`` lists deep, with no list below."""
+    if isinstance(value, list) != bool(depth):
+        raise ValueError("expected %s, lists nested around numbers" % shape)
+    return tuple(_nested(v, depth - 1, shape) for v in value) if depth else value
 
 
 def read_spec(src: PathOrFile) -> NetworkSpec:

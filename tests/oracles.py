@@ -155,6 +155,17 @@ def covered_pixels(spec) -> set[int]:
     return covered
 
 
+def block_order(size, block):
+    """Pixels block by block: block rows, block columns, then raster inside."""
+    return tuple(
+        (br + i) * size + bc + j
+        for br in range(0, size, block)
+        for bc in range(0, size, block)
+        for i in range(block)
+        for j in range(block)
+    )
+
+
 # ------------------------------------------------------------- robustness
 
 

@@ -35,6 +35,7 @@ from oracles import (
     all_instances,
     bdd_from_table,
     bits_of,
+    block_order,
     build_formula,
     formula_table,
     forces_label,
@@ -517,6 +518,72 @@ class TestGridsAndDatasets:
             dataset_average_robustness(f, [(0, 1), bad])
 
 
+class TestDatasetBatch:
+    """The batched dataset pass against the mean of per-instance passes."""
+
+    @staticmethod
+    def per_row_mean(f, rows):
+        return Fraction(sum(instance_robustness(f, x) for x in rows), len(rows))
+
+    def test_every_row_of_small_functions(self):
+        rng = random.Random(1202)
+        functions = list(oracle_functions(rng, 30))
+        m = Manager(10)  # 2**10 rows cross a chunk boundary
+        table = [rng.randint(0, 1) for _ in range(1 << 10)]
+        functions.append((m, bdd_from_table(m, table), table))
+        for m, f, _ in functions:
+            if f.is_terminal:
+                continue
+            rows = [bits_of(i, m.num_vars) for i in range(1 << m.num_vars)]
+            assert dataset_average_robustness(f, rows) == self.per_row_mean(f, rows)
+
+    def test_seeded_images_of_a_block_order_net(self):
+        rng = random.Random(1203)
+        weights = tuple(
+            tuple(round(rng.uniform(-2, 2), 1) for _ in range(3)) for _ in range(3)
+        )
+        conv = ConvStep((ConvFilter((weights,), -1.0),), 3)
+        dense = DenseStep(
+            (tuple(rng.choice((-1.0, 1.0, 2.0)) for _ in range(16)),), (-3.0,)
+        )
+        spec = NetworkSpec((12, 12), (conv, dense))
+        f = compile_network(spec, 1, order_policy=block_order(12, 3)).outputs[0]
+        rows = [bits_of(rng.getrandbits(144), 144) for _ in range(260)]
+        assert len(rows) % analysis._CHUNK_ROWS
+        assert dataset_average_robustness(f, rows) == self.per_row_mean(f, rows)
+
+    def test_one_row(self):
+        rng = random.Random(1204)
+        m = Manager(7)
+        f, _ = random_nontrivial(rng, 7, m)
+        for i in (0, 77, 127):
+            x = bits_of(i, 7)
+            assert dataset_average_robustness(f, [x]) == instance_robustness(f, x)
+
+    def test_deep_conjunction(self):
+        n = 1200
+        m = Manager(n)
+        f = m.true
+        for v in reversed(range(n)):
+            f = m.literal(v) & f
+        ones = (1,) * n
+        rows = [ones] + [ones[:v] + (0,) + ones[v + 1 :] for v in (0, 599, 1199)]
+        assert dataset_average_robustness(f, rows) == 1
+        assert dataset_average_robustness(f, [(0,) * n]) == n
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [(0, 1), (0,)], [(0, 1), (1, 1, 0)], [(0, 1), (0, -1)], [(0, 0.5)],
+         [(0, "1")], [(0, None)], [0, 1], [[(0, 1)]]],
+        ids=["empty", "short", "long", "negative", "fraction", "string", "none",
+             "flat", "nested"],
+    )
+    def test_bad_rows_rejected(self, rows):
+        m, f = or2()
+        with pytest.raises(ValueError):
+            dataset_average_robustness(f, rows)
+
+
 def oracle_functions(rng, count):
     """Random functions of up to 10 variables plus the degenerate cases.
 
@@ -606,6 +673,7 @@ class TestQueriesAllocateNothing:
                 fooling_complete(f, reason, bits_of(i ^ ((1 << n) - 1), n))
                 marginal_grid(f, 1, n)
                 unateness_grid(f, 1, n)
+                dataset_average_robustness(f, [x, bits_of(i ^ 1, n)])
                 m.model_count(f)
                 assert m.allocated == before
                 assert container_sizes(m) == sizes

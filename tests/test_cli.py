@@ -111,6 +111,51 @@ class TestCompileAndEval:
         assert main(["compile-net", str(model), "-o", str(workdir / "net")]) == 2
         assert capsys.readouterr().err.startswith("nnobdd: error: layer 1: window")
 
+    @pytest.mark.parametrize(
+        "layer, weights, shape",
+        [
+            (0, [[0.5, -0.25], [0.25, 0.5]], "weights[channel][row][col]"),
+            (0, [[[[0.5], -0.25], [0.25, 0.5]]], "weights[channel][row][col]"),
+            (1, [0.75, 0.5, 0.5, 0.75], "weights[out][in]"),
+            (1, [[[0.75], 0.5, 0.5, 0.75]], "weights[out][in]"),
+        ],
+        ids=["conv-no-channel", "conv-too-deep", "dense-no-row", "dense-too-deep"],
+    )
+    def test_weight_nesting_error_names_the_shape(
+        self, workdir, capsys, layer, weights, shape
+    ):
+        model = json.loads((ROOT / "docs" / "net4x4.json").read_text())
+        entry = model["layers"][layer]
+        (entry["filters"][0] if layer == 0 else entry)["weights"] = weights
+        (workdir / "bad.json").write_text(json.dumps(model))
+        argv = ["compile-net", str(workdir / "bad.json"), "-o", str(workdir / "net")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nnobdd: error: layer %d: " % (layer + 1))
+        assert shape in captured.err
+
+    def test_compile_net_prints_after_every_file(self, workdir, capsys, monkeypatch):
+        model = json.loads((ROOT / "docs" / "net4x4.json").read_text())
+        dense = model["layers"][1]
+        dense["weights"] *= 2
+        dense["bias"] *= 2
+        model["outputs"] = 2
+        (workdir / "two.json").write_text(json.dumps(model))
+        written = []
+
+        def write_first_only(f, path):
+            if written:
+                raise OSError("disk full")
+            written.append(path)
+            write_obdd(f, path)
+
+        monkeypatch.setattr(cli, "write_obdd", write_first_only)
+        argv = ["compile-net", str(workdir / "two.json"), "-o", str(workdir / "net")]
+        assert main(argv) == 2
+        assert written == [str(workdir / "net-out0.obdd")]
+        assert capsys.readouterr().out == ""
+
     def test_compile_net_budget_abort_exits_3(self, workdir):
         rc = main(
             [
@@ -284,6 +329,25 @@ class TestGridCommands:
         assert lines[0] == "var,row,col,marginal"
         assert lines[1] == "0,0,0,2/3"
         assert pgm_path.read_text().startswith("P2\n2 1\n255\n")
+
+    def test_unwritable_pgm_writes_no_csv(self, workdir, capsys, monkeypatch):
+        monkeypatch.chdir(workdir)
+        assert main(["compile-net", str(ROOT / "docs" / "net4x4.json"), "-o", "net4x4"]) == 0
+        capsys.readouterr()
+        argv = ["marginals", "net4x4-out0.obdd", "--height", "4", "--width", "4"]
+        bad = ["--pgm", "/nonexistent/dir/m.pgm"]
+        assert main(argv + ["-o", "m.csv"] + bad) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nnobdd: error:")
+        assert not (workdir / "m.csv").exists()
+        # a file already there keeps its contents
+        (workdir / "m.csv").write_text("old\n")
+        assert main(argv + ["-o", "m.csv"] + bad) == 2
+        assert (workdir / "m.csv").read_text() == "old\n"
+        assert main(argv + ["-o", "m.csv", "--pgm", "m.pgm"]) == 0
+        assert (workdir / "m.csv").read_text().startswith("var,row,col,marginal\n")
+        assert (workdir / "m.pgm").read_text().startswith("P2\n4 4\n255\n")
 
     @pytest.mark.parametrize("command", ["marginals", "unate"])
     def test_negative_grid_exits_2(self, workdir, capsys, command):

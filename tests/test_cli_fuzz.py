@@ -91,6 +91,9 @@ FORMS = {
     "neuron3.txt": [
         ["compile-neuron", "X", "--digits", "2", "-o", "out.obdd"],
     ],
+    "dataset4x4.csv": [
+        ["robustness", "instance", "net-out0.obdd", "--dataset", "X"],
+    ],
     "tiny-dataset.csv": [
         ["robustness", "instance", "x0.obdd", "--dataset", "X"],
         ["sweep", "X", "-o", "out.csv", "--epochs", "2", "--max-digits", "1"],

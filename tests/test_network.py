@@ -21,7 +21,7 @@ from nnobdd import (
     read_spec,
 )
 
-from oracles import all_instances, bits_of, covered_pixels
+from oracles import all_instances, bits_of, block_order, covered_pixels
 
 FIXTURE = "docs/net4x4.json"
 
@@ -498,17 +498,6 @@ class TestComposeDepth:
         rng = random.Random(1024)
         for x in ((1,) * 1024, (0,) * 1024, bits_of(rng.getrandbits(1024), 1024)):
             assert net.evaluate(x) == forward_eval(spec, x)
-
-
-def block_order(size, block):
-    """Pixels block by block: block rows, block columns, then raster inside."""
-    return tuple(
-        (br + i) * size + bc + j
-        for br in range(0, size, block)
-        for bc in range(0, size, block)
-        for i in range(block)
-        for j in range(block)
-    )
 
 
 class TestComposeGraftsBlockOrder:
