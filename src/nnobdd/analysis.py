@@ -13,8 +13,11 @@ negative label swaps the roles of the terminals instead of complementing
 the diagram.  Node ids order a diagram's nodes children first, because a
 node is always created after both of its children.  Dataset robustness is
 one vectorized numpy pass for all rows over the diagram's nodes as arrays
-grouped by variable level; a single instance keeps the Python pass, which
-does not pay for that conversion.
+grouped by variable level.  A single instance is a 0-1 breadth-first
+search from the root, free along the instance's own branches and one flip
+across the other, that stops at the first flip count reaching the
+opposite terminal, so it reads the nodes near the instance's path and,
+at worst, every node.
 
 PI explanation walks without recursion of its own too, but it also visits
 releases: conjunctions (or disjunctions) of a node's two cofactors, built
@@ -48,7 +51,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .obdd import NodeRef, _counts, _reachable
+from .obdd import BudgetExceededError, NodeRef, _counts, _reachable
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -81,25 +84,44 @@ def _nontrivial(f: NodeRef) -> None:
 def instance_robustness(f: NodeRef, x: Sequence[int]) -> int | float:
     """Least number of bit flips of ``x`` that changes the label; inf if trivial.
 
-    One bottom-up pass over the diagram: the terminal opposite to the
-    instance's label costs nothing more, its own label's terminal is never
-    left, and at a decision node the choice is between following the
-    instance's own branch and paying one flip to follow the other.
-    Variables skipped by reduction never need flipping, so each node's
-    cost is computed once.
+    The shortest path from the root to the terminal opposite to the
+    instance's label, where following ``x``'s own branch costs nothing and
+    taking the other branch costs one flip; the label's own terminal is
+    never left, and variables skipped by reduction cost nothing on either
+    path.  A 0-1 breadth-first search settles nodes one flip count at a
+    time: a stack closes the current count over its free edges, and a list
+    collects the nodes one flip further.  The search stops at the first
+    count that reaches the opposite terminal, so it reads only the nodes
+    within that many flips of ``x``'s path; at worst, every node.
     """
     mgr = f.manager
     _check_instance(x, mgr.num_vars)
-    if f.is_terminal:
-        return math.inf
     label = mgr.evaluate(f, x)
+    target = 1 - label
     nodes = mgr._nodes
-    cost: dict[int, int | float] = {1 - label: 0, label: math.inf}
-    for u in _reachable(f):
-        var, lo, hi = nodes[u]
-        same, other = (hi, lo) if x[var] else (lo, hi)
-        cost[u] = min(cost[same], 1 + cost[other])
-    return cost[f.i]
+    done = {label}  # the label's own terminal is a dead end
+    level = [f.i]
+    flips = 0
+    while level:
+        stack, level = level, []
+        while stack:
+            u = stack.pop()
+            if u in done:
+                continue
+            if u == target:
+                return flips
+            done.add(u)
+            var, lo, hi = nodes[u]
+            if x[var]:
+                stack.append(hi)
+                level.append(lo)
+            else:
+                stack.append(lo)
+                level.append(hi)
+        flips += 1
+        if target in level:
+            return flips
+    return math.inf  # only a terminal f has no path to the other terminal
 
 
 def robust_sets(f: NodeRef) -> list[NodeRef]:
@@ -121,7 +143,8 @@ def _level_chain(f: NodeRef, dilate: bool) -> list[NodeRef]:
     variable skipped by reduction never changes the value, so it imposes
     nothing.  Dilation is its dual ``D(u) = mk(v, D(lo) | hi, D(hi) | lo)``,
     adding every instance within one flip, and equals the complement of
-    eroding the complement.  One children-first pass per level.
+    eroding the complement.  One children-first pass per level.  A budget
+    abort names the chain and the level it was building, ``f`` being 1.
     """
     mgr = f.manager
     _nontrivial(f)
@@ -131,12 +154,18 @@ def _level_chain(f: NodeRef, dilate: bool) -> list[NodeRef]:
     levels = [f]
     while True:
         nxt = {0: 0, 1: 1}
-        for u in _reachable(levels[-1]):
-            var, lo, hi = nodes[u]
-            if dilate:
-                nxt[u] = mk(var, ite(nxt[lo], 1, hi), ite(nxt[hi], 1, lo))
-            else:
-                nxt[u] = mk(var, ite(nxt[lo], hi, 0), ite(nxt[hi], lo, 0))
+        try:
+            for u in _reachable(levels[-1]):
+                var, lo, hi = nodes[u]
+                if dilate:
+                    nxt[u] = mk(var, ite(nxt[lo], 1, hi), ite(nxt[hi], 1, lo))
+                else:
+                    nxt[u] = mk(var, ite(nxt[lo], hi, 0), ite(nxt[hi], lo, 0))
+        except BudgetExceededError as e:
+            raise BudgetExceededError(
+                "%s while building robustness level %d by %s"
+                % (e, len(levels) + 1, "dilation" if dilate else "erosion")
+            ) from e
         g = nxt[levels[-1].i]
         if g == (1 if dilate else 0):
             return levels
@@ -282,7 +311,7 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     recursion: queue each node reached through an instance branch or a
     release once, cost them deepest variable first (not by id: a release
     may be newer than the node that needs it), then follow the cheaper
-    choice down from the root.
+    choice down from the root.  A budget abort names the query.
     """
     mgr = f.manager
     _check_instance(x, mgr.num_vars)
@@ -293,25 +322,30 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     step: dict[int, tuple[int, int]] = {}  # node: (instance branch, release)
     seen = {0, 1, f.i}
     order = [f.i]
-    for u in order:
-        var, lo, hi = nodes[u]
-        both = ite(lo, hi, 0)
-        if label:
-            release = both
-        elif both == lo:
-            release = hi
-        elif both == hi:
-            release = lo
-        else:
-            release = ite(lo, 1, hi)
-        branch = hi if x[var] else lo
-        step[u] = (branch, release)
-        if branch not in seen:
-            seen.add(branch)
-            order.append(branch)
-        if release not in seen:
-            seen.add(release)
-            order.append(release)
+    try:
+        for u in order:
+            var, lo, hi = nodes[u]
+            both = ite(lo, hi, 0)
+            if label:
+                release = both
+            elif both == lo:
+                release = hi
+            elif both == hi:
+                release = lo
+            else:
+                release = ite(lo, 1, hi)
+            branch = hi if x[var] else lo
+            step[u] = (branch, release)
+            if branch not in seen:
+                seen.add(branch)
+                order.append(branch)
+            if release not in seen:
+                seen.add(release)
+                order.append(release)
+    except BudgetExceededError as e:
+        raise BudgetExceededError(
+            "%s while building the releases of a PI explanation" % e
+        ) from e
     order.sort(key=lambda u: nodes[u][0], reverse=True)  # both edges go deeper
     cost: dict[int, int | float] = {label: 0, 1 - label: math.inf}
     commit: dict[int, bool] = {}
@@ -448,40 +482,48 @@ def marginal(f: NodeRef, var: int) -> Fraction:
 def _implies(nodes: list[tuple[int, int, int]], memo: dict, a: int, b: int) -> bool:
     """Whether every model of node ``a`` is a model of node ``b``.
 
-    Walks both diagrams in lockstep with an explicit stack; ``memo`` holds
+    Walks both diagrams in lockstep with an explicit stack of undecided
+    pairs; a pair holds when both its cofactor pairs do.  ``memo`` holds
     the answers for node pairs and may be shared between calls.
     """
-
-    def known(a: int, b: int) -> bool | None:
-        if a == 0 or b == 1 or a == b:
-            return True
-        if a == 1 or b == 0:  # the other side is neither terminal nor equal
-            return False
-        return memo.get((a, b))
-
+    if a == 0 or b == 1 or a == b:
+        return True
+    if a == 1 or b == 0:  # the other side is neither terminal nor equal
+        return False
+    answer = memo.get((a, b))
+    if answer is not None:
+        return answer
     stack = [(a, b)]
     while stack:
         p, q = stack[-1]
-        if known(p, q) is not None:
-            stack.pop()
-            continue
-        vp, lp, hp = nodes[p]
-        vq, lq, hq = nodes[q]
-        v = vp if vp <= vq else vq
-        p0, p1 = (lp, hp) if vp == v else (p, p)
-        q0, q1 = (lq, hq) if vq == v else (q, q)
-        r = known(p0, q0)
-        if r is None:
-            stack.append((p0, q0))
-            continue
-        if r:
-            r = known(p1, q1)
-            if r is None:
-                stack.append((p1, q1))
+        vp, p0, p1 = nodes[p]
+        vq, q0, q1 = nodes[q]
+        if vp < vq:
+            q0 = q1 = q
+        elif vq < vp:
+            p0 = p1 = p
+        if p0 == 0 or q0 == 1 or p0 == q0:
+            answer = True
+        elif p0 == 1 or q0 == 0:
+            answer = False
+        else:
+            answer = memo.get((p0, q0))
+            if answer is None:
+                stack.append((p0, q0))
                 continue
-        memo[(p, q)] = r
+        if answer:
+            if p1 == 0 or q1 == 1 or p1 == q1:
+                answer = True
+            elif p1 == 1 or q1 == 0:
+                answer = False
+            else:
+                answer = memo.get((p1, q1))
+                if answer is None:
+                    stack.append((p1, q1))
+                    continue
+        memo[(p, q)] = answer
         stack.pop()
-    return known(a, b)
+    return memo[(a, b)]
 
 
 def _unateness(f: NodeRef, only: int | None = None) -> list[Unateness]:

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 from nnobdd import ConvStep, DenseStep, NodeRef
+from nnobdd.obdd import _reachable
 
 
 def bits_of(i: int, n: int) -> tuple[int, ...]:
@@ -190,6 +191,27 @@ def hamming_robustness(table, n) -> list:
             frontier = nxt
             steps += 1
     return [dist[0][i] if table[i] else dist[1][i] for i in range(size)]
+
+
+def bottom_up_robustness(f, x):
+    """r(x) by costing every node of ``f`` children first.
+
+    The reference for diagrams too big for a truth table: the terminal
+    opposite to x's label costs nothing, its own terminal is never left,
+    and a node takes the cheaper of x's own branch and one flip to the
+    other branch.  Variables skipped by reduction never need flipping.
+    """
+    mgr = f.manager
+    if f.is_terminal:
+        return math.inf
+    label = mgr.evaluate(f, x)
+    nodes = mgr._nodes
+    cost = {1 - label: 0, label: math.inf}
+    for u in _reachable(f):
+        var, lo, hi = nodes[u]
+        same, other = (hi, lo) if x[var] else (lo, hi)
+        cost[u] = min(cost[same], 1 + cost[other])
+    return cost[f.i]
 
 
 def mean_robustness(table, n) -> Fraction:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nnobdd import (
+    BudgetExceededError,
     ConvFilter,
     ConvStep,
     DenseStep,
@@ -36,6 +37,7 @@ from oracles import (
     bdd_from_table,
     bits_of,
     block_order,
+    bottom_up_robustness,
     build_formula,
     formula_table,
     forces_label,
@@ -95,6 +97,68 @@ class TestInstanceRobustness:
             oracle = hamming_robustness(table, n)
             for i in range(1 << n):
                 assert instance_robustness(f, bits_of(i, n)) == oracle[i]
+
+    def test_matches_bottom_up_on_block_order_nets(self):
+        rng = random.Random(422)
+        answers = []
+        for _ in range(4):
+            f = block_order_output(rng, 10, 2, -4.0)
+            for _ in range(50):
+                x = random_image(rng, 100)
+                answers.append(instance_robustness(f, x))
+                assert answers[-1] == bottom_up_robustness(f, x)
+        assert len(set(answers)) > 3
+
+    def test_matches_bottom_up_on_a_16x16_net(self):
+        rng = random.Random(423)
+        f = block_order_output(rng, 16, 4, -6.0)
+        for _ in range(4):
+            x = random_image(rng, 256)
+            assert instance_robustness(f, x) == bottom_up_robustness(f, x)
+
+    def test_stops_before_reading_every_node(self):
+        # x0 = 0 forces FALSE, so an instance with f(x) = 1 breaks in one
+        # flip of the top variable, whatever the rest of the diagram holds
+        rng = random.Random(424)
+        n = 10
+        m = Manager(n)
+        table = [(i & 1) * rng.randint(0, 1) for i in range(1 << n)]
+        f = bdd_from_table(m, table)
+        x = bits_of(table.index(1), n)
+        m._nodes = reads = CountingList(m._nodes)
+        assert instance_robustness(f, x) == 1
+        assert 0 < reads.count < m.node_count(f)
+
+
+class CountingList(list):
+    """A node store that counts how many nodes are read from it."""
+
+    count = 0
+
+    def __getitem__(self, i):
+        self.count += 1
+        return super().__getitem__(i)
+
+
+def block_order_output(rng, size, kernel, bias):
+    """The one output of a seeded conv (stride = kernel) -> dense(1) net.
+
+    Compiled in block order, so every window's pixels are contiguous.
+    """
+    weights = tuple(
+        tuple(round(rng.uniform(-2, 2), 1) for _ in range(kernel)) for _ in range(kernel)
+    )
+    conv = ConvStep((ConvFilter((weights,), -1.0),), kernel)
+    width = (size // kernel) ** 2
+    dense = DenseStep((tuple(rng.choice((-1.0, 1.0, 2.0)) for _ in range(width)),), (bias,))
+    spec = NetworkSpec((size, size), (conv, dense))
+    return compile_network(spec, 1, order_policy=block_order(size, kernel)).outputs[0]
+
+
+def random_image(rng, n):
+    """Seeded bits whose density of ones is itself drawn per image."""
+    p = rng.random()
+    return tuple(int(rng.random() < p) for _ in range(n))
 
 
 class TestRobustSets:
@@ -539,15 +603,7 @@ class TestDatasetBatch:
 
     def test_seeded_images_of_a_block_order_net(self):
         rng = random.Random(1203)
-        weights = tuple(
-            tuple(round(rng.uniform(-2, 2), 1) for _ in range(3)) for _ in range(3)
-        )
-        conv = ConvStep((ConvFilter((weights,), -1.0),), 3)
-        dense = DenseStep(
-            (tuple(rng.choice((-1.0, 1.0, 2.0)) for _ in range(16)),), (-3.0,)
-        )
-        spec = NetworkSpec((12, 12), (conv, dense))
-        f = compile_network(spec, 1, order_policy=block_order(12, 3)).outputs[0]
+        f = block_order_output(rng, 12, 3, -3.0)
         rows = [bits_of(rng.getrandbits(144), 144) for _ in range(260)]
         assert len(rows) % analysis._CHUNK_ROWS
         assert dataset_average_robustness(f, rows) == self.per_row_mean(f, rows)
@@ -707,6 +763,45 @@ class TestQueriesAllocateNothing:
                 fooling_complete(f, {}, x)
 
 
+class TestQueryBudgetErrors:
+    """A budget abort inside a query names the query that hit it."""
+
+    @pytest.fixture
+    def full(self):
+        # the budget holds both diagrams and no node more; the second level
+        # of either chain (majority of three) needs new nodes
+        m = Manager(3)
+        x0, x1, x2 = (m.literal(v) for v in range(3))
+        either, every = x0 | x1 | x2, x0 & x1 & x2
+        m.node_budget = m.allocated
+        return m, either, every
+
+    def test_erosion_names_its_level(self, full):
+        m, either, _ = full
+        with pytest.raises(BudgetExceededError) as exc:
+            robust_sets(either)
+        assert str(exc.value) == (
+            "node budget of %d exhausted while building robustness level 2 by erosion"
+            % m.node_budget
+        )
+
+    def test_dilation_names_its_level(self, full):
+        m, _, every = full
+        with pytest.raises(BudgetExceededError) as exc:
+            polarity_summary(every, "negative")
+        assert str(exc.value) == (
+            "node budget of %d exhausted while building robustness level 2 by dilation"
+            % m.node_budget
+        )
+
+    def test_pi_explanation_names_itself(self):
+        m = Manager(3)
+        f = m.ite(m.literal(0), m.literal(1), m.literal(2))
+        m.node_budget = m.allocated  # releasing x0 conjoins x1 and x2
+        with pytest.raises(BudgetExceededError, match="of a PI explanation$"):
+            pi_explanation(f, (1, 1, 1))
+
+
 class TestRobustnessBuildsOnlyThroughIte:
     """Level sets come from erosion and dilation passes, never from cofactors."""
 
@@ -751,6 +846,19 @@ class TestDeepDiagrams:
         assert fooling_complete(f, {v: 1 for v in range(n)}, (0,) * n) == ones
         assert fooling_complete(f, {7: 0}, ones) == ones[:7] + (0,) + ones[8:]
         assert m.model_count(f) == 1
+
+    def test_disjunction_robustness(self):
+        # all ones is the deepest answer: the search settles every node
+        n = 1200
+        m = Manager(n)
+        f = m.false
+        for v in reversed(range(n)):
+            f = m.literal(v) | f
+        ones = (1,) * n
+        assert instance_robustness(f, ones) == n
+        assert instance_robustness(f, ones[:599] + (0,) + ones[600:]) == n - 1
+        assert instance_robustness(f, (0,) * 599 + (1,) + (0,) * 600) == 1
+        assert instance_robustness(f, (0,) * n) == 1
 
     def test_explanations_return(self):
         n = 1200

@@ -511,6 +511,20 @@ class TestDeepDiagrams:
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["label 0", "cardinality 1", "700 17 20 0"]
 
+    def test_robustness_of_a_deep_disjunction(self, workdir, capsys):
+        # all ones needs every variable flipped, so the search reads every node
+        m = Manager(1200)
+        f = m.false
+        for v in reversed(range(1200)):
+            f = m.literal(v) | f
+        path = workdir / "deep_or.obdd"
+        write_obdd(f, str(path))
+        image = workdir / "ones.pbm"
+        write_pbm((1,) * 1200, 30, 40, str(image))
+        argv = ["robustness", "instance", str(path), "--image", str(image)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "1200\n"
+
     def test_recursion_is_a_budget_abort(self, workdir, capsys):
         # ite(x0, x1 & ... & x1198, x1 & ... & x1199): releasing x0 for the
         # all-ones image conjoins two chains about 1,200 levels deep
