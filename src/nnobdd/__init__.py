@@ -65,7 +65,6 @@ from .trainer import (
     precision_sweep,
     read_dataset_csv,
     train_neuron,
-    write_dataset_csv,
 )
 
 __version__ = "0.1.0"

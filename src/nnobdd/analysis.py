@@ -11,13 +11,12 @@ nodes, never negate, condition or combine diagrams, and use explicit
 stacks, so no diagram depth can raise `RecursionError`.  A query about the
 negative label swaps the roles of the terminals instead of complementing
 the diagram.  Node ids order a diagram's nodes children first, because a
-node is always created after both of its children.  Dataset robustness is
-one vectorized numpy pass for all rows over the diagram's nodes as arrays
-grouped by variable level.  A single instance is a 0-1 breadth-first
-search from the root, free along the instance's own branches and one flip
-across the other, that stops at the first flip count reaching the
-opposite terminal, so it reads the nodes near the instance's path and,
-at worst, every node.
+node is always created after both of its children.  Every instance query,
+one image or each row of a dataset, is the same 0-1 breadth-first search
+from the root, free along the instance's own branches and one flip across
+the other, that stops at the first flip count reaching the opposite
+terminal, so it reads the nodes near the instance's path and, at worst,
+every node.
 
 PI explanation walks without recursion of its own too, but it also visits
 releases: conjunctions (or disjunctions) of a node's two cofactors, built
@@ -56,11 +55,6 @@ from .obdd import BudgetExceededError, NodeRef, _counts, _reachable
 POSITIVE = "positive"
 NEGATIVE = "negative"
 BOTH = "both"
-
-# rows per cost block in `_robustness_rows`: one cost per node and row, so
-# 256 rows of uint16 costs on a 60,416-node diagram take 31 MB
-_CHUNK_ROWS = 256
-
 
 class Unateness(str, Enum):
     POSITIVE = "pos"
@@ -526,8 +520,8 @@ def _implies(nodes: list[tuple[int, int, int]], memo: dict, a: int, b: int) -> b
     return memo[(a, b)]
 
 
-def _unateness(f: NodeRef, only: int | None = None) -> list[Unateness]:
-    """Unateness of every variable (or just ``only``) in one pass.
+def _unateness(f: NodeRef) -> list[Unateness]:
+    """Unateness of every variable in one pass.
 
     A variable is positive exactly when ``lo => hi`` holds at every
     reachable node labelled with it, negative when ``hi => lo`` does, and
@@ -541,8 +535,6 @@ def _unateness(f: NodeRef, only: int | None = None) -> list[Unateness]:
     memo: dict[tuple[int, int], bool] = {}
     for u in _reachable(f):
         var, lo, hi = nodes[u]
-        if only is not None and var != only:
-            continue
         used[var] = True
         if pos[var] and not _implies(nodes, memo, lo, hi):
             pos[var] = False
@@ -564,7 +556,7 @@ def _unateness(f: NodeRef, only: int | None = None) -> list[Unateness]:
 def unateness(f: NodeRef, var: int) -> Unateness:
     """How flipping ``var`` from 0 to 1 can move the output, if at all."""
     _check_var(f, var)
-    return _unateness(f, var)[var]
+    return _unateness(f)[var]
 
 
 def marginal_grid(
@@ -605,7 +597,8 @@ def _check_grid(f: NodeRef, height: int, width: int) -> None:
 def dataset_average_robustness(f: NodeRef, dataset) -> Fraction:
     """Mean instance robustness over dataset rows (features only).
 
-    Every row is checked and scored at once, by `_robustness_rows`.
+    Every row is checked before any is scored; each row is then scored by
+    `instance_robustness`, the one search that answers every instance query.
     """
     _nontrivial(f)
     n = f.manager.num_vars
@@ -620,59 +613,5 @@ def dataset_average_robustness(f: NodeRef, dataset) -> Fraction:
         raise ValueError("dataset rows must each have %d bits" % n)
     if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("instance bits must be 0 or 1")
-    return Fraction(int(_robustness_rows(f, bits == 1).sum()), len(bits))
-
-
-def _robustness_rows(f: NodeRef, bits: np.ndarray) -> np.ndarray:
-    """`instance_robustness` of every row of a boolean matrix, in one pass.
-
-    ``f`` is non-trivial and ``bits`` has one column per variable.  One
-    `_reachable` walk turns the diagram into arrays: each node's variable,
-    and its children as positions, with FALSE and TRUE at positions 0 and
-    1 and the other nodes grouped by variable, deepest first, so a level's
-    nodes form one slice whose children all come before it.  A descent
-    through those arrays labels every row at once.  Then, for each chunk
-    of rows, each level costs all its nodes in one step: a child costs a
-    flip more where the row's bit points to the other child, and a node
-    takes the cheaper child.  A row's own terminal costs n + 1, more than
-    any number of flips.
-    """
-    nodes = f.manager._nodes
-    n = f.manager.num_vars
-    order = [0, 1] + _reachable(f)
-    ids = np.array(order)
-    table = np.array([nodes[u] for u in order])
-    by_level = np.argsort(-table[:, 0], kind="stable")  # terminals stay first
-    place = np.empty_like(by_level)
-    place[by_level] = np.arange(len(order))
-    var, lo, hi = table[by_level].T
-    lo = place[np.searchsorted(ids, lo)]
-    hi = place[np.searchsorted(ids, hi)]
-    cuts = np.flatnonzero(np.diff(var)) + 1  # where each level starts
-    levels = list(zip(cuts.tolist(), cuts[1:].tolist() + [len(order)]))
-    # the root, alone at the top level, is last; a terminal is its own child
-    rows = len(bits)
-    at = np.arange(rows)
-    pos = np.full(rows, len(order) - 1)
-    col = np.minimum(var, n - 1)
-    for _ in levels:
-        pos = np.where(bits[at, col[pos]], hi[pos], lo[pos])
-    dtype = np.min_scalar_type(n + 2)  # n + 1, and one flip on top of it
-    flips = np.ascontiguousarray(bits.T, dtype=dtype)  # taking lo flips a 1 bit
-    stays = 1 - flips
-    result = np.empty(rows, dtype=np.int64)
-    for first in range(0, rows, _CHUNK_ROWS):
-        cut = slice(first, first + _CHUNK_ROWS)
-        label = pos[cut]
-        cost = np.empty((len(order), len(label)), dtype)
-        cost[0] = (1 - label) * (n + 1)
-        cost[1] = label * (n + 1)
-        for start, end in levels:
-            v = var[start]
-            via_lo = cost[lo[start:end]]
-            via_lo += flips[v, cut]
-            via_hi = cost[hi[start:end]]
-            via_hi += stays[v, cut]
-            np.minimum(via_lo, via_hi, out=cost[start:end])
-        result[cut] = cost[-1]
-    return result
+    total = sum(instance_robustness(f, x) for x in bits.tolist())
+    return Fraction(total, len(bits))

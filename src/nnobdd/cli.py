@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import os
 import sys
 
 from . import analysis, formats
@@ -155,6 +156,8 @@ def _cmd_explain(args):
 
 
 def _cmd_marginals(args):
+    if args.pgm and os.path.realpath(args.pgm) == os.path.realpath(args.output):
+        raise ValueError("-o and --pgm name the same file: %s" % args.output)
     f = read_obdd(args.obdd)
     rows = analysis.marginal_grid(f, args.height, args.width)
     # both outputs are formatted before either file is opened
@@ -270,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("robustness", help="robustness queries")
     p.add_argument("mode", choices=["instance", "model", "max", "hist"])
     p.add_argument("obdd")
-    p.add_argument("--image", default=None)
-    p.add_argument("--dataset", default=None)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--image", default=None)
+    source.add_argument("--dataset", default=None)
     p.add_argument(
         "--polarity", choices=["positive", "negative", "both"], default="both"
     )

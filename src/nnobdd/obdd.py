@@ -73,9 +73,6 @@ class NodeRef:
             and self.i == other.i
         )
 
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
     def __hash__(self) -> int:
         return hash((id(self.manager), self.i))
 

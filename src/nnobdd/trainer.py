@@ -98,13 +98,6 @@ def read_dataset_csv(src: PathOrFile) -> LabeledDataset:
     return LabeledDataset(feats, labels)
 
 
-def write_dataset_csv(dataset: LabeledDataset, dest: PathOrFile) -> None:
-    with opened(dest, "w", newline="") as fp:
-        writer = csv.writer(fp)
-        for bits, label in dataset.rows():
-            writer.writerow(list(bits) + [label])
-
-
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
 

@@ -15,7 +15,6 @@ from nnobdd import (
     Manager,
     NetworkSpec,
     Unateness,
-    analysis,
     compile_network,
     dataset_average_robustness,
     fooling_complete,
@@ -563,18 +562,6 @@ class TestGridsAndDatasets:
         with pytest.raises(ValueError):
             dataset_average_robustness(m.true, [(0, 0)])
 
-    def test_dataset_walks_the_diagram_once(self, monkeypatch):
-        rng = random.Random(1201)
-        m = Manager(6)
-        f = bdd_from_table(m, [rng.randint(0, 1) for _ in range(64)])
-        rows = [bits_of(rng.randrange(64), 6) for _ in range(20)]
-        expected = Fraction(sum(instance_robustness(f, x) for x in rows), len(rows))
-        walks = []
-        real = analysis._reachable
-        monkeypatch.setattr(analysis, "_reachable", lambda g: walks.append(g) or real(g))
-        assert dataset_average_robustness(f, rows) == expected
-        assert walks == [f]
-
     @pytest.mark.parametrize("bad", [(0, 1, 1), (0, 2)])
     def test_dataset_every_row_checked(self, bad):
         m, f = or2()
@@ -583,16 +570,16 @@ class TestGridsAndDatasets:
 
 
 class TestDatasetBatch:
-    """The batched dataset pass against the mean of per-instance passes."""
+    """Dataset robustness against the mean of the bottom-up oracle."""
 
     @staticmethod
     def per_row_mean(f, rows):
-        return Fraction(sum(instance_robustness(f, x) for x in rows), len(rows))
+        return Fraction(sum(bottom_up_robustness(f, x) for x in rows), len(rows))
 
     def test_every_row_of_small_functions(self):
         rng = random.Random(1202)
         functions = list(oracle_functions(rng, 30))
-        m = Manager(10)  # 2**10 rows cross a chunk boundary
+        m = Manager(10)
         table = [rng.randint(0, 1) for _ in range(1 << 10)]
         functions.append((m, bdd_from_table(m, table), table))
         for m, f, _ in functions:
@@ -605,7 +592,6 @@ class TestDatasetBatch:
         rng = random.Random(1203)
         f = block_order_output(rng, 12, 3, -3.0)
         rows = [bits_of(rng.getrandbits(144), 144) for _ in range(260)]
-        assert len(rows) % analysis._CHUNK_ROWS
         assert dataset_average_robustness(f, rows) == self.per_row_mean(f, rows)
 
     def test_one_row(self):
@@ -614,7 +600,7 @@ class TestDatasetBatch:
         f, _ = random_nontrivial(rng, 7, m)
         for i in (0, 77, 127):
             x = bits_of(i, 7)
-            assert dataset_average_robustness(f, [x]) == instance_robustness(f, x)
+            assert dataset_average_robustness(f, [x]) == bottom_up_robustness(f, x)
 
     def test_deep_conjunction(self):
         n = 1200
@@ -624,8 +610,9 @@ class TestDatasetBatch:
             f = m.literal(v) & f
         ones = (1,) * n
         rows = [ones] + [ones[:v] + (0,) + ones[v + 1 :] for v in (0, 599, 1199)]
-        assert dataset_average_robustness(f, rows) == 1
-        assert dataset_average_robustness(f, [(0,) * n]) == n
+        assert dataset_average_robustness(f, rows) == self.per_row_mean(f, rows) == 1
+        zeros = [(0,) * n]
+        assert dataset_average_robustness(f, zeros) == self.per_row_mean(f, zeros) == n
 
     @pytest.mark.parametrize(
         "rows",

@@ -194,6 +194,17 @@ class TestRobustnessCommands:
         out = compile_or(workdir)
         assert main(["robustness", "instance", str(out)]) == 2
 
+    def test_image_and_dataset_together_is_a_usage_error(self, workdir, capsys):
+        out = compile_or(workdir)
+        capsys.readouterr()
+        argv = ["robustness", "instance", str(out), "--image", str(workdir / "img2.pbm")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--dataset", str(workdir / "data.csv")])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
     def test_model_summary(self, workdir, capsys):
         out = compile_or(workdir)
         assert main(["robustness", "model", str(out)]) == 0
@@ -348,6 +359,19 @@ class TestGridCommands:
         assert main(argv + ["-o", "m.csv", "--pgm", "m.pgm"]) == 0
         assert (workdir / "m.csv").read_text().startswith("var,row,col,marginal\n")
         assert (workdir / "m.pgm").read_text().startswith("P2\n4 4\n255\n")
+
+    @pytest.mark.parametrize("pgm", ["m.csv", "./m.csv", "sub/../m.csv"])
+    def test_csv_and_pgm_on_one_path_exits_2(self, workdir, capsys, monkeypatch, pgm):
+        out = compile_or(workdir)
+        (workdir / "sub").mkdir()
+        monkeypatch.chdir(workdir)
+        capsys.readouterr()
+        argv = ["marginals", str(out), "--height", "1", "--width", "2"]
+        assert main(argv + ["-o", "m.csv", "--pgm", pgm]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nnobdd: error:")
+        assert not (workdir / "m.csv").exists()
 
     @pytest.mark.parametrize("command", ["marginals", "unate"])
     def test_negative_grid_exits_2(self, workdir, capsys, command):

@@ -19,7 +19,6 @@ from nnobdd import (
     quantize,
     read_dataset_csv,
     train_neuron,
-    write_dataset_csv,
 )
 
 
@@ -33,7 +32,8 @@ class TestDataset:
     def test_round_trip(self):
         data = separable()
         buf = io.StringIO()
-        write_dataset_csv(data, buf)
+        table = np.column_stack([data.features, data.labels])
+        np.savetxt(buf, table, fmt="%d", delimiter=",")
         again = read_dataset_csv(io.StringIO(buf.getvalue()))
         assert (again.features == data.features).all()
         assert (again.labels == data.labels).all()
