@@ -57,14 +57,28 @@ from .obdd import (
     read_obdd,
     write_obdd,
 )
-from .trainer import (
-    LabeledDataset,
-    SweepRow,
-    TrainConfig,
-    accuracy,
-    precision_sweep,
-    read_dataset_csv,
-    train_neuron,
+
+# `trainer` loads numpy, so its names are imported on first use (PEP 562)
+_TRAINER_NAMES = (
+    "LabeledDataset",
+    "SweepRow",
+    "TrainConfig",
+    "accuracy",
+    "precision_sweep",
+    "read_dataset_csv",
+    "train_neuron",
 )
+
+
+def __getattr__(name):
+    if name in _TRAINER_NAMES:
+        from . import trainer
+
+        return getattr(trainer, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += _TRAINER_NAMES
 
 __version__ = "0.1.0"

@@ -48,8 +48,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .obdd import BudgetExceededError, NodeRef, _counts, _reachable
 
 POSITIVE = "positive"
@@ -536,7 +534,12 @@ def _unateness(f: NodeRef) -> list[Unateness]:
     for u in _reachable(f):
         var, lo, hi = nodes[u]
         used[var] = True
-        if pos[var] and not _implies(nodes, memo, lo, hi):
+        if pos[var]:
+            if _implies(nodes, memo, lo, hi):
+                # lo != hi at a reduced node, and equal functions share an id,
+                # so hi => lo fails here: var is not negative
+                neg[var] = False
+                continue
             pos[var] = False
         if neg[var] and not _implies(nodes, memo, hi, lo):
             neg[var] = False
@@ -602,16 +605,16 @@ def dataset_average_robustness(f: NodeRef, dataset) -> Fraction:
     """
     _nontrivial(f)
     n = f.manager.num_vars
-    rows = dataset.features if hasattr(dataset, "features") else list(dataset)
-    try:
-        bits = np.asarray(rows)
-    except ValueError:  # rows of differing lengths
-        raise ValueError("dataset rows must each have %d bits" % n) from None
-    if not len(bits):
+    rows = dataset.features.tolist() if hasattr(dataset, "features") else list(dataset)
+    if not rows:
         raise ValueError("empty dataset")
-    if bits.ndim != 2 or bits.shape[1] != n:
+    try:
+        widths = {len(x) for x in rows}
+    except TypeError:  # a row that is a single value
+        widths = None
+    if widths != {n}:
         raise ValueError("dataset rows must each have %d bits" % n)
-    if not ((bits == 0) | (bits == 1)).all():
+    if any(b not in (0, 1) for x in rows for b in x):
         raise ValueError("instance bits must be 0 or 1")
-    total = sum(instance_robustness(f, x) for x in bits.tolist())
-    return Fraction(total, len(bits))
+    total = sum(instance_robustness(f, x) for x in rows)
+    return Fraction(total, len(rows))

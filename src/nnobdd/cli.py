@@ -22,13 +22,8 @@ from .neuron import (
 )
 from .network import compile_network, read_spec
 from .obdd import BudgetExceededError, Manager, OBDDError, read_obdd, write_obdd
-from .trainer import (
-    TrainConfig,
-    accuracy,
-    precision_sweep,
-    read_dataset_csv,
-    train_neuron,
-)
+
+# `trainer` loads numpy, so only the commands that read datasets import it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,12 +67,16 @@ def _cmd_compile_net(args):
     net = compile_network(
         spec, args.digits, round_mode=args.round, node_budget=args.budget
     )
+    texts = {}
     lines = []
     for i, out in enumerate(net.outputs):
         path = "%s-out%d.obdd" % (args.output, i)
-        write_obdd(out, path)
+        text = io.StringIO()
+        write_obdd(out, text)
+        texts[path] = text.getvalue()
         lines.append("output %d: %d nodes -> %s" % (i, net.manager.node_count(out), path))
-    # printed once every file is written: a failure leaves stdout empty
+    # written all or none, then printed: a failure leaves no file and no stdout
+    formats.write_files(texts)
     print("\n".join(lines))
     return 0
 
@@ -98,6 +97,8 @@ def _cmd_robustness(args):
             r = analysis.instance_robustness(f, bits)
             print("inf" if r == float("inf") else int(r))
         elif args.dataset:
+            from .trainer import read_dataset_csv
+
             data = read_dataset_csv(args.dataset)
             if data.n_features != mgr.num_vars:
                 raise ValueError("dataset width does not match the diagram")
@@ -183,6 +184,8 @@ def _cmd_unate(args):
 
 
 def _train_config(args):
+    from .trainer import TrainConfig
+
     return TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -193,6 +196,8 @@ def _train_config(args):
 
 
 def _cmd_train(args):
+    from .trainer import accuracy, read_dataset_csv, train_neuron
+
     data = read_dataset_csv(args.dataset)
     unit = train_neuron(data, _train_config(args))
     write_neuron(unit, args.output)
@@ -201,6 +206,8 @@ def _cmd_train(args):
 
 
 def _cmd_sweep(args):
+    from .trainer import precision_sweep, read_dataset_csv, train_neuron
+
     data = read_dataset_csv(args.dataset)
     unit = train_neuron(data, _train_config(args))
     rows = precision_sweep(

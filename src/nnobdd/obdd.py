@@ -491,11 +491,13 @@ def write_obdd(f: NodeRef, dest: PathOrFile) -> None:
     ids = {0: 0, 1: 1}
     for k, u in enumerate(order):
         ids[u] = k + 2
+    nodes = mgr._nodes
+    lines = ["obdd n=%d root=%d" % (mgr.num_vars, ids[f.i])]
+    for u in order:
+        var, lo, hi = nodes[u]
+        lines.append("%d %d %d %d" % (ids[u], var, ids[lo], ids[hi]))
     with opened(dest, "w") as fp:
-        fp.write("obdd n=%d root=%d\n" % (mgr.num_vars, ids[f.i]))
-        for u in order:
-            var, lo, hi = mgr._nodes[u]
-            fp.write("%d %d %d %d\n" % (ids[u], var, ids[lo], ids[hi]))
+        fp.write("\n".join(lines) + "\n")
 
 
 def read_obdd(src: PathOrFile, manager: Manager | None = None) -> NodeRef:
@@ -505,13 +507,16 @@ def read_obdd(src: PathOrFile, manager: Manager | None = None) -> NodeRef:
     allows round-trip comparisons against handles built in that manager.
     """
     with opened(src) as fp:
-        lines = [ln.strip() for ln in fp]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+        lines = iter(fp.read().split("\n"))
+    for head in lines:
+        head = head.strip()
+        if head and head[0] != "#":
+            break
+    else:
         raise ValueError("empty diagram file")
-    m = _HEADER.match(lines[0])
+    m = _HEADER.match(head)
     if m is None:
-        raise ValueError("bad header: %r" % lines[0])
+        raise ValueError("bad header: %r" % head)
     n, root = int(m.group(1)), int(m.group(2))
     if manager is None:
         manager = Manager(n)
@@ -519,19 +524,22 @@ def read_obdd(src: PathOrFile, manager: Manager | None = None) -> NodeRef:
         raise ValueError(
             "file has %d variables, manager has %d" % (n, manager.num_vars)
         )
+    mk = manager._mk_id
     refs = {0: 0, 1: 1}
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split()
+        if not parts or parts[0][0] == "#":
+            continue
         if len(parts) != 4:
-            raise ValueError("bad node line: %r" % ln)
-        ident, var, lo, hi = (int(p) for p in parts)
+            raise ValueError("bad node line: %r" % ln.strip())
+        ident, var, lo, hi = map(int, parts)
         if ident in refs:
             raise ValueError("duplicate node id %d" % ident)
         if lo not in refs or hi not in refs:
             raise ValueError("node %d references an undefined child" % ident)
         if not 0 <= var < n:
             raise ValueError("node %d labeled with bad variable %d" % (ident, var))
-        refs[ident] = manager._mk_id(var, refs[lo], refs[hi])
+        refs[ident] = mk(var, refs[lo], refs[hi])
     if root not in refs:
         raise ValueError("root id %d is not defined" % root)
     return NodeRef(manager, refs[root])

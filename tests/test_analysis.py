@@ -29,6 +29,7 @@ from nnobdd import (
     unateness,
     unateness_grid,
 )
+from nnobdd import analysis
 from nnobdd.obdd import _reachable
 
 from oracles import (
@@ -510,6 +511,24 @@ class TestUnateness:
             f, table = random_nontrivial(rng, n, m)
             v = rng.randrange(n)
             assert unateness(f, v).value == tt_unateness(table, n, v)
+
+    def test_positive_node_skips_the_reverse_implication(self, monkeypatch):
+        calls = []
+        implies = analysis._implies
+
+        def spy(nodes, memo, a, b):
+            calls.append((a, b))
+            return implies(nodes, memo, a, b)
+
+        monkeypatch.setattr(analysis, "_implies", spy)
+        m = Manager(2)
+        f = m.literal(0) & m.literal(1)
+        assert unateness_grid(f, 1, 2) == [
+            (0, 0, 0, Unateness.POSITIVE),
+            (1, 0, 1, Unateness.POSITIVE),
+        ]
+        reverse = {(hi, lo) for _, lo, hi in (m._nodes[u] for u in _reachable(f))}
+        assert calls and not reverse & set(calls)
 
 
 class TestGridsAndDatasets:

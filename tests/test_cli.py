@@ -1,8 +1,11 @@
 """End-to-end command-line flows and exit codes."""
 
 import json
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,26 +138,46 @@ class TestCompileAndEval:
         assert captured.err.startswith("nnobdd: error: layer %d: " % (layer + 1))
         assert shape in captured.err
 
-    def test_compile_net_prints_after_every_file(self, workdir, capsys, monkeypatch):
+    @staticmethod
+    def two_output_model(workdir):
         model = json.loads((ROOT / "docs" / "net4x4.json").read_text())
         dense = model["layers"][1]
         dense["weights"] *= 2
         dense["bias"] *= 2
         model["outputs"] = 2
         (workdir / "two.json").write_text(json.dumps(model))
+        return ["compile-net", str(workdir / "two.json"), "-o", str(workdir / "net")]
+
+    def test_compile_net_prints_after_every_file(self, workdir, capsys, monkeypatch):
         written = []
 
-        def write_first_only(f, path):
+        def write_first_only(f, dest):
             if written:
                 raise OSError("disk full")
-            written.append(path)
-            write_obdd(f, path)
+            written.append(dest)
+            write_obdd(f, dest)
 
         monkeypatch.setattr(cli, "write_obdd", write_first_only)
-        argv = ["compile-net", str(workdir / "two.json"), "-o", str(workdir / "net")]
-        assert main(argv) == 2
-        assert written == [str(workdir / "net-out0.obdd")]
+        assert main(self.two_output_model(workdir)) == 2
+        assert len(written) == 1
+        assert not list(workdir.glob("net-out*.obdd"))
         assert capsys.readouterr().out == ""
+
+    def test_compile_net_writes_every_file_or_none(self, workdir, capsys):
+        argv = self.two_output_model(workdir)
+        (workdir / "net-out1.obdd").mkdir()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nnobdd: error: ")
+        assert not (workdir / "net-out0.obdd").exists()
+        (workdir / "net-out1.obdd").rmdir()
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert sorted(p.name for p in workdir.glob("net-out*.obdd")) == [
+            "net-out0.obdd",
+            "net-out1.obdd",
+        ]
 
     def test_compile_net_budget_abort_exits_3(self, workdir):
         rc = main(
@@ -593,3 +616,26 @@ class TestReadme:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "5/4"
         assert lines[1].startswith("Explanation(")
+
+
+class TestStartup:
+    @staticmethod
+    def run_python(code):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_cli_import_leaves_numpy_out(self):
+        code = "import sys, nnobdd, nnobdd.cli; print('numpy' in sys.modules)"
+        assert self.run_python(code) == ["False"]
+
+    def test_training_names_load_on_use(self):
+        code = (
+            "import sys, nnobdd; from nnobdd import trainer; "
+            "print(nnobdd.train_neuron is trainer.train_neuron, 'numpy' in sys.modules)"
+        )
+        assert self.run_python(code) == ["True", "True"]

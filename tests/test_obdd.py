@@ -564,6 +564,12 @@ class TestSerialization:
 
         assert render() == render_other_history()
 
+    def test_writer_text(self):
+        m = Manager(3)
+        buf = io.StringIO()
+        write_obdd((m.literal(0) | m.literal(2)) & m.literal(1), buf)
+        assert buf.getvalue() == "obdd n=3 root=5\n2 2 0 1\n3 1 0 2\n4 1 0 1\n5 0 3 4\n"
+
     def test_reader_rejects_bad_header(self):
         with pytest.raises(ValueError):
             read_obdd(io.StringIO("bogus\n"))
@@ -586,3 +592,99 @@ class TestSerialization:
     def test_reader_rejects_wrong_manager_width(self, m3):
         with pytest.raises(ValueError):
             read_obdd(io.StringIO("obdd n=2 root=1\n"), m3)
+
+
+def read_text(text, manager=None):
+    return read_obdd(io.StringIO(text), manager)
+
+
+class TestReaderContract:
+    """What `read_obdd` accepts, and the error it gives for what it does not."""
+
+    @pytest.mark.parametrize(
+        "text, exc, message",
+        [
+            ("", ValueError, "empty diagram file"),
+            ("# only a comment\n\n   \n", ValueError, "empty diagram file"),
+            ("  bogus  \n", ValueError, "bad header: 'bogus'"),
+            ("obdd n=2 root=2\n2 0 1\n", ValueError, "bad node line: '2 0 1'"),
+            ("obdd n=2 root=2\n 2 0 0 1 7 \n", ValueError, "bad node line: '2 0 0 1 7'"),
+            ("obdd n=2 root=2\n2 0 0 1 x\n", ValueError, "bad node line: '2 0 0 1 x'"),
+            ("obdd n=2 root=2\n2 1 0 1\n2 0 0 1\n", ValueError, "duplicate node id 2"),
+            ("obdd n=2 root=3\n3 0 0 2\n", ValueError, "node 3 references an undefined child"),
+            ("obdd n=2 root=7\n2 0 0 1\n", ValueError, "root id 7 is not defined"),
+            ("obdd n=2 root=2\n2 -1 0 1\n", ValueError, "node 2 labeled with bad variable -1"),
+            ("obdd n=2 root=2\n2 2 0 1\n", ValueError, "node 2 labeled with bad variable 2"),
+            ("obdd n=2 root=3\n2 0 0 1\n3 1 0 2\n", OBDDError, "ordering violation at variable 1"),
+            # when a line breaks several rules, the first in this order is named
+            ("obdd n=2 root=2\n2 0 0 1\n2 5 0 9\n", ValueError, "duplicate node id 2"),
+            ("obdd n=2 root=2\n2 5 0 9\n", ValueError, "node 2 references an undefined child"),
+            ("obdd n=2 root=3\n2 1 0 1\n3 7 2 2\n", ValueError, "node 3 labeled with bad variable 7"),
+        ],
+        ids=[
+            "empty", "comments-only", "header", "three-tokens", "five-tokens",
+            "five-tokens-not-int", "duplicate-id", "undefined-child",
+            "missing-root", "negative-var", "var-too-large", "order",
+            "duplicate-before-child", "child-before-var", "var-before-collapse",
+        ],
+    )
+    def test_rejections(self, text, exc, message):
+        with pytest.raises(exc) as info:
+            read_text(text)
+        assert str(info.value) == message
+
+    def test_comments_and_blank_lines_anywhere(self):
+        m = Manager(2)
+        text = (
+            "# written by hand\n\n  obdd n=2 root=3  \n"
+            "# between nodes\n\n2 1 0 1\n   # indented\n\t\n  3 0 0 2\n\n"
+        )
+        assert read_text(text, m) == m.literal(0) & m.literal(1)
+
+    def test_any_distinct_ids(self):
+        m = Manager(2)
+        f = read_text("obdd n=2 root=90\n-4 1 0 1\n90 0 -4 1\n", m)
+        assert f == m.literal(0) | m.literal(1)
+
+    def test_crlf_file(self, tmp_path):
+        path = tmp_path / "crlf.obdd"
+        path.write_bytes(b"obdd n=2 root=3\r\n2 1 0 1\r\n3 0 0 2\r\n")
+        m = Manager(2)
+        assert read_obdd(str(path), m) == m.literal(0) & m.literal(1)
+        assert read_text("obdd n=2 root=3\r\n2 1 0 1\r\n3 0 0 2\r\n", m) == m.literal(0) & m.literal(1)
+
+    def test_equal_children_collapse(self):
+        m = Manager(2)
+        f = read_text("obdd n=2 root=3\n2 1 0 1\n3 0 2 2\n", m)
+        assert f == m.literal(1)
+        assert m.allocated == 3
+
+    def test_equal_triples_merge(self):
+        m = Manager(2)
+        f = read_text("obdd n=2 root=4\n2 1 0 1\n3 1 0 1\n4 0 0 3\n", m)
+        assert m.allocated == 4
+        m.audit(f)
+        assert f == m.literal(0) & m.literal(1)
+
+    def test_manager_with_nodes_reuses_them(self):
+        m = Manager(3)
+        g = m.literal(1) ^ m.literal(2)
+        before = m.allocated
+        buf = io.StringIO()
+        write_obdd(g, buf)
+        assert read_text(buf.getvalue(), m) == g
+        assert m.allocated == before
+        f = read_text("obdd n=3 root=3\n2 2 0 1\n3 0 0 2\n", m)
+        assert f == m.literal(0) & m.literal(2)
+        m.audit(f)
+
+    def test_budget_abort_leaves_manager_usable(self):
+        m = Manager(3, node_budget=4)
+        text = "obdd n=3 root=4\n2 2 0 1\n3 1 0 2\n4 0 0 3\n"
+        with pytest.raises(BudgetExceededError, match="node budget of 4 exhausted"):
+            read_text(text, m)
+        assert m.allocated == 4
+        f = read_text("obdd n=3 root=3\n2 2 0 1\n3 1 0 2\n", m)
+        assert m.allocated == 4
+        m.audit(f)
+        assert table_of(f, 3) == [int(i in (6, 7)) for i in range(8)]
