@@ -18,11 +18,15 @@ the other, that stops at the first flip count reaching the opposite
 terminal, so it reads the nodes near the instance's path and, at worst,
 every node.
 
-PI explanation walks without recursion of its own too, but it also visits
-releases: conjunctions (or disjunctions) of a node's two cofactors, built
-through `ite`, whose own calls still recurse.  A release of incomparable
-cofactors can be built after the node that needs it, so ids do not order
-that walk; variable levels do, since a release tests only deeper variables.
+PI explanation first runs a certified pass that allocates nothing: it
+releases a variable into one of the node's own cofactors, chosen by model
+count, which gives a lower bound on every cost, and one walk checks that
+the traced literals force the label.  They always do on a unate function.
+When they do not, the exact pass visits releases: conjunctions (or
+disjunctions) of a node's two cofactors, built through `ite`, whose own
+calls still recurse.  A release of incomparable cofactors can be built
+after the node that needs it, so ids do not order that walk; variable
+levels do, since a release tests only deeper variables.
 
 The robustness of an instance is the least number of input flips that
 changes the classifier's label; the robustness of a whole function is
@@ -293,25 +297,52 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     conjunction must reach TRUE for label 1, and by De Morgan their
     disjunction must reach FALSE for label 0.  Among equal-cardinality
     witnesses the lower-indexed variable is committed first, so the result
-    is deterministic.
+    is the greatest minimum reason in variable order.
 
-    Every node builds the conjunction of its cofactors, whatever the
-    label, so both labels share one family of ITE entries.  When the
-    conjunction is one of the cofactors they are ordered and the
-    disjunction is the other one; only a label-0 query on incomparable
-    cofactors also builds their disjunction.  Three steps without
-    recursion: queue each node reached through an instance branch or a
-    release once, cost them deepest variable first (not by id: a release
-    may be newer than the node that needs it), then follow the cheaper
-    choice down from the root.  A budget abort names the query.
+    A certified pass comes first and allocates nothing.  One children-first
+    pass over the existing nodes counts each node's models, as `_counts`
+    does, and releases into one cofactor instead of combining both: the one
+    with fewer models for label 1, more for label 0.  When one cofactor
+    implies the other, that one is exactly their conjunction (for label 0,
+    their disjunction).  Otherwise it is implied by the conjunction (implies
+    the disjunction), and a weaker function never takes more literals to
+    force, so every cost is a lower bound.  If the traced literals force
+    the label, which one `_forced_label` walk checks, their number meets
+    the bound: they are a minimum reason, and the one the exact pass would
+    choose.  Unate functions always pass.
+
+    Otherwise the exact pass builds each release through `ite`.  Every node
+    builds the conjunction of its cofactors, whatever the label, so both
+    labels share one family of ITE entries.  When the conjunction is one of
+    the cofactors they are ordered and the disjunction is the other one;
+    only a label-0 query on incomparable cofactors also builds their
+    disjunction.  Three steps without recursion of its own: queue each node
+    reached through an instance branch or a release once, cost them deepest
+    variable first (not by id: a release may be newer than the node that
+    needs it), then follow the cheaper choice down from the root.  A budget
+    abort names the query.
     """
     mgr = f.manager
     _check_instance(x, mgr.num_vars)
     _nontrivial(f)
     label = mgr.evaluate(f, x)
-    ite = mgr._ite_id
     nodes = mgr._nodes
+    order = _reachable(f)
+    count = {0: 0, 1: 1}
     step: dict[int, tuple[int, int]] = {}  # node: (instance branch, release)
+    for u in order:
+        var, lo, hi = nodes[u]
+        lo_models = count[lo] << (nodes[lo][0] - var - 1)
+        hi_models = count[hi] << (nodes[hi][0] - var - 1)
+        count[u] = lo_models + hi_models
+        # label 1 releases into the cofactor with fewer models, label 0 more
+        release = lo if (lo_models < hi_models) == label else hi
+        step[u] = (hi if x[var] else lo, release)
+    literals = _cheapest_reason(f, x, label, order, step)
+    if _forced_label(f, dict(literals)) == label:
+        return Explanation(literals, label)
+    ite = mgr._ite_id
+    step = {}
     seen = {0, 1, f.i}
     order = [f.i]
     try:
@@ -339,26 +370,42 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
             "%s while building the releases of a PI explanation" % e
         ) from e
     order.sort(key=lambda u: nodes[u][0], reverse=True)  # both edges go deeper
+    return Explanation(_cheapest_reason(f, x, label, order, step), label)
+
+
+def _cheapest_reason(
+    f: NodeRef,
+    x: Sequence[int],
+    label: int,
+    order: list[int],
+    step: dict[int, tuple[int, int]],
+) -> tuple[tuple[int, int], ...]:
+    """Literals of the cheapest reason under the given releases.
+
+    ``order`` lists every node of ``step`` after the nodes its branch and
+    release lead to.  A node costs the cheaper of one committed bit plus its
+    instance branch and its release, committing on a tie; the trace follows
+    those choices down from the root.
+    """
+    nodes = f.manager._nodes
     cost: dict[int, int | float] = {label: 0, 1 - label: math.inf}
-    commit: dict[int, bool] = {}
     for u in order:
         branch, release = step[u]
         committed = 1 + cost[branch]
         released = cost[release]
-        commit[u] = committed <= released
-        cost[u] = min(committed, released)
+        cost[u] = committed if committed <= released else released
     literals: list[tuple[int, int]] = []
     u = f.i
     while u > 1:
         branch, release = step[u]
-        if commit[u]:
+        if cost[u] == 1 + cost[branch]:
             var = nodes[u][0]
             literals.append((var, x[var]))
             u = branch
         else:
             u = release
     assert len(literals) == cost[f.i]
-    return Explanation(tuple(literals), label)
+    return tuple(literals)
 
 
 def fooling_complete(
@@ -380,17 +427,19 @@ def fooling_complete(
         if not 0 <= var < mgr.num_vars or bit not in (0, 1):
             raise ValueError("bad literal (%r, %r)" % (var, bit))
     label = _forced_label(f, pairs)
+    if label is None:
+        raise ValueError("the given assignment is not a sufficient reason")
     out = tuple(pairs.get(v, fill[v]) for v in range(mgr.num_vars))
     assert mgr.evaluate(f, out) == label
     return out
 
 
-def _forced_label(f: NodeRef, pairs: Mapping[int, int]) -> int:
-    """The label that fixing ``pairs`` forces on ``f``, in one walk.
+def _forced_label(f: NodeRef, pairs: Mapping[int, int]) -> int | None:
+    """The label that fixing ``pairs`` forces on ``f``, or None, in one walk.
 
     Follows the fixed variables' branches and both branches of every free
     variable, collecting the terminals reached; the label is forced exactly
-    when only one terminal is reachable.
+    when only one terminal is reachable, and the walk stops at the second.
     """
     nodes = f.manager._nodes
     seen: set[int] = set()
@@ -401,7 +450,7 @@ def _forced_label(f: NodeRef, pairs: Mapping[int, int]) -> int:
         if u <= 1:
             reached.add(u)
             if len(reached) == 2:
-                raise ValueError("the given assignment is not a sufficient reason")
+                return None
         elif u not in seen:
             seen.add(u)
             var, lo, hi = nodes[u]

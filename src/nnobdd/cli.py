@@ -141,6 +141,8 @@ def _cmd_explain(args):
     _, width, bits = _load_image_for(f, args.image)
     if args.fool_fill and not args.fool_out:
         raise ValueError("--fool-fill needs --fool-out for the result")
+    if args.fool_out and not args.fool_fill:
+        raise ValueError("--fool-out needs --fool-fill for the filler")
     fill = _load_image_for(f, args.fool_fill) if args.fool_fill else None
     reason = analysis.pi_explanation(f, bits)
     lines = ["label %d" % reason.label, "cardinality %d" % reason.cardinality]

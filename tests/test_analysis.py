@@ -380,7 +380,7 @@ class TestPiExplanation:
 
 
 class TestPiExplanationMatchesRecursion:
-    """The depth-safe pass gives the recursive program's literals exactly."""
+    """The certified and the exact pass give the recursive program's literals."""
 
     def test_both_labels_alternately_in_one_manager(self):
         rng = random.Random(422)
@@ -437,6 +437,88 @@ class TestPiExplanationMatchesRecursion:
             if m._ite_id(nodes[u][1], nodes[u][2], 0) > u
         ]
         assert newer  # ascending ids would cost such a node before its release
+
+    def test_seeded_two_filter_grid_nets(self):
+        # two filters share every window, so some variables are not unate:
+        # the certified pass must give the exact pass's literals where its
+        # check succeeds, and the exact pass must run where it fails
+        rng = random.Random(431)
+        branches = set()
+        for _ in range(6):
+            f = two_filter_grid_output(rng)
+            if f.is_terminal:
+                continue
+            calls = spy_on_ite(f.manager)
+            for _ in range(30):
+                x = bits_of(rng.getrandbits(16), 16)
+                before = len(calls)
+                got = pi_explanation(f, x).literals
+                branches.add("exact" if len(calls) > before else "certified")
+                assert got == recursive_pi_explanation(f, x)
+        assert branches == {"certified", "exact"}
+
+
+class TestCertifiedPiPass:
+    """Releases into one cofactor, checked, before any ITE is built."""
+
+    def test_unate_net_allocates_nothing(self):
+        rng = random.Random(432)
+        f = block_order_output(rng, 10, 2, -4.0)
+        m = f.manager
+        labels = set()
+        for _ in range(20):
+            x = random_image(rng, 100)
+            allocated, entries = m.allocated, len(m._ite_cache)
+            reason = pi_explanation(f, x)
+            assert (m.allocated, len(m._ite_cache)) == (allocated, entries)
+            assert reason.literals == recursive_pi_explanation(f, x)
+            labels.add(reason.label)
+        assert labels == {0, 1}
+
+    def test_incomparable_cofactors_fall_back_to_ite(self):
+        # x1 & (x0 ? x3 : x2): releasing into either cofactor keeps x1, x3
+        # or x1, x2, which does not force TRUE, so the exact pass runs
+        m = Manager(4)
+        x1, x2, x3 = (m.literal(v) for v in (1, 2, 3))
+        f = m.ite(m.literal(0), x1 & x3, x1 & x2)
+        calls = spy_on_ite(m)
+        reason = pi_explanation(f, (1, 1, 1, 1))
+        assert calls
+        assert reason.literals == ((0, 1), (1, 1), (3, 1))
+        assert reason.literals == recursive_pi_explanation(f, (1, 1, 1, 1))
+
+
+def spy_on_ite(m):
+    """Route ``m``'s ITE calls through a list that records them."""
+    calls = []
+    ite = m._ite_id
+
+    def spy(f, g, h):
+        calls.append((f, g, h))
+        return ite(f, g, h)
+
+    m._ite_id = spy
+    return calls
+
+
+def two_filter_grid_output(rng):
+    """The one output of a seeded 4x4 net: two 2x2 stride-2 filters, dense(1)."""
+
+    def weight():
+        return round(rng.uniform(-1, 1), 1)
+
+    conv = ConvStep(
+        tuple(
+            ConvFilter(
+                (tuple(tuple(weight() for _ in range(2)) for _ in range(2)),),
+                round(weight() / 2, 1),
+            )
+            for _ in range(2)
+        ),
+        2,
+    )
+    dense = DenseStep((tuple(weight() for _ in range(8)),), (weight(),))
+    return compile_network(NetworkSpec((4, 4), (conv, dense)), 1).outputs[0]
 
 
 class TestFooling:

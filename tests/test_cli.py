@@ -326,6 +326,17 @@ class TestExplainCommand:
         assert rc == 2
         assert capsys.readouterr().out == ""  # checked before the explanation prints
 
+    def test_fool_out_requires_fill(self, workdir, capsys):
+        out = compile_or(workdir)
+        capsys.readouterr()
+        fooled = workdir / "fooled.pbm"
+        argv = ["explain", str(out), str(workdir / "img2.pbm"), "--fool-out", str(fooled)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--fool-fill" in captured.err
+        assert not fooled.exists()
+
     def test_wrong_size_fill_prints_nothing(self, workdir, capsys, monkeypatch):
         shutil.copytree(ROOT / "docs", workdir / "docs")
         monkeypatch.chdir(workdir / "docs")
@@ -572,23 +583,37 @@ class TestDeepDiagrams:
         assert main(argv) == 0
         assert capsys.readouterr().out == "1200\n"
 
-    def test_recursion_is_a_budget_abort(self, workdir, capsys):
-        # ite(x0, x1 & ... & x1198, x1 & ... & x1199): releasing x0 for the
-        # all-ones image conjoins two chains about 1,200 levels deep
+    @staticmethod
+    def explain_all_ones(workdir, hi, lo):
+        """`explain` of the all-ones image on ite(x0, AND of hi, AND of lo)."""
         m = Manager(1200)
 
-        def conjunction(last):
+        def conjunction(variables):
             f = m.true
-            for v in reversed(range(1, last + 1)):
+            for v in sorted(variables, reverse=True):
                 f = m.literal(v) & f
             return f
 
         path = workdir / "deep_release.obdd"
-        write_obdd(m.ite(m.literal(0), conjunction(1198), conjunction(1199)), str(path))
+        write_obdd(m.ite(m.literal(0), conjunction(hi), conjunction(lo)), str(path))
         image = workdir / "ones.pbm"
         write_pbm((1,) * 1200, 30, 40, str(image))
-        assert main(["explain", str(path), str(image)]) == 3
+        return main(["explain", str(path), str(image)])
+
+    def test_recursion_is_a_budget_abort(self, workdir, capsys):
+        # ite(x0, x1 & ... & x1197 & x1199, x1 & ... & x1198): the cofactors
+        # are incomparable, so releasing x0 conjoins two chains about 1,200
+        # levels deep
+        hi = [*range(1, 1198), 1199]
+        assert self.explain_all_ones(workdir, hi, range(1, 1199)) == 3
         assert "nnobdd: budget abort: explain:" in capsys.readouterr().err
+
+    def test_ordered_deep_cofactors_explain_without_ite(self, workdir, capsys):
+        # ite(x0, x1 & ... & x1198, x1 & ... & x1199): the x0 = 0 cofactor
+        # implies the other, so the certified pass releases into it directly
+        assert self.explain_all_ones(workdir, range(1, 1199), range(1, 1200)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["label 1", "cardinality 1199"]
 
 
 def readme_commands():
