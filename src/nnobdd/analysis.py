@@ -24,9 +24,10 @@ count, which gives a lower bound on every cost, and one walk checks that
 the traced literals force the label.  They always do on a unate function.
 When they do not, the exact pass visits releases: conjunctions (or
 disjunctions) of a node's two cofactors, built through `ite`, whose own
-calls still recurse.  A release of incomparable cofactors can be built
-after the node that needs it, so ids do not order that walk; variable
-levels do, since a release tests only deeper variables.
+calls still recurse.  Both passes record one release id per node and
+share one cost rule and trace-back.  Model counts are over all of the
+manager's variables at every node, so they compare and add without a
+level correction.
 
 The robustness of an instance is the least number of input flips that
 changes the classifier's label; the robustness of a whole function is
@@ -300,16 +301,16 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     is the greatest minimum reason in variable order.
 
     A certified pass comes first and allocates nothing.  One children-first
-    pass over the existing nodes counts each node's models, as `_counts`
-    does, and releases into one cofactor instead of combining both: the one
-    with fewer models for label 1, more for label 0.  When one cofactor
-    implies the other, that one is exactly their conjunction (for label 0,
-    their disjunction).  Otherwise it is implied by the conjunction (implies
-    the disjunction), and a weaker function never takes more literals to
-    force, so every cost is a lower bound.  If the traced literals force
-    the label, which one `_forced_label` walk checks, their number meets
-    the bound: they are a minimum reason, and the one the exact pass would
-    choose.  Unate functions always pass.
+    pass over the existing nodes counts each node's models over all the
+    variables, as `_counts` does, and releases into one cofactor instead of
+    combining both: the one with fewer models for label 1, more for label
+    0.  When one cofactor implies the other, that one is exactly their
+    conjunction (for label 0, their disjunction).  Otherwise it is implied
+    by the conjunction (implies the disjunction), and a weaker function
+    never takes more literals to force, so every cost is a lower bound.  If
+    the traced literals force the label, which one `_forced_label` walk
+    checks, their number meets the bound: they are a minimum reason, and
+    the one the exact pass would choose.  Unate functions always pass.
 
     Otherwise the exact pass builds each release through `ite`.  Every node
     builds the conjunction of its cofactors, whatever the label, so both
@@ -328,49 +329,38 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     label = mgr.evaluate(f, x)
     nodes = mgr._nodes
     order = _reachable(f)
-    count = {0: 0, 1: 1}
-    step: dict[int, tuple[int, int]] = {}  # node: (instance branch, release)
+    count = {0: 0, 1: 1 << mgr.num_vars}
+    release: dict[int, int] = {}
     for u in order:
-        var, lo, hi = nodes[u]
-        lo_models = count[lo] << (nodes[lo][0] - var - 1)
-        hi_models = count[hi] << (nodes[hi][0] - var - 1)
-        count[u] = lo_models + hi_models
+        _, lo, hi = nodes[u]
+        lo_models, hi_models = count[lo], count[hi]
+        count[u] = (lo_models + hi_models) >> 1
         # label 1 releases into the cofactor with fewer models, label 0 more
-        release = lo if (lo_models < hi_models) == label else hi
-        step[u] = (hi if x[var] else lo, release)
-    literals = _cheapest_reason(f, x, label, order, step)
+        release[u] = lo if (lo_models < hi_models) == label else hi
+    literals = _cheapest_reason(f, x, label, order, release)
     if _forced_label(f, dict(literals)) == label:
         return Explanation(literals, label)
     ite = mgr._ite_id
-    step = {}
+    release = {}
     seen = {0, 1, f.i}
     order = [f.i]
     try:
         for u in order:
             var, lo, hi = nodes[u]
-            both = ite(lo, hi, 0)
-            if label:
-                release = both
-            elif both == lo:
-                release = hi
-            elif both == hi:
-                release = lo
-            else:
-                release = ite(lo, 1, hi)
-            branch = hi if x[var] else lo
-            step[u] = (branch, release)
-            if branch not in seen:
-                seen.add(branch)
-                order.append(branch)
-            if release not in seen:
-                seen.add(release)
-                order.append(release)
+            r = ite(lo, hi, 0)
+            if not label:  # the disjunction: the other cofactor when ordered
+                r = hi if r == lo else lo if r == hi else ite(lo, 1, hi)
+            release[u] = r
+            for v in (hi if x[var] else lo, r):  # the instance branch, the release
+                if v not in seen:
+                    seen.add(v)
+                    order.append(v)
     except BudgetExceededError as e:
         raise BudgetExceededError(
             "%s while building the releases of a PI explanation" % e
         ) from e
     order.sort(key=lambda u: nodes[u][0], reverse=True)  # both edges go deeper
-    return Explanation(_cheapest_reason(f, x, label, order, step), label)
+    return Explanation(_cheapest_reason(f, x, label, order, release), label)
 
 
 def _cheapest_reason(
@@ -378,32 +368,32 @@ def _cheapest_reason(
     x: Sequence[int],
     label: int,
     order: list[int],
-    step: dict[int, tuple[int, int]],
+    release: dict[int, int],
 ) -> tuple[tuple[int, int], ...]:
     """Literals of the cheapest reason under the given releases.
 
-    ``order`` lists every node of ``step`` after the nodes its branch and
-    release lead to.  A node costs the cheaper of one committed bit plus its
-    instance branch and its release, committing on a tie; the trace follows
-    those choices down from the root.
+    ``order`` lists every node of ``release`` after the nodes its release
+    and its instance branch, read from ``x``, lead to.  A node costs the
+    cheaper of one committed bit plus its instance branch and its release,
+    committing on a tie; the trace follows those choices down from the root.
     """
     nodes = f.manager._nodes
     cost: dict[int, int | float] = {label: 0, 1 - label: math.inf}
     for u in order:
-        branch, release = step[u]
-        committed = 1 + cost[branch]
-        released = cost[release]
+        var, lo, hi = nodes[u]
+        committed = 1 + cost[hi if x[var] else lo]
+        released = cost[release[u]]
         cost[u] = committed if committed <= released else released
     literals: list[tuple[int, int]] = []
     u = f.i
     while u > 1:
-        branch, release = step[u]
+        var, lo, hi = nodes[u]
+        branch = hi if x[var] else lo
         if cost[u] == 1 + cost[branch]:
-            var = nodes[u][0]
             literals.append((var, x[var]))
             u = branch
         else:
-            u = release
+            u = release[u]
     assert len(literals) == cost[f.i]
     return tuple(literals)
 
@@ -471,7 +461,9 @@ def _marginals(f: NodeRef) -> list[Fraction]:
 
     Darwiche's differential pass over one `_reachable` walk: bottom-up
     model counts (`_counts`) times top-down path mass give the models
-    flowing along every edge.  The models through a node labelled v's high
+    flowing along every edge: an edge from a node labelled v carries its
+    path mass times the child's all-variable count shifted down by v + 1,
+    which frees v and the variables above it.  The models through the high
     edge are those with v = 1; an edge that skips variables carries them
     with each skipped variable free, so half of its models set it to 1,
     which a difference array spreads over the skipped range.
@@ -484,7 +476,7 @@ def _marginals(f: NodeRef) -> list[Fraction]:
     root_level = nodes[f.i][0]
     order = _reachable(f)
     count = _counts(f, order)
-    total = count[f.i] << root_level
+    total = count[f.i]
     on = [0] * nvars  # models through the high edges of each variable's nodes
     skipped = [0] * (nvars + 1)  # difference array of models on skipping edges
     skipped[0] = total  # the variables above the root are free
@@ -500,7 +492,7 @@ def _marginals(f: NodeRef) -> list[Fraction]:
             gap = level - var - 1
             if child > 1:
                 mass[child] = mass.get(child, 0) + (m << gap)
-            flow = (m * count[child]) << gap
+            flow = m * (count[child] >> (var + 1))
             if child == hi:
                 on[var] += flow
             if gap:

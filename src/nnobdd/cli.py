@@ -89,6 +89,12 @@ def _cmd_eval(args):
 
 
 def _cmd_robustness(args):
+    # a flag the mode would ignore is an input error, checked before any read
+    if args.output and args.mode != "hist":
+        raise ValueError("-o is only for robustness hist, not %s" % args.mode)
+    source = "--image" if args.image else "--dataset" if args.dataset else None
+    if source and args.mode != "instance":
+        raise ValueError("%s is only for robustness instance, not %s" % (source, args.mode))
     f = read_obdd(args.obdd)
     mgr = f.manager
     if args.mode == "instance":

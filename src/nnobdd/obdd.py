@@ -134,18 +134,18 @@ def _reachable(f: NodeRef) -> list[int]:
 
 
 def _counts(f: NodeRef, order: list[int]) -> dict[int, int]:
-    """Models of each node over the variables from its level to the end.
+    """Models of each node over all of the manager's variables.
 
-    ``order`` is `_reachable(f)`; one pass over it, children first.  A
-    terminal's count is its own id.
+    ``order`` is `_reachable(f)`; one pass over it, children first.  TRUE
+    counts ``2**num_vars``; a node testing v keeps half of each child's
+    models, those that set v its way, and the halving is exact because a
+    child at level k > v counts a multiple of ``2**k``.
     """
     nodes = f.manager._nodes
-    count = {0: 0, 1: 1}
+    count = {0: 0, 1: 1 << f.manager.num_vars}
     for u in order:
-        var, lo, hi = nodes[u]
-        count[u] = (count[lo] << (nodes[lo][0] - var - 1)) + (
-            count[hi] << (nodes[hi][0] - var - 1)
-        )
+        _, lo, hi = nodes[u]
+        count[u] = (count[lo] + count[hi]) >> 1
     return count
 
 
@@ -156,7 +156,7 @@ class Manager:
     variable to a strictly larger variable or to a terminal.  ``node_budget``,
     when set, caps the total number of nodes ever allocated (terminals
     included).  Queries keep no state here: model counts, for instance, are
-    computed per call from one walk over the diagram's nodes.
+    computed per call, over all the variables, in one walk over the nodes.
     """
 
     def __init__(self, num_vars: int, node_budget: int | None = None):
@@ -425,10 +425,11 @@ class Manager:
     def model_count(self, f: NodeRef) -> int:
         """Exact number of satisfying assignments over all the variables.
 
-        Variables skipped by reduction are counted as free.  Arbitrary
-        precision: the result may be as large as ``2**num_vars``.
+        Variables skipped by reduction or above the root are counted as
+        free.  Arbitrary precision: the result may be as large as
+        ``2**num_vars``.
         """
-        return _counts(self._own(f), _reachable(f))[f.i] << self._nodes[f.i][0]
+        return _counts(self._own(f), _reachable(f))[f.i]
 
     def is_valid(self, f: NodeRef) -> bool:
         return self._own(f).i == 1

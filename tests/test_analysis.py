@@ -457,6 +457,43 @@ class TestPiExplanationMatchesRecursion:
                 assert got == recursive_pi_explanation(f, x)
         assert branches == {"certified", "exact"}
 
+    def test_spread_out_variables(self):
+        # only every third variable is read, so a node's cofactors often sit
+        # at different levels: the certified pass must compare counts over
+        # all the variables, not over each cofactor's own levels.  Threshold
+        # functions are unate, so every one of their reasons is certified.
+        rng = random.Random(433)
+        branches = set()
+        for k in range(60):
+            n = rng.randint(9, 12)
+            used = list(range(rng.randrange(3), n, 3))
+            m = Manager(n)
+            if k % 2:
+                table = [rng.randint(0, 1) for _ in range(1 << len(used))]
+            else:
+                weights = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in used]
+                threshold = rng.randint(-3, 3)
+                table = [
+                    int(sum(w for j, w in enumerate(weights) if i >> j & 1) >= threshold)
+                    for i in range(1 << len(used))
+                ]
+            if not 0 < sum(table) < len(table):
+                continue
+            f = bdd_from_table(m, table, used)
+            calls = spy_on_ite(m)
+            for i in range(1 << len(used)):
+                x = [rng.randint(0, 1) for _ in range(n)]
+                for j, v in enumerate(used):
+                    x[v] = i >> j & 1
+                before = len(calls)
+                reason = pi_explanation(f, x)
+                branch = "exact" if len(calls) > before else "certified"
+                assert branch == "certified" or k % 2
+                branches.add(branch)
+                assert reason.label == table[i]
+                assert reason.literals == recursive_pi_explanation(f, x)
+        assert branches == {"certified", "exact"}
+
 
 class TestCertifiedPiPass:
     """Releases into one cofactor, checked, before any ITE is built."""

@@ -228,6 +228,27 @@ class TestRobustnessCommands:
         assert captured.out == ""
         assert "not allowed with argument" in captured.err
 
+    @pytest.mark.parametrize(
+        "mode, extra, flag",
+        [
+            ("model", ["-o", "out.txt"], "-o"),
+            ("instance", ["--image", "img2.pbm", "-o", "out.txt"], "-o"),
+            ("max", ["--image", "img2.pbm"], "--image"),
+            ("hist", ["--image", "img2.pbm"], "--image"),
+        ],
+        ids=["model-o", "instance-o", "max-image", "hist-image"],
+    )
+    def test_flag_the_mode_ignores_exits_2(self, workdir, capsys, mode, extra, flag):
+        out = compile_or(workdir)
+        capsys.readouterr()
+        extra = [str(workdir / a) if a.endswith((".txt", ".pbm")) else a for a in extra]
+        assert main(["robustness", mode, str(out)] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nnobdd: error: %s " % flag)
+        assert "not %s" % mode in captured.err
+        assert not (workdir / "out.txt").exists()
+
     def test_model_summary(self, workdir, capsys):
         out = compile_or(workdir)
         assert main(["robustness", "model", str(out)]) == 0

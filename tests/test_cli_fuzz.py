@@ -140,6 +140,29 @@ def test_structured_obdd_mutants_exit_2(files, body, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "form",
+    [
+        ["robustness", "model", "net-out0.obdd", "-o", "out.txt"],
+        ["robustness", "max", "net-out0.obdd", "-o", "out.txt"],
+        ["robustness", "instance", "net-out0.obdd", "--image", "image4x4.pbm", "-o", "out.txt"],
+        ["robustness", "model", "net-out0.obdd", "--image", "image4x4.pbm"],
+        ["robustness", "max", "net-out0.obdd", "--dataset", "dataset4x4.csv"],
+        ["robustness", "hist", "net-out0.obdd", "--image", "image4x4.pbm"],
+        ["robustness", "hist", "net-out0.obdd", "--dataset", "dataset4x4.csv", "-o", "out.txt"],
+    ],
+    ids=lambda form: "-".join(a for a in form[1:] if "." not in a),
+)
+def test_flags_the_mode_ignores_exit_2(files, form, capsys, monkeypatch):
+    # -o belongs to hist alone, --image and --dataset to instance alone
+    monkeypatch.chdir(files)
+    assert main(form) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nnobdd: error: ")
+    assert not (files / "out.txt").exists()
+
+
+@pytest.mark.parametrize(
     "edit",
     [
         lambda m: m["layers"][0]["filters"][0].update(weights=[[[0.5, -0.25, 1], [0.25, 0.5, 1]]]),

@@ -5,8 +5,15 @@ import random
 
 import pytest
 
-from nnobdd import BudgetExceededError, Manager, OBDDError, read_obdd, write_obdd
-from nnobdd.obdd import _reachable
+from nnobdd import (
+    BudgetExceededError,
+    Manager,
+    OBDDError,
+    marginal_grid,
+    read_obdd,
+    write_obdd,
+)
+from nnobdd.obdd import NodeRef, _counts, _reachable
 
 from oracles import (
     all_instances,
@@ -336,6 +343,45 @@ class TestCounting:
         m = Manager(256)
         assert m.model_count(m.true) == 2**256
         assert m.model_count(m.literal(17)) == 2**255
+
+    def test_every_node_counts_over_all_variables(self):
+        rng = random.Random(1103)
+        skips = roots_below_zero = 0
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            m = Manager(n)
+            # a random subset of the variables: the root may sit below
+            # variable 0 and edges may skip the unused levels
+            used = sorted(rng.sample(range(n), rng.randint(1, n)))
+            table = [rng.randint(0, 1) for _ in range(1 << len(used))]
+            f = bdd_from_table(m, table, used)
+            order = _reachable(f)
+            count = _counts(f, order)
+            assert (count[0], count[1]) == (0, 2**n)
+            assert set(count) == {0, 1, *order}
+            for u in order:
+                assert count[u] == sum(table_of(NodeRef(m, u), n))
+                var, lo, hi = m._nodes[u]
+                skips += m._nodes[lo][0] > var + 1 or m._nodes[hi][0] > var + 1
+            roots_below_zero += bool(order) and m._nodes[f.i][0] > 0
+        assert skips and roots_below_zero
+
+    def test_terminals_count_zero_and_all(self):
+        for n in (0, 3, 70):
+            m = Manager(n)
+            for f in (m.false, m.true):
+                assert _counts(f, _reachable(f)) == {0: 0, 1: 2**n}
+            assert (m.model_count(m.false), m.model_count(m.true)) == (0, 2**n)
+
+    def test_1200_variable_counts_and_marginals(self):
+        m = Manager(1200)
+        both = conjunction(m, range(1200))
+        either = m.false
+        for v in reversed(range(1200)):
+            either = m.literal(v) | either
+        assert m.model_count(both) == 1
+        assert m.model_count(either) == 2**1200 - 1
+        assert {value for _, _, _, value in marginal_grid(both, 30, 40)} == {1}
 
 
 def path_nodes(m, f):
