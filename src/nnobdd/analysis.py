@@ -53,7 +53,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .obdd import BudgetExceededError, NodeRef, _counts, _reachable
+from .obdd import NodeRef, _counts, _reachable, during
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -151,18 +151,16 @@ def _level_chain(f: NodeRef, dilate: bool) -> list[NodeRef]:
     levels = [f]
     while True:
         nxt = {0: 0, 1: 1}
-        try:
+        with during(
+            "building robustness level %d by %s"
+            % (len(levels) + 1, "dilation" if dilate else "erosion")
+        ):
             for u in _reachable(levels[-1]):
                 var, lo, hi = nodes[u]
                 if dilate:
                     nxt[u] = mk(var, ite(nxt[lo], 1, hi), ite(nxt[hi], 1, lo))
                 else:
                     nxt[u] = mk(var, ite(nxt[lo], hi, 0), ite(nxt[hi], lo, 0))
-        except BudgetExceededError as e:
-            raise BudgetExceededError(
-                "%s while building robustness level %d by %s"
-                % (e, len(levels) + 1, "dilation" if dilate else "erosion")
-            ) from e
         g = nxt[levels[-1].i]
         if g == (1 if dilate else 0):
             return levels
@@ -312,12 +310,9 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     checks, their number meets the bound: they are a minimum reason, and
     the one the exact pass would choose.  Unate functions always pass.
 
-    Otherwise the exact pass builds each release through `ite`.  Every node
-    builds the conjunction of its cofactors, whatever the label, so both
-    labels share one family of ITE entries.  When the conjunction is one of
-    the cofactors they are ordered and the disjunction is the other one;
-    only a label-0 query on incomparable cofactors also builds their
-    disjunction.  Three steps without recursion of its own: queue each node
+    Otherwise the exact pass builds each release through `ite`: the
+    conjunction of the node's cofactors for label 1, their disjunction for
+    label 0.  Three steps without recursion of its own: queue each node
     reached through an instance branch or a release once, cost them deepest
     variable first (not by id: a release may be newer than the node that
     needs it), then follow the cheaper choice down from the root.  A budget
@@ -344,21 +339,14 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     release = {}
     seen = {0, 1, f.i}
     order = [f.i]
-    try:
+    with during("building the releases of a PI explanation"):
         for u in order:
             var, lo, hi = nodes[u]
-            r = ite(lo, hi, 0)
-            if not label:  # the disjunction: the other cofactor when ordered
-                r = hi if r == lo else lo if r == hi else ite(lo, 1, hi)
-            release[u] = r
+            r = release[u] = ite(lo, hi, 0) if label else ite(lo, 1, hi)
             for v in (hi if x[var] else lo, r):  # the instance branch, the release
                 if v not in seen:
                     seen.add(v)
                     order.append(v)
-    except BudgetExceededError as e:
-        raise BudgetExceededError(
-            "%s while building the releases of a PI explanation" % e
-        ) from e
     order.sort(key=lambda u: nodes[u][0], reverse=True)  # both edges go deeper
     return Explanation(_cheapest_reason(f, x, label, order, release), label)
 

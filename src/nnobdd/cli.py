@@ -48,7 +48,11 @@ def _cmd_compile_neuron(args):
     if isinstance(unit, LinearThresholdUnit):
         if args.digits is None:
             raise ValueError("real-weight neurons need --digits to quantize")
-        unit = quantize(unit, args.digits, args.round)
+        unit = quantize(unit, args.digits, args.round or "truncate")
+    else:
+        for flag, value in (("--digits", args.digits), ("--round", args.round)):
+            if value is not None:
+                raise ValueError("%s is only for real-weight neurons, not integer units" % flag)
     manager = Manager(unit.arity, node_budget=args.budget)
     root = compile_pseudo(unit, manager)
     write_obdd(root, args.output)
@@ -95,6 +99,11 @@ def _cmd_robustness(args):
     source = "--image" if args.image else "--dataset" if args.dataset else None
     if source and args.mode != "instance":
         raise ValueError("%s is only for robustness instance, not %s" % (source, args.mode))
+    if args.polarity and args.mode == "instance":
+        raise ValueError("--polarity is only for robustness model, max and hist, not instance")
+    if args.polarity == "both" and args.mode == "hist":
+        raise ValueError("--polarity both is only for robustness model and max, not hist")
+    polarity = args.polarity or ("positive" if args.mode == "hist" else "both")
     f = read_obdd(args.obdd)
     mgr = f.manager
     if args.mode == "instance":
@@ -112,7 +121,7 @@ def _cmd_robustness(args):
         else:
             raise ValueError("instance robustness needs --image or --dataset")
     elif args.mode == "model":
-        profile = analysis.model_robustness(f, polarity=args.polarity)
+        profile = analysis.model_robustness(f, polarity=polarity)
         for side in (profile.positive, profile.negative):
             if side is None:
                 continue
@@ -130,12 +139,8 @@ def _cmd_robustness(args):
             )
         print("mr=%s maxr=%d vars=%d" % (profile.mr, profile.maxr, profile.num_vars))
     elif args.mode == "max":
-        if args.polarity == "negative":
-            print(analysis.polarity_summary(f, "negative").max_robustness)
-        else:
-            print(analysis.max_robustness(f))
-    else:  # hist
-        polarity = args.polarity if args.polarity != "both" else "positive"
+        print(analysis.model_robustness(f, polarity=polarity).maxr)
+    else:  # hist: a histogram holds one polarity
         summary = analysis.polarity_summary(f, polarity)
         dest = args.output if args.output else sys.stdout
         formats.write_histogram_csv(dict(summary.counts), mgr.num_vars, dest)
@@ -271,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("neuron")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--digits", type=int, default=None)
-    p.add_argument("--round", choices=["truncate", "nearest"], default="truncate")
+    p.add_argument("--round", choices=["truncate", "nearest"], default=None)
     p.add_argument("--budget", type=int, default=None)
 
     p = sub.add_parser("compile-net", help="model file to per-output diagram files")
@@ -291,9 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--image", default=None)
     source.add_argument("--dataset", default=None)
-    p.add_argument(
-        "--polarity", choices=["positive", "negative", "both"], default="both"
-    )
+    p.add_argument("--polarity", choices=["positive", "negative", "both"], default=None)
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("explain", help="minimum sufficient reason for one image")

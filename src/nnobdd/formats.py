@@ -1,31 +1,35 @@
-"""File formats: PBM/PGM images, the CSV table writers, `opened`, which
-every reader and writer in the package uses to accept a path or a handle,
-and `write_files`, which writes several formatted outputs or none."""
+"""File formats: PBM/PGM images, the CSV table writers, and the package's
+only file reads and writes.  Every reader parses what `read_text` returns;
+every writer formats its whole text before `write_text`, so a value that
+fails to format leaves the file as it was; `write_files` writes several
+texts or none."""
 
 from __future__ import annotations
 
 import csv
+import io
 import os
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from fractions import Fraction
-from typing import IO, Iterator, Sequence, Union
+from typing import IO, Sequence, Union
 
 PathOrFile = Union[str, "IO[str]"]
 
 
-@contextmanager
-def opened(
-    target: PathOrFile, mode: str = "r", newline: str | None = None
-) -> Iterator[IO[str]]:
-    """Use ``target`` if it is already a text handle, else open the path.
+def read_text(src: PathOrFile) -> str:
+    """The whole text of a caller's open handle, or of the file at a path."""
+    if hasattr(src, "read"):
+        return src.read()  # type: ignore[union-attr]
+    with open(src) as fp:
+        return fp.read()
 
-    Only a file opened here is closed on exit; a caller's handle stays open.
-    """
-    if hasattr(target, "write" if "w" in mode else "read"):
-        yield target  # type: ignore[misc]
+
+def write_text(dest: PathOrFile, text: str) -> None:
+    """Write ``text`` as it is to a caller's open handle, or replace the path's file."""
+    if hasattr(dest, "write"):
+        dest.write(text)  # type: ignore[union-attr]
     else:
-        with open(target, mode, newline=newline) as fp:  # type: ignore[arg-type]
-            yield fp
+        write_files({dest: text})  # type: ignore[dict-item]
 
 
 def write_files(texts: dict[str, str]) -> None:
@@ -56,10 +60,8 @@ def write_files(texts: dict[str, str]) -> None:
 
 def read_pbm(src: PathOrFile) -> tuple[int, int, tuple[int, ...]]:
     """Read an ASCII (P1) bitmap; returns (height, width, raster bits)."""
-    with opened(src) as fp:
-        text = fp.read()
     tokens: list[str] = []
-    for line in text.splitlines():
+    for line in read_text(src).splitlines():
         body = line.split("#", 1)[0]
         tokens.extend(body.split())
     if not tokens or tokens[0] != "P1":
@@ -80,14 +82,27 @@ def read_pbm(src: PathOrFile) -> tuple[int, int, tuple[int, ...]]:
     return height, width, tuple(int(d) for d in digits)
 
 
+def _raster(header: str, cells: Sequence, height: int, width: int) -> str:
+    """A plain PNM text: the header lines, then one line of cells per row."""
+    rows = (
+        " ".join(str(v) for v in cells[r * width : (r + 1) * width]) for r in range(height)
+    )
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _table(header: str, rows) -> str:
+    """A CSV text: the comma-separated header, then one line per formatted row."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def write_pbm(bits: Sequence[int], height: int, width: int, dest: PathOrFile) -> None:
     if len(bits) != height * width:
         raise ValueError("bit count does not match the image size")
-    lines = ["P1", "%d %d" % (width, height)]
-    for r in range(height):
-        lines.append(" ".join(str(bits[r * width + c]) for c in range(width)))
-    with opened(dest, "w") as fp:
-        fp.write("\n".join(lines) + "\n")
+    write_text(dest, _raster("P1\n%d %d" % (width, height), bits, height, width))
 
 
 def write_pgm(values: Sequence[float], height: int, width: int, dest: PathOrFile) -> None:
@@ -103,52 +118,36 @@ def write_pgm(values: Sequence[float], height: int, width: int, dest: PathOrFile
         gray = [round(255 * (float(v) - lo) / span) for v in values]
     else:
         gray = [0] * len(values)
-    lines = ["P2", "%d %d" % (width, height), "255"]
-    for r in range(height):
-        lines.append(" ".join(str(gray[r * width + c]) for c in range(width)))
-    with opened(dest, "w") as fp:
-        fp.write("\n".join(lines) + "\n")
+    write_text(dest, _raster("P2\n%d %d\n255" % (width, height), gray, height, width))
 
 
 def write_histogram_csv(counts, num_vars: int, dest: PathOrFile) -> None:
-    """Rows `k,count,proportion`; proportions are exact fractions.  Every row
-    is formatted before ``dest`` is opened, so a failure writes nothing."""
+    """Rows `k,count,proportion`; proportions are exact fractions."""
     rows = [(k, str(n), str(Fraction(n, 2**num_vars))) for k, n in sorted(dict(counts).items())]
-    with opened(dest, "w", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["k", "count", "proportion"])
-        writer.writerows(rows)
+    write_text(dest, _table("k,count,proportion", rows))
 
 
 def write_marginal_grid_csv(rows, dest: PathOrFile) -> None:
     """Rows `var,row,col,marginal` with exact fraction marginals."""
-    with opened(dest, "w", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["var", "row", "col", "marginal"])
-        for var, r, c, value in rows:
-            writer.writerow([var, r, c, str(value)])
+    rows = [(var, r, c, str(value)) for var, r, c, value in rows]
+    write_text(dest, _table("var,row,col,marginal", rows))
 
 
 def write_unateness_grid_csv(rows, dest: PathOrFile) -> None:
     """Rows `var,row,col,label` with labels pos/neg/unused/none."""
-    with opened(dest, "w", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["var", "row", "col", "label"])
-        for var, r, c, value in rows:
-            writer.writerow([var, r, c, value.value])
+    rows = [(var, r, c, value.value) for var, r, c, value in rows]
+    write_text(dest, _table("var,row,col,label", rows))
 
 
 def write_sweep_csv(rows, dest: PathOrFile) -> None:
     """Rows `digits,accuracy,nodes,status`; blank cells for failed steps."""
-    with opened(dest, "w", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["digits", "accuracy", "nodes", "status"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.digits,
-                    "%.6f" % float(row.accuracy) if row.accuracy is not None else "",
-                    row.nodes if row.nodes is not None else "",
-                    row.status,
-                ]
-            )
+    rows = [
+        (
+            row.digits,
+            "%.6f" % float(row.accuracy) if row.accuracy is not None else "",
+            row.nodes if row.nodes is not None else "",
+            row.status,
+        )
+        for row in rows
+    ]
+    write_text(dest, _table("digits,accuracy,nodes,status", rows))

@@ -32,9 +32,9 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Sequence, Union
 
-from .formats import PathOrFile, opened
+from .formats import PathOrFile, read_text
 from .neuron import LinearThresholdUnit, compile_pseudo, quantize
-from .obdd import BudgetExceededError, Manager, NodeRef
+from .obdd import Manager, NodeRef, during
 
 
 class ShapeError(ValueError):
@@ -299,8 +299,7 @@ def _nested(value, depth: int, shape: str):
 
 
 def read_spec(src: PathOrFile) -> NetworkSpec:
-    with opened(src) as fp:
-        return load_spec(fp.read())
+    return load_spec(read_text(src))
 
 
 # ---------------------------------------------------------------- evaluate
@@ -416,18 +415,19 @@ def compile_network(
         var_of_pixel[pixel] = var
 
     h, w = spec.input_shape
-    try:
+    with during("building the input wires"):
         wires: list = [
             [
                 [manager.literal(var_of_pixel[r * w + c]) for c in range(w)]
                 for r in range(h)
             ]
         ]
-    except BudgetExceededError as e:
-        raise BudgetExceededError("%s while building the input wires" % e) from e
 
     for idx, layer in enumerate(spec.layers, start=1):
-        try:
+        with during(
+            "compiling layer %d of %d (%s)"
+            % (idx, len(spec.layers), type(layer).__name__)
+        ):
             if isinstance(layer, MaxPoolOr):
                 wires = [
                     [[reduce(or_, bits, manager.false) for bits in row] for row in windows]
@@ -445,11 +445,6 @@ def compile_network(
                         [[manager.compose(neuron_ref, b) for b in row] for row in windows]
                     )
                 wires = out
-        except BudgetExceededError as e:
-            raise BudgetExceededError(
-                "%s while compiling layer %d of %d (%s)"
-                % (e, idx, len(spec.layers), type(layer).__name__)
-            ) from e
 
     return CompiledNetwork(manager, tuple(_flatten_wires(wires)), input_order)
 

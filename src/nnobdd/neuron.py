@@ -36,8 +36,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .formats import PathOrFile, opened
-from .obdd import BudgetExceededError, Manager, NodeRef
+from .formats import PathOrFile, read_text, write_text
+from .obdd import Manager, NodeRef
 
 _INT_LIMIT = 2**63
 
@@ -192,14 +192,17 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
     if t0 > maxs[0]:
         return manager.false
 
-    # forward pass: undecided residuals reachable at each level
+    # forward pass: undecided residuals reachable at each level; the budget
+    # also bounds the cells, before any node is allocated
+    budget = manager.node_budget
     levels: list[set[int]] = []
     cur = {t0}
     cells = 0
     for i in range(n):
         levels.append(cur)
         cells += len(cur)
-        manager._charge_cells(cells)
+        if budget is not None and cells > budget:
+            raise manager._exhausted(cells)
         wi = w[i]
         lo_b = mins[i + 1]
         hi_b = maxs[i + 1]
@@ -216,7 +219,7 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
     # backward pass: one node per surviving cell, straight into the unique
     # table.  _mk_id's ordering check cannot fail here: a cell's children are
     # next-level cells, terminals, or the deeper node a reduced cell stands for.
-    nodes, unique, budget = manager._nodes, manager._unique, manager.node_budget
+    nodes, unique = manager._nodes, manager._unique
     prev: dict[int, int] = {}
     for i in range(n - 1, -1, -1):
         wi = w[i]
@@ -231,7 +234,7 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
             if v is None:
                 v = len(nodes)
                 if budget is not None and v >= budget:
-                    raise BudgetExceededError("node budget of %d exhausted" % budget)
+                    raise manager._exhausted()
                 nodes.append(key)
                 unique[key] = v
             table[t] = v
@@ -292,10 +295,8 @@ def format_neuron(unit: LinearThresholdUnit | IntThresholdUnit) -> str:
 
 
 def read_neuron(src: PathOrFile) -> LinearThresholdUnit | IntThresholdUnit:
-    with opened(src) as fp:
-        return parse_neuron(fp.read())
+    return parse_neuron(read_text(src))
 
 
 def write_neuron(unit, dest: PathOrFile) -> None:
-    with opened(dest, "w") as fp:
-        fp.write(format_neuron(unit))
+    write_text(dest, format_neuron(unit))

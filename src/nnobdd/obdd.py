@@ -22,6 +22,9 @@ There are no complement edges, so a negation is a diagram of its own.
 There is no garbage collection; node stores only grow, which is fine at
 the sizes this package targets, and an optional node budget turns runaway
 growth into a `BudgetExceededError` instead of an out-of-memory failure.
+This module owns that abort: every budget check raises the error that
+`Manager._exhausted` builds, and callers name what they were building with
+`during` instead of catching it.
 
 A manager and every handle it produced must be confined to a single thread
 of control at a time.  Distinct managers are fully independent and may be
@@ -33,9 +36,10 @@ the node store.
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
-from .formats import PathOrFile, opened
+from .formats import PathOrFile, read_text, write_text
 
 
 class OBDDError(Exception):
@@ -44,6 +48,15 @@ class OBDDError(Exception):
 
 class BudgetExceededError(OBDDError):
     """The manager's node budget would be exceeded by this operation."""
+
+
+@contextmanager
+def during(what: str) -> Iterator[None]:
+    """Raise a budget abort from the block again as ``"<abort> while <what>"``."""
+    try:
+        yield
+    except BudgetExceededError as e:
+        raise BudgetExceededError("%s while %s" % (e, what)) from e
 
 
 #: A total assignment: one bit per variable, in variable order.
@@ -203,23 +216,16 @@ class Manager:
         if u is None:
             u = len(nodes)
             if self.node_budget is not None and u >= self.node_budget:
-                raise BudgetExceededError(
-                    "node budget of %d exhausted" % self.node_budget
-                )
+                raise self._exhausted()
             nodes.append(key)
             self._unique[key] = u
         return u
 
-    def _charge_cells(self, count: int) -> None:
-        """Raise if ``count`` work items already exceed the node budget.
-
-        Construction algorithms that build tables before allocating nodes
-        use this so the budget also bounds their intermediate state.
-        """
-        if self.node_budget is not None and count > self.node_budget:
-            raise BudgetExceededError(
-                "node budget of %d exhausted (%d cells)" % (self.node_budget, count)
-            )
+    def _exhausted(self, cells: int | None = None) -> BudgetExceededError:
+        """The error every budget check raises; ``cells`` counts the work items
+        of a table that exceeds the budget before any node is allocated."""
+        text = "node budget of %d exhausted" % self.node_budget
+        return BudgetExceededError(text if cells is None else "%s (%d cells)" % (text, cells))
 
     # ------------------------------------------------------------ building
 
@@ -391,7 +397,7 @@ class Manager:
                         if w is None:
                             w = len(nodes)
                             if budget is not None and w >= budget:
-                                raise BudgetExceededError("node budget of %d exhausted" % budget)
+                                raise self._exhausted()
                             nodes.append(key)
                             unique[key] = w
                         new.append(w)
@@ -497,8 +503,7 @@ def write_obdd(f: NodeRef, dest: PathOrFile) -> None:
     for u in order:
         var, lo, hi = nodes[u]
         lines.append("%d %d %d %d" % (ids[u], var, ids[lo], ids[hi]))
-    with opened(dest, "w") as fp:
-        fp.write("\n".join(lines) + "\n")
+    write_text(dest, "\n".join(lines) + "\n")
 
 
 def read_obdd(src: PathOrFile, manager: Manager | None = None) -> NodeRef:
@@ -507,8 +512,7 @@ def read_obdd(src: PathOrFile, manager: Manager | None = None) -> NodeRef:
     When ``manager`` is given its variable count must match the file; this
     allows round-trip comparisons against handles built in that manager.
     """
-    with opened(src) as fp:
-        lines = iter(fp.read().split("\n"))
+    lines = iter(read_text(src).split("\n"))
     for head in lines:
         head = head.strip()
         if head and head[0] != "#":

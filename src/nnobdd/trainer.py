@@ -10,13 +10,14 @@ sigmoid is at least 1/2 exactly when its argument is nonnegative.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .formats import PathOrFile, opened
+from .formats import PathOrFile, read_text
 from .neuron import (
     LinearThresholdUnit,
     QuantizationError,
@@ -78,8 +79,7 @@ class LabeledDataset:
 
 def read_dataset_csv(src: PathOrFile) -> LabeledDataset:
     """Read `bit,...,bit,label` rows (no header)."""
-    with opened(src, newline="") as fp:
-        rows = [row for row in csv.reader(fp) if row]
+    rows = [row for row in csv.reader(io.StringIO(read_text(src))) if row]
     if not rows:
         raise ValueError("empty dataset file")
     feats, labels = [], []

@@ -71,6 +71,19 @@ class TestCompileAndEval:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--digits", "3"], ["--round", "nearest"], ["--round", "truncate"]],
+        ids=["digits", "round-nearest", "round-truncate"],
+    )
+    def test_quantizing_flags_on_an_integer_unit_exit_2(self, workdir, capsys, flags):
+        out = workdir / "or.obdd"
+        assert main(["compile-neuron", str(workdir / "or.txt"), "-o", str(out)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nnobdd: error: %s " % flags[0])
+        assert not out.exists()
+
     def test_round_trip_is_handle_equal(self, workdir):
         out = compile_or(workdir)
         m = Manager(2)
@@ -207,6 +220,24 @@ class TestRobustnessCommands:
             assert main(["robustness", "max", str(out)] + flags) == 0
             assert capsys.readouterr().out.strip() == expected, flags
 
+    def test_max_is_the_model_maxr(self, workdir, capsys):
+        # x0 and x1 and x2: 111 needs one flip to turn negative, 000 three
+        and3 = workdir / "and3.txt"
+        and3.write_text("weights: 1 1 1\nthreshold: 3\n")
+        out = workdir / "and3.obdd"
+        assert main(["compile-neuron", str(and3), "-o", str(out)]) == 0
+        capsys.readouterr()
+        for flags, expected in (
+            ([], "3"),
+            (["--polarity", "both"], "3"),
+            (["--polarity", "positive"], "1"),
+            (["--polarity", "negative"], "3"),
+        ):
+            assert main(["robustness", "max", str(out)] + flags) == 0
+            assert capsys.readouterr().out.strip() == expected, flags
+            assert main(["robustness", "model", str(out)] + flags) == 0
+            assert capsys.readouterr().out.splitlines()[-1].split()[1] == "maxr=" + expected
+
     def test_instance(self, workdir, capsys):
         out = compile_or(workdir)
         capsys.readouterr()
@@ -235,8 +266,10 @@ class TestRobustnessCommands:
             ("instance", ["--image", "img2.pbm", "-o", "out.txt"], "-o"),
             ("max", ["--image", "img2.pbm"], "--image"),
             ("hist", ["--image", "img2.pbm"], "--image"),
+            ("instance", ["--image", "img2.pbm", "--polarity", "negative"], "--polarity"),
+            ("hist", ["--polarity", "both", "-o", "out.txt"], "--polarity"),
         ],
-        ids=["model-o", "instance-o", "max-image", "hist-image"],
+        ids=["model-o", "instance-o", "max-image", "hist-image", "instance-polarity", "hist-both"],
     )
     def test_flag_the_mode_ignores_exits_2(self, workdir, capsys, mode, extra, flag):
         out = compile_or(workdir)

@@ -149,11 +149,14 @@ def test_structured_obdd_mutants_exit_2(files, body, capsys, monkeypatch):
         ["robustness", "max", "net-out0.obdd", "--dataset", "dataset4x4.csv"],
         ["robustness", "hist", "net-out0.obdd", "--image", "image4x4.pbm"],
         ["robustness", "hist", "net-out0.obdd", "--dataset", "dataset4x4.csv", "-o", "out.txt"],
+        ["robustness", "instance", "net-out0.obdd", "--image", "image4x4.pbm", "--polarity", "negative"],
+        ["robustness", "hist", "net-out0.obdd", "--polarity", "both", "-o", "out.txt"],
     ],
     ids=lambda form: "-".join(a for a in form[1:] if "." not in a),
 )
 def test_flags_the_mode_ignores_exit_2(files, form, capsys, monkeypatch):
-    # -o belongs to hist alone, --image and --dataset to instance alone
+    # -o belongs to hist alone, --image and --dataset to instance alone, and
+    # --polarity to every mode but instance, with hist taking one polarity
     monkeypatch.chdir(files)
     assert main(form) == 2
     captured = capsys.readouterr()

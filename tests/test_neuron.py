@@ -282,6 +282,14 @@ class TestCompilePseudoTable:
             m.literal(0)  # a new node through _mk_id
         assert str(built.value) == str(direct.value) == "node budget of %d exhausted" % budget
 
+    def test_budget_bounds_the_cells_before_any_node(self):
+        # residuals {3}, {3, 2}, {3, 2, 1}: six cells by the third level
+        m = Manager(6, node_budget=5)
+        with pytest.raises(BudgetExceededError) as exc:
+            compile_pseudo(IntThresholdUnit((1,) * 6, 3), m)
+        assert str(exc.value) == "node budget of 5 exhausted (6 cells)"
+        assert m.allocated == 2
+
     def test_does_not_call_mk_id(self, monkeypatch):
         rng = random.Random(8)
         units = [random_int_unit(rng) for _ in range(30)]

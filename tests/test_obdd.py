@@ -9,8 +9,13 @@ from nnobdd import (
     BudgetExceededError,
     Manager,
     OBDDError,
+    compile_network,
     marginal_grid,
+    pi_explanation,
+    polarity_summary,
     read_obdd,
+    read_spec,
+    robust_sets,
     write_obdd,
 )
 from nnobdd.obdd import NodeRef, _counts, _reachable
@@ -563,6 +568,55 @@ class TestBudget:
     def test_budget_must_fit_terminals(self):
         with pytest.raises(ValueError):
             Manager(4, node_budget=1)
+
+
+def _compile_net4x4(budget):
+    return budget, lambda: compile_network(read_spec("docs/net4x4.json"), 2, node_budget=budget)
+
+
+def _full_budget(build, query):
+    """``query`` on ``build(x0, x1, x2)`` in a manager whose budget is used up."""
+    m = Manager(3)
+    f = build(*(m.literal(v) for v in range(3)))
+    m.node_budget = m.allocated
+    return m.node_budget, lambda: query(f)
+
+
+@pytest.mark.parametrize(
+    "case, what",
+    [
+        (lambda: _compile_net4x4(4), "building the input wires"),
+        (lambda: _compile_net4x4(20), "compiling layer 1 of 2 (ConvStep)"),
+        (
+            lambda: _full_budget(lambda a, b, c: a | b | c, robust_sets),
+            "building robustness level 2 by erosion",
+        ),
+        (
+            lambda: _full_budget(
+                lambda a, b, c: a & b & c, lambda f: polarity_summary(f, "negative")
+            ),
+            "building robustness level 2 by dilation",
+        ),
+        (
+            # releasing x0 conjoins x1 and x2
+            lambda: _full_budget(
+                lambda a, b, c: a.manager.ite(a, b, c), lambda f: pi_explanation(f, (1, 1, 1))
+            ),
+            "building the releases of a PI explanation",
+        ),
+    ],
+    ids=["input-wires", "layer", "erosion", "dilation", "pi-releases"],
+)
+def test_named_abort_text_and_cause(case, what):
+    # every abort is raised once in obdd, then named once by what was building
+    budget, run = case()
+    with pytest.raises(BudgetExceededError) as exc:
+        run()
+    plain = "node budget of %d exhausted" % budget
+    assert str(exc.value) == "%s while %s" % (plain, what)
+    cause = exc.value.__cause__
+    assert type(cause) is BudgetExceededError and str(cause) == plain
+    assert cause.__cause__ is None
 
 
 class TestSerialization:
