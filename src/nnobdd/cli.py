@@ -22,6 +22,7 @@ from .neuron import (
 )
 from .network import compile_network, read_spec
 from .obdd import BudgetExceededError, Manager, OBDDError, read_obdd, write_obdd
+from .obdd import _counts, _reachable
 
 # `trainer` loads numpy, so only the commands that read datasets import it
 
@@ -245,11 +246,13 @@ def _cmd_sweep(args):
 
 def _cmd_stats(args):
     f = read_obdd(args.obdd)
-    mgr = f.manager
+    nodes = f.manager._nodes
+    order = _reachable(f)  # one walk gives the node count, the support and the models
+    support = {nodes[u][0] for u in order}
     # formatted whole before any of it is written: a failure leaves stdout empty
     print(
         "vars %d\nnodes %d\nsupport %d\nmodels %d"
-        % (mgr.num_vars, mgr.node_count(f), len(mgr.support(f)), mgr.model_count(f))
+        % (f.manager.num_vars, len(order), len(support), _counts(f, order)[f.i])
     )
     return 0
 

@@ -23,9 +23,9 @@ partial assignment is summarized by the threshold still to be met,
 residuals that can no longer fail resolve to TRUE and residuals that can
 no longer succeed resolve to FALSE, and each remaining (level, residual)
 cell becomes one decision node.  Those nodes are ordered and reduced by
-construction, so they go straight into the manager's unique table.  The
-work and the reduced node count are bounded by ``n * (2W + 1)`` cells,
-where W is the magnitude ``|T| + sum(|w|)``.
+construction, so they go straight into the unique table of their level's
+variable.  The work and the reduced node count are bounded by
+``n * (2W + 1)`` cells, where W is the magnitude ``|T| + sum(|w|)``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .formats import PathOrFile, read_text, write_text
-from .obdd import Manager, NodeRef
+from .obdd import _NO_TABLE, Manager, NodeRef
 
 _INT_LIMIT = 2**63
 
@@ -169,8 +169,10 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
     negative mass is TRUE, one above the remaining positive mass is FALSE,
     and the fully assigned case is TRUE iff the residual is <= 0.  Each cell's
     node is ordered and reduced by construction and goes straight into the
-    unique table, without `_mk_id`.  The manager's node budget, if any, also
-    bounds the number of materialized cells.
+    unique table of variable k, without `_mk_id`; the backward pass fetches
+    that table once per level and makes it on the level's first new node.
+    The manager's node budget, if any, also bounds the number of
+    materialized cells.
     """
     n = unit.arity
     if manager.num_vars != n:
@@ -217,14 +219,17 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
     assert cells <= n * (2 * unit.magnitude + 1)
 
     # backward pass: one node per surviving cell, straight into the unique
-    # table.  _mk_id's ordering check cannot fail here: a cell's children are
-    # next-level cells, terminals, or the deeper node a reduced cell stands for.
-    nodes, unique = manager._nodes, manager._unique
+    # table of the level's variable, fetched once per level (an empty stand-in
+    # until the level's first new node makes it).  _mk_id's ordering check
+    # cannot fail here: a cell's children are next-level cells, terminals, or
+    # the deeper node a reduced cell stands for.
+    nodes, tables = manager._nodes, manager._unique
     prev: dict[int, int] = {}
     for i in range(n - 1, -1, -1):
         wi = w[i]
         lo_b = mins[i + 1]
         hi_b = maxs[i + 1]
+        unique = tables.get(i, _NO_TABLE)
         table: dict[int, int] = {}
         for t in levels[i]:
             lo = 1 if t <= lo_b else (0 if t > hi_b else prev[t])
@@ -236,6 +241,8 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
                 if budget is not None and v >= budget:
                     raise manager._exhausted()
                 nodes.append(key)
+                if unique is _NO_TABLE:
+                    unique = tables[i] = {}
                 unique[key] = v
             table[t] = v
         prev = table

@@ -1,7 +1,8 @@
 """Canonical reduced ordered binary decision diagrams.
 
-Nodes live in a per-manager store and are hash-consed through a unique
-table, with reduction (no node whose branches coincide) applied eagerly at
+Nodes live in a per-manager store and are hash-consed through unique
+tables, one per variable, each made when its variable gets its first node,
+with reduction (no node whose branches coincide) applied eagerly at
 construction.  As a consequence two handles produced by the same manager
 denote the same Boolean function if and only if they are equal, which is
 what makes validity and satisfiability checks plain comparisons against
@@ -16,7 +17,8 @@ variable of ``s_k`` comes before the top variables of both g and h, that
 ite is ``s_k`` with its TRUE terminal replaced by g and its FALSE terminal
 by h, so `compose` grafts g and h onto a copy of ``s_k`` in one pass over
 its nodes, without the ite cache; otherwise it calls `ite`.  The copies are
-ordered and reduced by construction, so they go straight into the unique table.
+ordered and reduced by construction, so they go straight into their
+variable's unique table.
 
 There are no complement edges, so a negation is a diagram of its own.
 There is no garbage collection; node stores only grow, which is fine at
@@ -29,7 +31,7 @@ This module owns that abort: every budget check raises the error that
 A manager and every handle it produced must be confined to a single thread
 of control at a time.  Distinct managers are fully independent and may be
 used in parallel.  No operation ever mutates an existing diagram; the
-unique table and the if-then-else cache are the only mutable state besides
+unique tables and the if-then-else cache are the only mutable state besides
 the node store.
 """
 
@@ -37,7 +39,8 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .formats import PathOrFile, read_text, write_text
 
@@ -63,6 +66,9 @@ def during(what: str) -> Iterator[None]:
 Instance = Sequence[int]
 
 _OPS = ("and", "or", "xor")
+
+#: Stands in, read-only, for the unique table of a variable with no node yet.
+_NO_TABLE: Mapping[tuple[int, int, int], int] = MappingProxyType({})
 
 
 class NodeRef:
@@ -163,12 +169,15 @@ def _counts(f: NodeRef, order: list[int]) -> dict[int, int]:
 
 
 class Manager:
-    """Node store, unique table and ite cache for diagrams over a fixed variable order.
+    """Node store, unique tables and ite cache for diagrams over a fixed variable order.
 
     Variables are the integers ``0 .. num_vars-1``; every edge goes from a
-    variable to a strictly larger variable or to a terminal.  ``node_budget``,
-    when set, caps the total number of nodes ever allocated (terminals
-    included).  Queries keep no state here: model counts, for instance, are
+    variable to a strictly larger variable or to a terminal.  Each variable
+    has its own unique table, ``_unique[var]``, made when that variable gets
+    its first node, so a manager over any number of variables starts with
+    none; it maps the ``(var, lo, hi)`` tuple held in the node store to the
+    node's id.  ``node_budget``, when set, caps the total number of nodes
+    ever allocated (terminals included).  Queries keep no state here: model counts, for instance, are
     computed per call, over all the variables, in one walk over the nodes.
     """
 
@@ -184,7 +193,8 @@ class Manager:
             (num_vars, 0, 0),
             (num_vars, 1, 1),
         ]
-        self._unique: dict[tuple[int, int, int], int] = {}
+        # var -> that variable's unique table; see the class docstring
+        self._unique: dict[int, dict[tuple[int, int, int], int]] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
         self.false = NodeRef(self, 0)
         self.true = NodeRef(self, 1)
@@ -212,13 +222,16 @@ class Manager:
         if var >= nodes[lo][0] or var >= nodes[hi][0]:
             raise OBDDError("ordering violation at variable %d" % var)
         key = (var, lo, hi)
-        u = self._unique.get(key)
+        table = self._unique.get(var, _NO_TABLE)
+        u = table.get(key)
         if u is None:
             u = len(nodes)
             if self.node_budget is not None and u >= self.node_budget:
                 raise self._exhausted()
             nodes.append(key)
-            self._unique[key] = u
+            if table is _NO_TABLE:
+                table = self._unique[var] = {}
+            table[key] = u
         return u
 
     def _exhausted(self, cells: int | None = None) -> BudgetExceededError:
@@ -363,7 +376,7 @@ class Manager:
             )
         for s in subs:
             self._own(s)
-        nodes, unique, budget = self._nodes, self._unique, self.node_budget
+        nodes, tables, budget = self._nodes, self._unique, self.node_budget
         src_nodes = src._nodes
         # per distinct substituent id: its deepest variable and its nodes as
         # (var, lo, hi) steps, children first, lo and hi indexing [FALSE, TRUE, steps...]
@@ -389,17 +402,19 @@ class Manager:
                     # Copies skip _mk_id's checks, which cannot fail here: every
                     # variable of s comes before the top variables of g and h, so
                     # each copy is ordered, and g != h makes the map from s's
-                    # nodes to copies injective, so no copy has lo == hi.
+                    # nodes to copies injective, so no copy has lo == hi.  Each
+                    # copy's variable has a table already: s has a node there.
                     new = [h, g]
                     for v, a, b in steps:
                         key = (v, new[a], new[b])
-                        w = unique.get(key)
+                        table = tables[v]
+                        w = table.get(key)
                         if w is None:
                             w = len(nodes)
                             if budget is not None and w >= budget:
                                 raise self._exhausted()
                             nodes.append(key)
-                            unique[key] = w
+                            table[key] = w
                         new.append(w)
                     res[u] = new[-1]  # s has the largest id of its nodes
                     continue
@@ -463,7 +478,7 @@ class Manager:
                 raise OBDDError("node %d is not reduced" % u)
             if var >= nodes[lo][0] or var >= nodes[hi][0]:
                 raise OBDDError("node %d violates the variable order" % u)
-            if self._unique.get((var, lo, hi)) != u:
+            if self._unique.get(var, _NO_TABLE).get((var, lo, hi)) != u:
                 raise OBDDError("node %d is not hash-consed" % u)
 
 

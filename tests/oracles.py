@@ -137,6 +137,20 @@ def compile_exact(unit, manager):
     return NodeRef(manager, build(0, t0))
 
 
+def check_unique_tables(manager) -> None:
+    """Every node id in ``2..allocated-1`` sits exactly once, under its own
+    ``(var, lo, hi)`` tuple, in its own variable's table; no table is empty
+    or holds anything else."""
+    nodes = manager._nodes
+    held = []
+    for var, table in manager._unique.items():
+        assert table, "variable %d has an empty table" % var
+        for key, u in table.items():
+            assert 2 <= u < len(nodes) and nodes[u] is key and key[0] == var, (var, key, u)
+            held.append(u)
+    assert sorted(held) == list(range(2, len(nodes)))
+
+
 def covered_pixels(spec) -> set[int]:
     """Raster indices of the input pixels that a network's first layer reads."""
     h, w = spec.input_shape

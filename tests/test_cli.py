@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from nnobdd import Manager, cli, read_obdd, write_obdd
+from nnobdd import Manager, cli, obdd, read_obdd, write_obdd
 from nnobdd.cli import main
 from nnobdd.formats import write_pbm
 
@@ -558,6 +558,26 @@ class TestStatsAndExitCodes:
         text = capsys.readouterr().out
         assert "nodes 0" in text
         assert "models 0" in text
+
+    def test_stats_is_one_walk_with_the_queries_answers(self, workdir, capsys, monkeypatch):
+        m = Manager(5)
+        x = [m.literal(v) for v in range(5)]
+        cases = [m.true, m.false, x[3], (x[0] & x[2]) | ~x[4], x[1] ^ x[2] ^ x[3]]
+        expected = [
+            "vars 5\nnodes %d\nsupport %d\nmodels %d\n"
+            % (m.node_count(f), len(m.support(f)), m.model_count(f))
+            for f in cases
+        ]
+        walks = []
+        walk = obdd._reachable
+        for module in (cli, obdd):
+            monkeypatch.setattr(module, "_reachable", lambda f: walks.append(f) or walk(f))
+        path = workdir / "f.obdd"
+        for f, text in zip(cases, expected):
+            write_obdd(f, str(path))
+            assert main(["stats", str(path)]) == 0
+            assert capsys.readouterr().out == text
+        assert len(walks) == len(cases)
 
     def test_failed_stats_writes_nothing(self, workdir, capsys):
         # 2**99999999 models has far more digits than Python will print

@@ -19,7 +19,7 @@ from nnobdd import (
     unateness,
 )
 
-from oracles import all_instances, compile_exact
+from oracles import all_instances, check_unique_tables, compile_exact
 
 WORKED = LinearThresholdUnit((1.15, 0.95, -1.05), -0.52)
 
@@ -216,14 +216,32 @@ class TestCompilePseudo:
 
 
 class UniqueHits(dict):
-    """A unique table that counts the lookups that find a node."""
+    """Per-variable unique tables that count the lookups that find a node.
+
+    ``get`` hands out a variable's table, or a new one that registers itself
+    on its first node, as the manager makes its tables.
+    """
 
     hits = 0
 
+    def get(self, var, default=None):
+        return super().get(var) or CountingTable(self, var)
+
+
+class CountingTable(dict):
+    def __init__(self, tables, var):
+        super().__init__()
+        self.tables, self.var = tables, var
+
     def get(self, key, default=None):
         found = super().get(key, default)
-        self.hits += found is not None
+        self.tables.hits += found is not None
         return found
+
+    def __setitem__(self, key, u):
+        if not self:
+            dict.__setitem__(self.tables, self.var, self)
+        super().__setitem__(key, u)
 
 
 class TestCompilePseudoTable:
@@ -238,6 +256,7 @@ class TestCompilePseudoTable:
             m._unique = UniqueHits()
             f = compile_pseudo(unit, m)
             assert m.allocated - 2 == m.node_count(f)
+            check_unique_tables(m)
             hits += m._unique.hits
             terminal += f.is_terminal
         assert hits and terminal  # equal-residual merges and terminal roots occurred
@@ -277,9 +296,11 @@ class TestCompilePseudoTable:
         with pytest.raises(BudgetExceededError) as built:
             compile_pseudo(unit, m)
         assert m.allocated == m.node_budget  # five nodes made, the sixth refused
-        assert len(m._unique) == m.allocated - 2
+        check_unique_tables(m)  # levels 5..1 hold one node each, level 0 has no table
+        assert sorted(m._unique) == [1, 2, 3, 4, 5]
         with pytest.raises(BudgetExceededError) as direct:
             m.literal(0)  # a new node through _mk_id
+        check_unique_tables(m)
         assert str(built.value) == str(direct.value) == "node budget of %d exhausted" % budget
 
     def test_budget_bounds_the_cells_before_any_node(self):

@@ -2,6 +2,7 @@
 
 import io
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,7 @@ from oracles import (
     all_instances,
     bdd_from_table,
     build_formula,
+    check_unique_tables,
     eval_formula,
     formula_table,
     index_of,
@@ -308,9 +310,10 @@ class TestComposeGraftTable:
             base.compose(f, subs)
         assert base.allocated == base.node_budget  # two copies made, the third refused
         assert base._ite_cache == {}  # no fallback ran: the graft hit the budget
-        assert len(base._unique) == base.allocated - 2  # every copy made is in the table
+        check_unique_tables(base)  # every copy made is in its variable's table
         with pytest.raises(BudgetExceededError) as direct:
             base.literal(4, positive=False)  # a new node through _mk_id
+        check_unique_tables(base)
         assert str(graft.value) == str(direct.value) == "node budget of %d exhausted" % budget
 
     def test_graft_does_not_call_mk_id(self, monkeypatch):
@@ -564,10 +567,35 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             for v in range(16):
                 acc = acc | (m.literal(v) & ~m.literal((v + 1) % 16))
+        check_unique_tables(m)  # the abort is inside apply's ite
+
+    def test_literal_abort_makes_no_table(self):
+        m = Manager(3, node_budget=3)
+        m.literal(2)
+        with pytest.raises(BudgetExceededError):
+            m.literal(0)
+        check_unique_tables(m)
+        assert list(m._unique) == [2]
 
     def test_budget_must_fit_terminals(self):
         with pytest.raises(ValueError):
             Manager(4, node_budget=1)
+
+
+class TestUniqueTables:
+    def test_a_table_is_made_on_a_variables_first_node(self):
+        tracemalloc.start()
+        try:
+            m = Manager(10**8)
+            assert m._unique == {}
+            f = read_obdd(io.StringIO("obdd n=100000000 root=2\n2 99999999 0 1\n"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16  # nothing allocated per variable
+        assert list(f.manager._unique) == [99999999]
+        check_unique_tables(f.manager)
+        assert f == f.manager.literal(99999999)
 
 
 def _compile_net4x4(budget):
@@ -784,6 +812,7 @@ class TestReaderContract:
         with pytest.raises(BudgetExceededError, match="node budget of 4 exhausted"):
             read_text(text, m)
         assert m.allocated == 4
+        check_unique_tables(m)
         f = read_text("obdd n=3 root=3\n2 2 0 1\n3 1 0 2\n", m)
         assert m.allocated == 4
         m.audit(f)
