@@ -29,6 +29,15 @@ share one cost rule and trace-back.  Model counts are over all of the
 manager's variables at every node, so they compare and add without a
 level correction.
 
+What does not depend on the instance is built once per handle and kept
+on it (`_Walk`, in the handle's ``_walk`` slot): the children-first walk
+order, and on the first PI explanation the certified releases of both
+labels, one list each, aligned with the order.  Every later PI
+explanation on that handle runs only its cost pass, trace-back and
+`_forced_label` check; the check runs on every call and is never kept.
+Marginals and unateness read the same walk.  Model counts stay per call.
+Equal handles made separately keep walks of their own.
+
 The robustness of an instance is the least number of input flips that
 changes the classifier's label; the robustness of a whole function is
 summarized by `RobustnessProfile`: exact per-level counts of how many
@@ -48,10 +57,12 @@ adversarial-looking completions that provably keep the label.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 from .obdd import NodeRef, _counts, _reachable, during
 
@@ -64,6 +75,55 @@ class Unateness(str, Enum):
     NEGATIVE = "neg"
     UNUSED = "unused"
     NONE = "none"
+
+
+class _Walk:
+    """The instance-free passes over one diagram, kept on its handle.
+
+    ``order`` is `_reachable`'s: the nonterminal nodes, ids ascending, so
+    children first.  ``releases`` is None until the first PI explanation,
+    then the certified pass's release of every node in ``order``, one list
+    per label: the cofactor with more models for label 0, fewer for label 1.
+    """
+
+    __slots__ = ("order", "releases")
+
+    def __init__(self, f: NodeRef):
+        self.order = _reachable(f)
+        self.releases: tuple[list[int], list[int]] | None = None
+
+
+def _walk(f: NodeRef) -> _Walk:
+    """The walk kept on ``f``, made on first use."""
+    walk = f._walk
+    if walk is None:
+        walk = f._walk = _Walk(f)
+    return walk
+
+
+def _certified_releases(f: NodeRef, order: list[int]) -> tuple[list[int], list[int]]:
+    """Both labels' certified releases of the nodes of ``order``, in one pass.
+
+    Counts each node's models over all the variables, as `_counts` does,
+    and keeps only the releases: label 1 releases into the cofactor with
+    fewer models, label 0 into the other one, so a tie gives label 1 the
+    high cofactor and label 0 the low one.
+    """
+    nodes = f.manager._nodes
+    count = {0: 0, 1: 1 << f.manager.num_vars}
+    more: list[int] = []
+    fewer: list[int] = []
+    for u in order:
+        _, lo, hi = nodes[u]
+        lo_models, hi_models = count[lo], count[hi]
+        count[u] = (lo_models + hi_models) >> 1
+        if lo_models < hi_models:
+            fewer.append(lo)
+            more.append(hi)
+        else:
+            fewer.append(hi)
+            more.append(lo)
+    return more, fewer
 
 
 def _check_instance(x: Sequence[int], n: int) -> None:
@@ -298,11 +358,11 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     witnesses the lower-indexed variable is committed first, so the result
     is the greatest minimum reason in variable order.
 
-    A certified pass comes first and allocates nothing.  One children-first
-    pass over the existing nodes counts each node's models over all the
-    variables, as `_counts` does, and releases into one cofactor instead of
-    combining both: the one with fewer models for label 1, more for label
-    0.  When one cofactor implies the other, that one is exactly their
+    A certified pass comes first and allocates nothing.  Its releases, made
+    once per handle by one children-first pass over the existing nodes and
+    kept on it, release into one cofactor instead of combining both: the
+    one with fewer models over all the variables for label 1, more for
+    label 0.  When one cofactor implies the other, that one is exactly their
     conjunction (for label 0, their disjunction).  Otherwise it is implied
     by the conjunction (implies the disjunction), and a weaker function
     never takes more literals to force, so every cost is a lower bound.  If
@@ -322,21 +382,18 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     _check_instance(x, mgr.num_vars)
     _nontrivial(f)
     label = mgr.evaluate(f, x)
-    nodes = mgr._nodes
-    order = _reachable(f)
-    count = {0: 0, 1: 1 << mgr.num_vars}
-    release: dict[int, int] = {}
-    for u in order:
-        _, lo, hi = nodes[u]
-        lo_models, hi_models = count[lo], count[hi]
-        count[u] = (lo_models + hi_models) >> 1
-        # label 1 releases into the cofactor with fewer models, label 0 more
-        release[u] = lo if (lo_models < hi_models) == label else hi
-    literals = _cheapest_reason(f, x, label, order, release)
+    walk = _walk(f)
+    if walk.releases is None:
+        walk.releases = _certified_releases(f, walk.order)
+    order = walk.order
+    literals = _cheapest_reason(
+        f, x, label, order, walk.releases[label], partial(bisect_left, order)
+    )
     if _forced_label(f, dict(literals)) == label:
         return Explanation(literals, label)
+    nodes = mgr._nodes
     ite = mgr._ite_id
-    release = {}
+    release: dict[int, int] = {}
     seen = {0, 1, f.i}
     order = [f.i]
     with during("building the releases of a PI explanation"):
@@ -348,7 +405,11 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
                     seen.add(v)
                     order.append(v)
     order.sort(key=lambda u: nodes[u][0], reverse=True)  # both edges go deeper
-    return Explanation(_cheapest_reason(f, x, label, order, release), label)
+    position = {u: k for k, u in enumerate(order)}
+    literals = _cheapest_reason(
+        f, x, label, order, [release[u] for u in order], position.__getitem__
+    )
+    return Explanation(literals, label)
 
 
 def _cheapest_reason(
@@ -356,21 +417,24 @@ def _cheapest_reason(
     x: Sequence[int],
     label: int,
     order: list[int],
-    release: dict[int, int],
+    release: list[int],
+    position: Callable[[int], int],
 ) -> tuple[tuple[int, int], ...]:
     """Literals of the cheapest reason under the given releases.
 
-    ``order`` lists every node of ``release`` after the nodes its release
-    and its instance branch, read from ``x``, lead to.  A node costs the
-    cheaper of one committed bit plus its instance branch and its release,
-    committing on a tie; the trace follows those choices down from the root.
+    ``release[k]`` is the release of ``order[k]``, and ``position(u)`` is
+    the k with ``order[k] == u``.  ``order`` lists every node after the
+    nodes its release and its instance branch, read from ``x``, lead to.  A
+    node costs the cheaper of one committed bit plus its instance branch and
+    its release, committing on a tie; the trace follows those choices down
+    from the root.
     """
     nodes = f.manager._nodes
     cost: dict[int, int | float] = {label: 0, 1 - label: math.inf}
-    for u in order:
+    for u, r in zip(order, release):
         var, lo, hi = nodes[u]
         committed = 1 + cost[hi if x[var] else lo]
-        released = cost[release[u]]
+        released = cost[r]
         cost[u] = committed if committed <= released else released
     literals: list[tuple[int, int]] = []
     u = f.i
@@ -381,7 +445,7 @@ def _cheapest_reason(
             literals.append((var, x[var]))
             u = branch
         else:
-            u = release[u]
+            u = release[position(u)]
     assert len(literals) == cost[f.i]
     return tuple(literals)
 
@@ -447,7 +511,7 @@ def _forced_label(f: NodeRef, pairs: Mapping[int, int]) -> int | None:
 def _marginals(f: NodeRef) -> list[Fraction]:
     """Probability that each variable is 1 among the satisfying instances.
 
-    Darwiche's differential pass over one `_reachable` walk: bottom-up
+    Darwiche's differential pass over the handle's walk: bottom-up
     model counts (`_counts`) times top-down path mass give the models
     flowing along every edge: an edge from a node labelled v carries its
     path mass times the child's all-variable count shifted down by v + 1,
@@ -462,7 +526,7 @@ def _marginals(f: NodeRef) -> list[Fraction]:
     nvars = mgr.num_vars
     nodes = mgr._nodes
     root_level = nodes[f.i][0]
-    order = _reachable(f)
+    order = _walk(f).order
     count = _counts(f, order)
     total = count[f.i]
     on = [0] * nvars  # models through the high edges of each variable's nodes
@@ -560,7 +624,7 @@ def _unateness(f: NodeRef) -> list[Unateness]:
     pos = [True] * mgr.num_vars
     neg = [True] * mgr.num_vars
     memo: dict[tuple[int, int], bool] = {}
-    for u in _reachable(f):
+    for u in _walk(f).order:
         var, lo, hi = nodes[u]
         used[var] = True
         if pos[var]:

@@ -44,6 +44,16 @@ def _load_image_for(f, path):
     return height, width, bits
 
 
+def _load_rows_for(f, path):
+    """The feature rows of a dataset file, checked against the diagram's width."""
+    from .trainer import read_dataset_csv
+
+    data = read_dataset_csv(path)
+    if data.n_features != f.manager.num_vars:
+        raise ValueError("dataset width does not match the diagram")
+    return data.features.tolist()
+
+
 def _cmd_compile_neuron(args):
     unit = read_neuron(args.neuron)
     if isinstance(unit, LinearThresholdUnit):
@@ -113,12 +123,8 @@ def _cmd_robustness(args):
             r = analysis.instance_robustness(f, bits)
             print("inf" if r == float("inf") else int(r))
         elif args.dataset:
-            from .trainer import read_dataset_csv
-
-            data = read_dataset_csv(args.dataset)
-            if data.n_features != mgr.num_vars:
-                raise ValueError("dataset width does not match the diagram")
-            print(analysis.dataset_average_robustness(f, data))
+            rows = _load_rows_for(f, args.dataset)
+            print(formats.exact_text(analysis.dataset_average_robustness(f, rows)))
         else:
             raise ValueError("instance robustness needs --image or --dataset")
     elif args.mode == "model":
@@ -127,18 +133,21 @@ def _cmd_robustness(args):
             if side is None:
                 continue
             print(
-                "polarity=%s instances=%d flip_sum=%d mean_over_polarity=%s "
+                "polarity=%s instances=%s flip_sum=%s mean_over_polarity=%s "
                 "mean_over_all=%s maxr=%d"
                 % (
                     side.polarity,
-                    side.instance_count,
-                    side.flip_sum,
-                    side.mean_over_polarity,
-                    side.mean_over_all,
+                    formats.exact_text(side.instance_count),
+                    formats.exact_text(side.flip_sum),
+                    formats.exact_text(side.mean_over_polarity),
+                    formats.exact_text(side.mean_over_all),
                     side.max_robustness,
                 )
             )
-        print("mr=%s maxr=%d vars=%d" % (profile.mr, profile.maxr, profile.num_vars))
+        print(
+            "mr=%s maxr=%d vars=%d"
+            % (formats.exact_text(profile.mr), profile.maxr, profile.num_vars)
+        )
     elif args.mode == "max":
         print(analysis.model_robustness(f, polarity=polarity).maxr)
     else:  # hist: a histogram holds one polarity
@@ -149,12 +158,29 @@ def _cmd_robustness(args):
 
 
 def _cmd_explain(args):
-    f = read_obdd(args.obdd)
-    _, width, bits = _load_image_for(f, args.image)
+    # a flag the source would ignore is an input error, checked before any read
+    if args.dataset and (args.fool_fill or args.fool_out):
+        raise ValueError("--fool-fill and --fool-out are only for an image, not --dataset")
     if args.fool_fill and not args.fool_out:
         raise ValueError("--fool-fill needs --fool-out for the result")
     if args.fool_out and not args.fool_fill:
         raise ValueError("--fool-out needs --fool-fill for the filler")
+    if not (args.image or args.dataset):
+        raise ValueError("explain needs an image or --dataset")
+    f = read_obdd(args.obdd)
+    if args.dataset:
+        lines = []
+        # every row's reason reads the one walk kept on f
+        for row, x in enumerate(_load_rows_for(f, args.dataset), start=1):
+            reason = analysis.pi_explanation(f, x)
+            literals = "".join(" %d=%d" % pair for pair in reason.literals)
+            lines.append(
+                "row %d label %d cardinality %d literals%s"
+                % (row, reason.label, reason.cardinality, literals)
+            )
+        print("\n".join(lines))  # formatted whole first: a failure leaves stdout empty
+        return 0
+    _, width, bits = _load_image_for(f, args.image)
     fill = _load_image_for(f, args.fool_fill) if args.fool_fill else None
     reason = analysis.pi_explanation(f, bits)
     lines = ["label %d" % reason.label, "cardinality %d" % reason.cardinality]
@@ -250,9 +276,10 @@ def _cmd_stats(args):
     order = _reachable(f)  # one walk gives the node count, the support and the models
     support = {nodes[u][0] for u in order}
     # formatted whole before any of it is written: a failure leaves stdout empty
+    models = formats.exact_text(_counts(f, order)[f.i])
     print(
-        "vars %d\nnodes %d\nsupport %d\nmodels %d"
-        % (f.manager.num_vars, len(order), len(support), _counts(f, order)[f.i])
+        "vars %d\nnodes %d\nsupport %d\nmodels %s"
+        % (f.manager.num_vars, len(order), len(support), models)
     )
     return 0
 
@@ -302,9 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polarity", choices=["positive", "negative", "both"], default=None)
     p.add_argument("-o", "--output", default=None)
 
-    p = sub.add_parser("explain", help="minimum sufficient reason for one image")
+    p = sub.add_parser("explain", help="minimum sufficient reason for an image or dataset rows")
     p.add_argument("obdd")
-    p.add_argument("image")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("image", nargs="?", default=None)
+    source.add_argument("--dataset", default=None)
     p.add_argument("--fool-fill", default=None, help="PBM filler for a fooling image")
     p.add_argument("--fool-out", default=None)
 
@@ -354,7 +383,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-    except (OSError, ValueError, OBDDError) as e:
+    except (OSError, ValueError, OverflowError, OBDDError) as e:
         print("nnobdd: error: %s" % e, file=sys.stderr)
         return 2
 

@@ -2,11 +2,13 @@
 only file reads and writes.  Every reader parses what `read_text` returns;
 every writer formats its whole text before `write_text`, so a value that
 fails to format leaves the file as it was; `write_files` writes several
-texts or none."""
+texts or none.  Exact counts and ratios are printed by `exact_text`, at
+any size."""
 
 from __future__ import annotations
 
 import csv
+import decimal
 import io
 import os
 from contextlib import ExitStack
@@ -56,6 +58,30 @@ def write_files(texts: dict[str, str]) -> None:
             if os.path.isfile(path):  # not a device such as /dev/null
                 fp.truncate(0)
             fp.write(text)
+
+
+#: Longest int `exact_text` prints, in bits: about 315,000 decimal digits.
+EXACT_TEXT_BITS = 1 << 20
+
+
+def exact_text(value: int | Fraction) -> str:
+    """Decimal text of an exact int, or ``n/d`` of a Fraction.
+
+    ``str`` refuses an int of more than 4,300 digits on Python 3.11 and
+    later, and that limit is process-wide; `decimal` converts an int
+    exactly without it, so this leaves the limit as it is.  The conversion
+    takes time quadratic in the length, about 2 s at `EXACT_TEXT_BITS`, so
+    a longer int is a `ValueError` raised before any conversion.
+    """
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return "%s/%s" % (exact_text(value.numerator), exact_text(value.denominator))
+    value = int(value)
+    if value.bit_length() > EXACT_TEXT_BITS:
+        raise ValueError(
+            "an exact count of %d bits is too long to print (at most %d)"
+            % (value.bit_length(), EXACT_TEXT_BITS)
+        )
+    return str(decimal.Decimal(value))
 
 
 def read_pbm(src: PathOrFile) -> tuple[int, int, tuple[int, ...]]:
@@ -123,13 +149,16 @@ def write_pgm(values: Sequence[float], height: int, width: int, dest: PathOrFile
 
 def write_histogram_csv(counts, num_vars: int, dest: PathOrFile) -> None:
     """Rows `k,count,proportion`; proportions are exact fractions."""
-    rows = [(k, str(n), str(Fraction(n, 2**num_vars))) for k, n in sorted(dict(counts).items())]
+    rows = [
+        (k, exact_text(n), exact_text(Fraction(n, 2**num_vars)))
+        for k, n in sorted(dict(counts).items())
+    ]
     write_text(dest, _table("k,count,proportion", rows))
 
 
 def write_marginal_grid_csv(rows, dest: PathOrFile) -> None:
     """Rows `var,row,col,marginal` with exact fraction marginals."""
-    rows = [(var, r, c, str(value)) for var, r, c, value in rows]
+    rows = [(var, r, c, exact_text(value)) for var, r, c, value in rows]
     write_text(dest, _table("var,row,col,marginal", rows))
 
 

@@ -76,14 +76,19 @@ class NodeRef:
 
     Handles compare equal exactly when they come from the same manager and
     denote the same function.  The bitwise operators build new diagrams
-    through the owning manager.
+    through the owning manager.  A handle also keeps, from the first query
+    that needs it, the `analysis` queries' instance-free walk of its
+    diagram, so every later query on the same handle reads it instead of
+    walking again.  Diagrams never change, so the walk stays valid while
+    the manager grows.  Equal handles made separately do not share it.
     """
 
-    __slots__ = ("manager", "i")
+    __slots__ = ("manager", "i", "_walk")
 
     def __init__(self, manager: "Manager", i: int):
         self.manager = manager
         self.i = i
+        self._walk = None  # set by analysis on first use
 
     def __eq__(self, other: object) -> bool:
         return (

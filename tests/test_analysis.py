@@ -14,6 +14,7 @@ from nnobdd import (
     Explanation,
     Manager,
     NetworkSpec,
+    NodeRef,
     Unateness,
     compile_network,
     dataset_average_robustness,
@@ -523,6 +524,82 @@ class TestCertifiedPiPass:
         assert calls
         assert reason.literals == ((0, 1), (1, 1), (3, 1))
         assert reason.literals == recursive_pi_explanation(f, (1, 1, 1, 1))
+
+
+class TestSharedWalk:
+    """A handle keeps its walk and certified releases; answers never change."""
+
+    @staticmethod
+    def answers(f, xs):
+        n = f.manager.num_vars
+        return (
+            [pi_explanation(f, x) for x in xs],
+            marginal_grid(f, 1, n),
+            unateness_grid(f, 1, n),
+        )
+
+    def test_reused_handle_answers_as_a_fresh_one(self):
+        # every instance of each function, so both labels, on unate
+        # functions and on functions whose reasons take the exact pass
+        rng = random.Random(440)
+        kinds = set()
+        for k in range(40):
+            n = rng.randint(2, 7)
+            m = Manager(n)
+            f, table = random_nontrivial(rng, n, m)
+            unate = all(tt_unateness(table, n, v) != "none" for v in range(n))
+            calls = spy_on_ite(m)
+            for i in range(1 << n):
+                x = bits_of(i, n)
+                before = len(calls)
+                reason = pi_explanation(f, x)
+                kinds.add((unate, len(calls) > before, reason.label))
+                assert reason == pi_explanation(NodeRef(m, f.i), x)
+                assert reason.cardinality == min_sufficient_size(table, n, x)
+            fresh = NodeRef(m, f.i)
+            assert marginal_grid(f, 1, n) == marginal_grid(fresh, 1, n)
+            assert unateness_grid(f, 1, n) == unateness_grid(fresh, 1, n)
+            assert f._walk is not None and fresh._walk is not f._walk
+        # the exact pass ran on non-unate functions, for both labels
+        assert {(False, True, 0), (False, True, 1), (True, False, 0), (True, False, 1)} <= kinds
+
+    def test_more_diagrams_between_calls_change_no_answer(self):
+        rng = random.Random(441)
+        for _ in range(30):
+            n = rng.randint(2, 8)
+            m = Manager(n)
+            f, _ = random_nontrivial(rng, n, m)
+            xs = [bits_of(rng.randrange(1 << n), n) for _ in range(6)]
+            first = self.answers(f, xs)
+            # new nodes above, below and beside f's, and more ITE entries
+            g, _ = random_nontrivial(rng, n, m)
+            for h in (f & g, f | ~g, f ^ g, ~f):
+                if not h.is_terminal:
+                    pi_explanation(h, xs[0])
+            assert self.answers(f, xs) == first
+            assert self.answers(NodeRef(m, f.i), xs) == first
+
+    def test_one_walk_for_every_query_on_a_handle(self, monkeypatch):
+        rng = random.Random(442)
+        f = two_filter_grid_output(rng)
+        while f.is_terminal:
+            f = two_filter_grid_output(rng)
+        walks = []
+        walk = analysis._reachable
+        monkeypatch.setattr(analysis, "_reachable", lambda g: walks.append(g) or walk(g))
+        by_label = ([], [])
+        for i in range(1 << 16):
+            x = bits_of(i, 16)
+            by_label[f.manager.evaluate(f, x)].append(x)
+        xs = by_label[0][:10] + by_label[1][:10]
+        reasons = [pi_explanation(f, x) for x in xs]
+        assert {r.label for r in reasons} == {0, 1}
+        marginal_grid(f, 4, 4)
+        unateness_grid(f, 4, 4)
+        assert walks == [f]
+        fresh = NodeRef(f.manager, f.i)
+        assert [pi_explanation(fresh, x) for x in xs] == reasons
+        assert len(walks) == 2  # equal handles made separately do not share
 
 
 def spy_on_ite(m):

@@ -1,5 +1,6 @@
 """End-to-end command-line flows and exit codes."""
 
+import decimal
 import json
 import os
 import shlex
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from nnobdd import Manager, cli, obdd, read_obdd, write_obdd
+from nnobdd import Manager, analysis, cli, obdd, pi_explanation, read_obdd, write_obdd
 from nnobdd.cli import main
 from nnobdd.formats import write_pbm
 
@@ -299,9 +300,9 @@ class TestRobustnessCommands:
         assert lines[2] == "2,1,1/4"
 
     def test_failed_hist_writes_nothing(self, workdir, capsys):
-        # the count 2**14999 has more digits than Python will print
+        # the count 2**1099999 is longer than formats.exact_text prints
         path = workdir / "wide.obdd"
-        path.write_text("obdd n=15000 root=2\n2 0 0 1\n")
+        path.write_text("obdd n=1100000 root=2\n2 0 0 1\n")
         csv_path = workdir / "hist.csv"
         for extra in ([], ["-o", str(csv_path)]):
             assert main(["robustness", "hist", str(path)] + extra) == 2
@@ -402,6 +403,89 @@ class TestExplainCommand:
         assert captured.out == ""
         assert captured.err.startswith("nnobdd: error:")
         assert not Path("x.pbm").exists()
+
+
+class TestExplainDataset:
+    """`explain --dataset`: one reason per row, from one walk of the diagram."""
+
+    def test_one_reason_per_row(self, workdir, capsys, monkeypatch):
+        shutil.copytree(ROOT / "docs", workdir / "docs")
+        monkeypatch.chdir(workdir / "docs")
+        assert main(["compile-net", "net4x4.json", "-o", "net"]) == 0
+        capsys.readouterr()
+        walks = []
+        walk = analysis._reachable
+        monkeypatch.setattr(analysis, "_reachable", lambda f: walks.append(f) or walk(f))
+        assert main(["explain", "net-out0.obdd", "--dataset", "dataset4x4.csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [ln.split(",")[:-1] for ln in Path("dataset4x4.csv").read_text().split()]
+        assert len(lines) == len(rows) > 1 and len(walks) == 1
+        f = read_obdd("net-out0.obdd")
+        for k, (line, row) in enumerate(zip(lines, rows), start=1):
+            reason = pi_explanation(f, [int(b) for b in row])
+            literals = " ".join("%d=%d" % pair for pair in reason.literals)
+            assert line == "row %d label %d cardinality %d literals %s" % (
+                k, reason.label, reason.cardinality, literals
+            )
+        assert {line.split()[3] for line in lines} == {"0", "1"}
+
+    def test_a_failing_row_prints_nothing(self, workdir, capsys, monkeypatch):
+        out = compile_or(workdir)
+        capsys.readouterr()
+        explain = analysis.pi_explanation
+        seen = []
+
+        def third_row_fails(f, x):
+            seen.append(x)
+            if len(seen) == 3:
+                raise ValueError("third row")
+            return explain(f, x)
+
+        monkeypatch.setattr(analysis, "pi_explanation", third_row_fails)
+        assert main(["explain", str(out), "--dataset", str(workdir / "data.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "nnobdd: error: third row\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--fool-fill", "fill2.pbm"],
+            ["--fool-out", "x.pbm"],
+            ["--fool-fill", "fill2.pbm", "--fool-out", "x.pbm"],
+        ],
+        ids=["fill", "out", "both"],
+    )
+    def test_fooling_flags_exit_2(self, workdir, capsys, monkeypatch, flags):
+        out = compile_or(workdir)
+        monkeypatch.chdir(workdir)
+        capsys.readouterr()
+        assert main(["explain", str(out), "--dataset", "data.csv"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--dataset" in captured.err
+        assert not (workdir / "x.pbm").exists()
+
+    def test_needs_an_image_or_a_dataset(self, workdir, capsys):
+        out = compile_or(workdir)
+        capsys.readouterr()
+        assert main(["explain", str(out)]) == 2
+        assert capsys.readouterr().err == "nnobdd: error: explain needs an image or --dataset\n"
+
+    def test_image_and_dataset_together_is_a_usage_error(self, workdir, capsys):
+        out = compile_or(workdir)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", str(out), str(workdir / "img2.pbm"), "--dataset", "data.csv"])
+        assert exc.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_width_mismatch_exits_2(self, workdir, capsys):
+        out = compile_or(workdir)
+        capsys.readouterr()
+        (workdir / "wide.csv").write_text("0,1,0,1\n")
+        assert main(["explain", str(out), "--dataset", str(workdir / "wide.csv")]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestGridCommands:
@@ -607,6 +691,79 @@ class TestStatsAndExitCodes:
         (workdir / "negative.pbm").write_text("P1\n-1 -2\n1 1\n")
         for image in ("img3.pbm", "negative.pbm"):
             assert main(["eval", str(out), str(workdir / image)]) == 2, image
+
+
+WIDE = 15000  # 2**14999 models: more digits than Python's default str limit
+
+
+def wide_models_text():
+    """2**14999 in decimal, converted without Python's int-to-str digit limit."""
+    return str(decimal.Decimal(2 ** (WIDE - 1)))
+
+
+class TestExactCountsOfAnySize:
+    """Every printing command on x0 over 15,000 variables prints exact counts."""
+
+    @pytest.fixture
+    def wide(self, workdir):
+        (workdir / "wide.obdd").write_text("obdd n=%d root=2\n2 0 0 1\n" % WIDE)
+        image = (1,) + (0,) * (WIDE - 1)
+        write_pbm(image, 1, WIDE, str(workdir / "wide.pbm"))
+        (workdir / "wide.csv").write_text(
+            "".join(",".join(["%d" % b] + ["1"] * (WIDE - 1) + ["0"]) + "\n" for b in (0, 1))
+        )
+        return workdir
+
+    def run(self, capsys, argv):
+        assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out
+
+    def test_counts_print_in_full(self, wide, capsys, monkeypatch):
+        monkeypatch.chdir(wide)
+        big = wide_models_text()
+        assert len(big) == 4516 and int(decimal.Decimal(big)) == 2 ** (WIDE - 1)
+        assert self.run(capsys, ["stats", "wide.obdd"]) == (
+            "vars %d\nnodes 1\nsupport 1\nmodels %s\n" % (WIDE, big)
+        )
+        side = "instances=%s flip_sum=%s mean_over_polarity=1 mean_over_all=1/2 maxr=1" % (big, big)
+        assert self.run(capsys, ["robustness", "model", "wide.obdd"]) == (
+            "polarity=positive %s\npolarity=negative %s\nmr=1 maxr=1 vars=%d\n" % (side, side, WIDE)
+        )
+        for polarity in ("positive", "negative"):
+            argv = ["robustness", "hist", "wide.obdd", "--polarity", polarity]
+            assert self.run(capsys, argv) == "k,count,proportion\r\n1,%s,1/2\r\n" % big
+            assert self.run(capsys, argv + ["-o", "hist.csv"]) == ""
+            assert (wide / "hist.csv").read_text() == "k,count,proportion\n1,%s,1/2\n" % big
+
+    def test_every_printing_command_exits_0(self, wide, capsys, monkeypatch):
+        monkeypatch.chdir(wide)
+        assert self.run(capsys, ["robustness", "max", "wide.obdd"]) == "1\n"
+        assert self.run(capsys, ["eval", "wide.obdd", "wide.pbm"]) == "1\n"
+        argv = ["robustness", "instance", "wide.obdd"]
+        assert self.run(capsys, argv + ["--image", "wide.pbm"]) == "1\n"
+        assert self.run(capsys, argv + ["--dataset", "wide.csv"]) == "1\n"
+        assert self.run(capsys, ["explain", "wide.obdd", "wide.pbm"]) == "label 1\ncardinality 1\n0 0 0 1\n"
+        assert self.run(capsys, ["explain", "wide.obdd", "--dataset", "wide.csv"]) == (
+            "row 1 label 0 cardinality 1 literals 0=0\nrow 2 label 1 cardinality 1 literals 0=1\n"
+        )
+        grid = ["--height", "1", "--width", str(WIDE)]
+        assert self.run(capsys, ["marginals", "wide.obdd", *grid, "-o", "m.csv", "--pgm", "m.pgm"]) == ""
+        rows = (wide / "m.csv").read_text().splitlines()
+        assert rows[1] == "0,0,0,1" and rows[2] == "1,0,1,1/2" and len(rows) == WIDE + 1
+        assert self.run(capsys, ["unate", "wide.obdd", *grid, "-o", "u.csv"]) == ""
+        rows = (wide / "u.csv").read_text().splitlines()
+        assert rows[1] == "0,0,0,pos" and rows[2] == "1,0,1,unused"
+
+    def test_a_header_too_wide_to_count_exits_2(self, workdir, capsys):
+        # 1 << 10**20 cannot be made at all
+        path = workdir / "huge.obdd"
+        path.write_text("obdd n=100000000000000000000 root=2\n2 0 0 1\n")
+        assert main(["stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nnobdd: error:")
 
 
 class TestDeepDiagrams:

@@ -52,7 +52,8 @@ def mutate(rng, text):
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """The fixtures, a compiled net4x4 output and 3- and 4-input diagrams."""
+    """The fixtures, a compiled net4x4 output, 3- and 4-input diagrams, and
+    x0 over 15,000 variables, whose 2**14999 models print only in full."""
     tmp = tmp_path_factory.mktemp("fuzz")
     for src in (ROOT / "docs").iterdir():
         shutil.copy(src, tmp / src.name)
@@ -60,6 +61,7 @@ def files(tmp_path_factory):
     assert main(["compile-neuron", str(tmp / "neuron3.txt"), "--digits", "2",
                  "-o", str(tmp / "neuron3.obdd")]) == 0
     (tmp / "x0.obdd").write_text("obdd n=4 root=2\n2 0 0 1\n")
+    (tmp / "wide.obdd").write_text("obdd n=15000 root=2\n2 0 0 1\n")
     return tmp
 
 
@@ -76,6 +78,12 @@ FORMS = {
         ["explain", "X", "image4x4.pbm", "--fool-fill", "image4x4.pbm", "--fool-out", "out.pbm"],
         ["marginals", "X", "--height", "4", "--width", "4", "-o", "out.csv", "--pgm", "out.pgm"],
         ["unate", "X", "--height", "4", "--width", "4", "-o", "out.csv"],
+    ],
+    "wide.obdd": [
+        ["stats", "X"],
+        ["robustness", "model", "X"],
+        ["robustness", "max", "X", "--polarity", "negative"],
+        ["robustness", "hist", "X", "-o", "out.csv"],
     ],
     "image4x4.pbm": [
         ["eval", "net-out0.obdd", "X"],
