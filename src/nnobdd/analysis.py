@@ -30,13 +30,13 @@ manager's variables at every node, so they compare and add without a
 level correction.
 
 What does not depend on the instance is built once per handle and kept
-on it (`_Walk`, in the handle's ``_walk`` slot): the children-first walk
-order, and on the first PI explanation the certified releases of both
-labels, one list each, aligned with the order.  Every later PI
+on it: the children-first walk, which every query reads through
+`obdd._reachable`, and on the first PI explanation the certified releases
+of both labels, one list each, aligned with the walk.  Every later PI
 explanation on that handle runs only its cost pass, trace-back and
 `_forced_label` check; the check runs on every call and is never kept.
-Marginals and unateness read the same walk.  Model counts stay per call.
-Equal handles made separately keep walks of their own.
+Model counts stay per call.  Equal handles made separately keep walks of
+their own.
 
 The robustness of an instance is the least number of input flips that
 changes the classifier's label; the robustness of a whole function is
@@ -77,47 +77,20 @@ class Unateness(str, Enum):
     NONE = "none"
 
 
-class _Walk:
-    """The instance-free passes over one diagram, kept on its handle.
-
-    ``order`` is `_reachable`'s: the nonterminal nodes, ids ascending, so
-    children first.  ``releases`` is None until the first PI explanation,
-    then the certified pass's release of every node in ``order``, one list
-    per label: the cofactor with more models for label 0, fewer for label 1.
-    """
-
-    __slots__ = ("order", "releases")
-
-    def __init__(self, f: NodeRef):
-        self.order = _reachable(f)
-        self.releases: tuple[list[int], list[int]] | None = None
-
-
-def _walk(f: NodeRef) -> _Walk:
-    """The walk kept on ``f``, made on first use."""
-    walk = f._walk
-    if walk is None:
-        walk = f._walk = _Walk(f)
-    return walk
-
-
 def _certified_releases(f: NodeRef, order: list[int]) -> tuple[list[int], list[int]]:
-    """Both labels' certified releases of the nodes of ``order``, in one pass.
+    """Both labels' certified releases of the nodes of ``order``.
 
-    Counts each node's models over all the variables, as `_counts` does,
-    and keeps only the releases: label 1 releases into the cofactor with
-    fewer models, label 0 into the other one, so a tie gives label 1 the
-    high cofactor and label 0 the low one.
+    Label 1 releases into the cofactor with fewer models (`_counts`), label
+    0 into the other one, so a tie gives label 1 the high cofactor and
+    label 0 the low one.
     """
     nodes = f.manager._nodes
-    count = {0: 0, 1: 1 << f.manager.num_vars}
+    count = _counts(f, order)
     more: list[int] = []
     fewer: list[int] = []
     for u in order:
         _, lo, hi = nodes[u]
-        lo_models, hi_models = count[lo], count[hi]
-        count[u] = (lo_models + hi_models) >> 1
-        if lo_models < hi_models:
+        if count[lo] < count[hi]:
             fewer.append(lo)
             more.append(hi)
         else:
@@ -382,12 +355,11 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     _check_instance(x, mgr.num_vars)
     _nontrivial(f)
     label = mgr.evaluate(f, x)
-    walk = _walk(f)
-    if walk.releases is None:
-        walk.releases = _certified_releases(f, walk.order)
-    order = walk.order
+    order = _reachable(f)
+    if f._releases is None:
+        f._releases = _certified_releases(f, order)
     literals = _cheapest_reason(
-        f, x, label, order, walk.releases[label], partial(bisect_left, order)
+        f, x, label, order, f._releases[label], partial(bisect_left, order)
     )
     if _forced_label(f, dict(literals)) == label:
         return Explanation(literals, label)
@@ -511,7 +483,7 @@ def _forced_label(f: NodeRef, pairs: Mapping[int, int]) -> int | None:
 def _marginals(f: NodeRef) -> list[Fraction]:
     """Probability that each variable is 1 among the satisfying instances.
 
-    Darwiche's differential pass over the handle's walk: bottom-up
+    Darwiche's differential pass over the kept walk: bottom-up
     model counts (`_counts`) times top-down path mass give the models
     flowing along every edge: an edge from a node labelled v carries its
     path mass times the child's all-variable count shifted down by v + 1,
@@ -526,7 +498,7 @@ def _marginals(f: NodeRef) -> list[Fraction]:
     nvars = mgr.num_vars
     nodes = mgr._nodes
     root_level = nodes[f.i][0]
-    order = _walk(f).order
+    order = _reachable(f)
     count = _counts(f, order)
     total = count[f.i]
     on = [0] * nvars  # models through the high edges of each variable's nodes
@@ -624,7 +596,7 @@ def _unateness(f: NodeRef) -> list[Unateness]:
     pos = [True] * mgr.num_vars
     neg = [True] * mgr.num_vars
     memo: dict[tuple[int, int], bool] = {}
-    for u in _walk(f).order:
+    for u in _reachable(f):
         var, lo, hi = nodes[u]
         used[var] = True
         if pos[var]:

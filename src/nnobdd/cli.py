@@ -22,7 +22,6 @@ from .neuron import (
 )
 from .network import compile_network, read_spec
 from .obdd import BudgetExceededError, Manager, OBDDError, read_obdd, write_obdd
-from .obdd import _counts, _reachable
 
 # `trainer` loads numpy, so only the commands that read datasets import it
 
@@ -52,6 +51,18 @@ def _load_rows_for(f, path):
     if data.n_features != f.manager.num_vars:
         raise ValueError("dataset width does not match the diagram")
     return data.features.tolist()
+
+
+def _refuse_unprintable(f):
+    """Refuse, before any count, a satisfiable ``f`` whose counts cannot print:
+    each is a multiple of ``2**free``, free = the variables outside its support."""
+    mgr = f.manager
+    free = mgr.num_vars - len(mgr.support(f))
+    if mgr.is_sat(f) and free >= formats.EXACT_TEXT_BITS:
+        raise ValueError(
+            "an exact count of over %d bits is too long to print (at most %d)"
+            % (free, formats.EXACT_TEXT_BITS)
+        )
 
 
 def _cmd_compile_neuron(args):
@@ -117,6 +128,8 @@ def _cmd_robustness(args):
     polarity = args.polarity or ("positive" if args.mode == "hist" else "both")
     f = read_obdd(args.obdd)
     mgr = f.manager
+    if args.mode in ("model", "hist"):
+        _refuse_unprintable(f)
     if args.mode == "instance":
         if args.image:
             _, _, bits = _load_image_for(f, args.image)
@@ -272,14 +285,13 @@ def _cmd_sweep(args):
 
 def _cmd_stats(args):
     f = read_obdd(args.obdd)
-    nodes = f.manager._nodes
-    order = _reachable(f)  # one walk gives the node count, the support and the models
-    support = {nodes[u][0] for u in order}
+    mgr = f.manager
+    _refuse_unprintable(f)
     # formatted whole before any of it is written: a failure leaves stdout empty
-    models = formats.exact_text(_counts(f, order)[f.i])
+    models = formats.exact_text(mgr.model_count(f))
     print(
         "vars %d\nnodes %d\nsupport %d\nmodels %s"
-        % (f.manager.num_vars, len(order), len(support), models)
+        % (mgr.num_vars, mgr.node_count(f), len(mgr.support(f)), models)
     )
     return 0
 

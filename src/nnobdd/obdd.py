@@ -77,18 +77,20 @@ class NodeRef:
     Handles compare equal exactly when they come from the same manager and
     denote the same function.  The bitwise operators build new diagrams
     through the owning manager.  A handle also keeps, from the first query
-    that needs it, the `analysis` queries' instance-free walk of its
-    diagram, so every later query on the same handle reads it instead of
-    walking again.  Diagrams never change, so the walk stays valid while
-    the manager grows.  Equal handles made separately do not share it.
+    that needs them, its diagram's walk (`_reachable`) and a PI
+    explanation's certified releases, so later queries on it read them
+    instead of walking again.  Diagrams never change and node ids are never
+    reused, so both stay valid as the manager grows.  Equal handles made
+    separately do not share them.
     """
 
-    __slots__ = ("manager", "i", "_walk")
+    __slots__ = ("manager", "i", "_walk", "_releases")
 
     def __init__(self, manager: "Manager", i: int):
         self.manager = manager
         self.i = i
-        self._walk = None  # set by analysis on first use
+        self._walk: list[int] | None = None
+        self._releases: tuple[list[int], list[int]] | None = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -136,10 +138,20 @@ class NodeRef:
 def _reachable(f: NodeRef) -> list[int]:
     """Nonterminal nodes reachable from ``f``, children before parents.
 
-    Each node is queued once, when first met, onto the list being read,
-    and the list is sorted once at the end: a node's id exceeds its
-    children's.
+    The one accessor for a diagram's walk: the first call walks
+    (`_walk_from`) and keeps the order on ``f``, and every later call
+    returns that same list, so callers must never mutate it.
     """
+    order = f._walk
+    if order is None:
+        order = f._walk = _walk_from(f)
+    return order
+
+
+def _walk_from(f: NodeRef) -> list[int]:
+    """The walk `_reachable` keeps, made anew: each node is queued once, when
+    first met, onto the list being read, and the list is sorted once at the
+    end, as a node's id exceeds its children's."""
     if f.i <= 1:
         return []
     nodes = f.manager._nodes
@@ -182,8 +194,9 @@ class Manager:
     its first node, so a manager over any number of variables starts with
     none; it maps the ``(var, lo, hi)`` tuple held in the node store to the
     node's id.  ``node_budget``, when set, caps the total number of nodes
-    ever allocated (terminals included).  Queries keep no state here: model counts, for instance, are
-    computed per call, over all the variables, in one walk over the nodes.
+    ever allocated (terminals included).  Queries keep no state here: a
+    diagram's walk is kept on its handle, and model counts are computed per
+    call, over all the variables, in one pass over that walk.
     """
 
     def __init__(self, num_vars: int, node_budget: int | None = None):
@@ -453,9 +466,11 @@ class Manager:
 
         Variables skipped by reduction or above the root are counted as
         free.  Arbitrary precision: the result may be as large as
-        ``2**num_vars``.
+        ``2**num_vars``; FALSE counts 0 without that count of TRUE.
         """
-        return _counts(self._own(f), _reachable(f))[f.i]
+        if self._own(f).i == 0:
+            return 0
+        return _counts(f, _reachable(f))[f.i]
 
     def is_valid(self, f: NodeRef) -> bool:
         return self._own(f).i == 1

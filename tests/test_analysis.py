@@ -30,7 +30,7 @@ from nnobdd import (
     unateness,
     unateness_grid,
 )
-from nnobdd import analysis
+from nnobdd import analysis, obdd
 from nnobdd.obdd import _reachable
 
 from oracles import (
@@ -538,12 +538,16 @@ class TestSharedWalk:
             unateness_grid(f, 1, n),
         )
 
-    def test_reused_handle_answers_as_a_fresh_one(self):
+    def test_reused_handle_answers_as_a_fresh_one(self, monkeypatch):
         # every instance of each function, so both labels, on unate
         # functions and on functions whose reasons take the exact pass
         rng = random.Random(440)
         kinds = set()
+        walks = []
+        walk = obdd._walk_from
+        monkeypatch.setattr(obdd, "_walk_from", lambda g: walks.append(g) or walk(g))
         for k in range(40):
+            walks.clear()
             n = rng.randint(2, 7)
             m = Manager(n)
             f, table = random_nontrivial(rng, n, m)
@@ -559,7 +563,7 @@ class TestSharedWalk:
             fresh = NodeRef(m, f.i)
             assert marginal_grid(f, 1, n) == marginal_grid(fresh, 1, n)
             assert unateness_grid(f, 1, n) == unateness_grid(fresh, 1, n)
-            assert f._walk is not None and fresh._walk is not f._walk
+            assert [g for g in walks if g is f or g is fresh] == [f, fresh]
         # the exact pass ran on non-unate functions, for both labels
         assert {(False, True, 0), (False, True, 1), (True, False, 0), (True, False, 1)} <= kinds
 
@@ -585,8 +589,8 @@ class TestSharedWalk:
         while f.is_terminal:
             f = two_filter_grid_output(rng)
         walks = []
-        walk = analysis._reachable
-        monkeypatch.setattr(analysis, "_reachable", lambda g: walks.append(g) or walk(g))
+        walk = obdd._walk_from
+        monkeypatch.setattr(obdd, "_walk_from", lambda g: walks.append(g) or walk(g))
         by_label = ([], [])
         for i in range(1 << 16):
             x = bits_of(i, 16)
@@ -600,6 +604,29 @@ class TestSharedWalk:
         fresh = NodeRef(f.manager, f.i)
         assert [pi_explanation(fresh, x) for x in xs] == reasons
         assert len(walks) == 2  # equal handles made separately do not share
+
+    def test_certified_releases_once_per_handle(self, monkeypatch):
+        rng = random.Random(443)
+        f = block_order_output(rng, 10, 2, -4.0)
+        passes = []
+        certify = analysis._certified_releases
+        monkeypatch.setattr(
+            analysis, "_certified_releases", lambda g, order: passes.append(g) or certify(g, order)
+        )
+        labels = {pi_explanation(f, random_image(rng, 100)).label for _ in range(20)}
+        assert labels == {0, 1} and passes == [f]
+
+    def test_model_robustness_walks_each_level_once(self, monkeypatch):
+        m = Manager(6)
+        x = [m.literal(v) for v in range(6)]
+        f = (x[0] & x[1]) | (x[2] & x[3]) | (x[4] ^ x[5])
+        walks = []
+        walk = obdd._walk_from
+        monkeypatch.setattr(obdd, "_walk_from", lambda g: walks.append(g) or walk(g))
+        profile = model_robustness(f)
+        assert (profile.positive.max_robustness, profile.negative.max_robustness) == (3, 1)
+        # f, its one erosion that is not FALSE and its one dilation that is not TRUE
+        assert len({g.i for g in walks}) == len(walks) == 3
 
 
 def spy_on_ite(m):

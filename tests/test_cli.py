@@ -7,12 +7,13 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from nnobdd import Manager, analysis, cli, obdd, pi_explanation, read_obdd, write_obdd
-from nnobdd.cli import main
+from nnobdd import Manager, analysis, cli, formats, obdd, pi_explanation, read_obdd, write_obdd
+from nnobdd.cli import build_parser, main
 from nnobdd.formats import write_pbm
 
 NEURON3 = "weights: 1.15 0.95 -1.05\nbias: -0.52\n"
@@ -414,8 +415,8 @@ class TestExplainDataset:
         assert main(["compile-net", "net4x4.json", "-o", "net"]) == 0
         capsys.readouterr()
         walks = []
-        walk = analysis._reachable
-        monkeypatch.setattr(analysis, "_reachable", lambda f: walks.append(f) or walk(f))
+        walk = obdd._walk_from
+        monkeypatch.setattr(obdd, "_walk_from", lambda f: walks.append(f) or walk(f))
         assert main(["explain", "net-out0.obdd", "--dataset", "dataset4x4.csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         rows = [ln.split(",")[:-1] for ln in Path("dataset4x4.csv").read_text().split()]
@@ -653,9 +654,8 @@ class TestStatsAndExitCodes:
             for f in cases
         ]
         walks = []
-        walk = obdd._reachable
-        for module in (cli, obdd):
-            monkeypatch.setattr(module, "_reachable", lambda f: walks.append(f) or walk(f))
+        walk = obdd._walk_from
+        monkeypatch.setattr(obdd, "_walk_from", lambda f: walks.append(f) or walk(f))
         path = workdir / "f.obdd"
         for f, text in zip(cases, expected):
             write_obdd(f, str(path))
@@ -691,6 +691,56 @@ class TestStatsAndExitCodes:
         (workdir / "negative.pbm").write_text("P1\n-1 -2\n1 1\n")
         for image in ("img3.pbm", "negative.pbm"):
             assert main(["eval", str(out), str(workdir / image)]) == 2, image
+
+
+class TestCountsTooLongToPrint:
+    """A count is refused from the support, before it is built, not after."""
+
+    @pytest.mark.parametrize(
+        "header, argv, code",
+        [
+            ("obdd n=1000000000 root=2\n2 0 0 1\n", ["stats"], 2),
+            ("obdd n=1000000000 root=2\n2 0 0 1\n", ["robustness", "model"], 2),
+            ("obdd n=1000000000 root=2\n2 0 0 1\n", ["robustness", "hist"], 2),
+            ("obdd n=1000000000 root=0\n", ["stats"], 0),
+            ("obdd n=10000000000 root=0\n", ["stats"], 0),
+        ],
+    )
+    def test_memory_grows_with_the_file_not_the_variables(
+        self, workdir, capsys, header, argv, code
+    ):
+        path = workdir / "huge.obdd"
+        path.write_text(header)
+        build_parser()  # built once per process; not part of the command's cost
+        tracemalloc.start()
+        try:
+            assert main(argv + [str(path)]) == code
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the count of TRUE alone is 125 MB or more
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert "too long to print" in captured.err
+        else:
+            assert captured.out.endswith("nodes 0\nsupport 0\nmodels 0\n")
+
+    @pytest.mark.parametrize("argv", [["stats"], ["robustness", "model"], ["robustness", "hist"]])
+    def test_refused_exactly_when_a_count_is_too_long(self, workdir, capsys, monkeypatch, argv):
+        # under a 64-bit limit, x0 counts 2**63 (64 bits) over 64 variables
+        # and 2**64 over 65: the second is refused before any count is made
+        monkeypatch.setattr(formats, "EXACT_TEXT_BITS", 64)
+        counted = []
+        count = Manager.model_count
+        monkeypatch.setattr(Manager, "model_count", lambda m, f: counted.append(f) or count(m, f))
+        path = workdir / "x0.obdd"
+        for n, code in ((64, 0), (65, 2)):
+            path.write_text("obdd n=%d root=2\n2 0 0 1\n" % n)
+            counted.clear()
+            assert main(argv + [str(path)]) == code
+            assert bool(counted) == (code == 0)
+        capsys.readouterr()
 
 
 WIDE = 15000  # 2**14999 models: more digits than Python's default str limit

@@ -19,7 +19,8 @@ from nnobdd import (
     robust_sets,
     write_obdd,
 )
-from nnobdd.obdd import NodeRef, _counts, _reachable
+from nnobdd import obdd
+from nnobdd.obdd import NodeRef, _counts, _reachable, _walk_from
 
 from oracles import (
     all_instances,
@@ -381,6 +382,16 @@ class TestCounting:
                 assert _counts(f, _reachable(f)) == {0: 0, 1: 2**n}
             assert (m.model_count(m.false), m.model_count(m.true)) == (0, 2**n)
 
+    def test_false_counts_zero_without_counting_true(self):
+        m = Manager(10**9)
+        tracemalloc.start()
+        try:
+            assert m.model_count(m.false) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16  # TRUE's count alone is 125 MB
+
     def test_1200_variable_counts_and_marginals(self):
         m = Manager(1200)
         both = conjunction(m, range(1200))
@@ -433,6 +444,35 @@ class TestReachable:
     def test_terminals_reach_no_nodes(self, m3):
         assert _reachable(m3.true) == []
         assert _reachable(m3.false) == []
+
+    def test_kept_walk_outlasts_new_diagrams(self):
+        rng = random.Random(1104)
+        for _ in range(30):
+            n = rng.randint(1, 8)
+            m = Manager(n)
+            f = bdd_from_table(m, [rng.randint(0, 1) for _ in range(1 << n)])
+            order = _reachable(f)
+            # new nodes above, below and beside f's, and more ITE entries
+            for _ in range(3):
+                g = build_formula(random_formula(rng, n, 4), m)
+                for h in (f & g, f | ~g, f ^ g):
+                    _reachable(h)
+            assert _reachable(f) is order
+            assert order == _walk_from(NodeRef(m, f.i)) == path_nodes(m, f)
+
+    def test_compose_walks_each_handle_once(self, monkeypatch):
+        src = Manager(3)
+        f = (src.literal(0) & src.literal(1)) | ~src.literal(2)
+        m = Manager(4)
+        x = [m.literal(v) for v in range(4)]
+        subs = [x[1] ^ x[3], x[0], x[2] & x[3]]
+        walks = []
+        walk = obdd._walk_from
+        monkeypatch.setattr(obdd, "_walk_from", lambda g: walks.append(g) or walk(g))
+        first = m.compose(f, subs)
+        assert m.compose(f, subs) == first
+        assert [g for g in walks if g is f] == [f]
+        assert len({id(g) for g in walks}) == len(walks)
 
     def test_counts_after_caching_match_truth_tables(self):
         rng = random.Random(1102)
