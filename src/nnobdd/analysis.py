@@ -295,14 +295,23 @@ def model_robustness(f: NodeRef, polarity: str = BOTH) -> RobustnessProfile:
     return RobustnessProfile(f.manager.num_vars, pos, neg)
 
 
-def max_robustness(f: NodeRef) -> int:
-    """Largest robustness among the positive instances.
+def max_robustness(f: NodeRef, polarity: str = POSITIVE) -> int:
+    """Largest robustness among the instances of ``polarity``.
 
-    Equals the number of satisfiable robustness levels; the level chain can
-    be abandoned as soon as one level empties out.
+    Level k of the erosion (dilation) chain loses (gains) exactly the
+    instances of robustness k, and no level of a non-trivial function
+    equals the one before, so the largest robustness is the chain's
+    length.  ``both`` takes the longer chain.  No level is counted, so the
+    cost does not grow with the number of variables.
     """
     _nontrivial(f)
-    return len(robust_sets(f))
+    if polarity not in (POSITIVE, NEGATIVE, BOTH):
+        raise ValueError("polarity must be 'positive', 'negative' or 'both'")
+    return max(
+        len(_level_chain(f, dilate=side == NEGATIVE))
+        for side in (POSITIVE, NEGATIVE)
+        if polarity in (side, BOTH)
+    )
 
 
 # ------------------------------------------------------------ explanations

@@ -162,7 +162,7 @@ def _cmd_robustness(args):
             % (formats.exact_text(profile.mr), profile.maxr, profile.num_vars)
         )
     elif args.mode == "max":
-        print(analysis.model_robustness(f, polarity=polarity).maxr)
+        print(analysis.max_robustness(f, polarity=polarity))
     else:  # hist: a histogram holds one polarity
         summary = analysis.polarity_summary(f, polarity)
         dest = args.output if args.output else sys.stdout

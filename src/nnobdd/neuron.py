@@ -22,15 +22,24 @@ programming over residual thresholds: processing inputs top-down, every
 partial assignment is summarized by the threshold still to be met,
 residuals that can no longer fail resolve to TRUE and residuals that can
 no longer succeed resolve to FALSE, and each remaining (level, residual)
-cell becomes one decision node.  Those nodes are ordered and reduced by
-construction, so they go straight into the unique table of their level's
-variable.  The work and the reduced node count are bounded by
-``n * (2W + 1)`` cells, where W is the magnitude ``|T| + sum(|w|)``.
+cell becomes one decision node.  A forward pass lists each level's
+undecided residuals in ascending order, in bulk: one sort of the level
+before and its shift by the weight, clipped to the level's range by two
+bisections.  The backward pass enters, before each level, the terminal of
+every child residual outside the next level's range; for each child those
+residuals are a prefix or a suffix of the sorted cells, so each cell then
+looks up both children without a range test.  Every step is sized by the
+cells, never by the weights, so 9-digit weights cost what small ones with
+as many cells cost.  The nodes are ordered and reduced by construction, so
+they go straight into the unique table of their level's variable.  The
+cells, and so the work and the reduced node count, are at most
+``n * (2W + 1)``, where W is the magnitude ``|T| + sum(|w|)``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -161,44 +170,31 @@ def quantize(
     return IntThresholdUnit(tuple(scaled(w) for w in unit.weights), scaled(-unit.bias))
 
 
-def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
-    """Compile an integer threshold unit by residual-threshold dynamic programming.
+def _residual_levels(
+    unit: IntThresholdUnit, manager: Manager
+) -> tuple[list[int], list[int], list[list[int]]]:
+    """The forward pass of `compile_pseudo`: bounds and undecided residuals.
 
-    Level k of the diagram tests input k.  Setting it keeps the residual or
-    lowers it by the input's weight; a residual at or below the remaining
-    negative mass is TRUE, one above the remaining positive mass is FALSE,
-    and the fully assigned case is TRUE iff the residual is <= 0.  Each cell's
-    node is ordered and reduced by construction and goes straight into the
-    unique table of variable k, without `_mk_id`; the backward pass fetches
-    that table once per level and makes it on the level's first new node.
-    The manager's node budget, if any, also bounds the number of
-    materialized cells.
+    ``mins[i]`` and ``maxs[i]`` are the negative and positive weight mass of
+    inputs i..n-1.  Level i lists, ascending, the residuals in
+    ``(mins[i], maxs[i]]`` reachable from the threshold; there are no levels
+    when the threshold alone decides the unit.  Each next level is made in
+    bulk: the level before and its shift by the weight, as one sorted set,
+    clipped by two bisections.  The manager's node budget, if any, bounds
+    the cells here, before any node is allocated.
     """
-    n = unit.arity
-    if manager.num_vars != n:
-        raise ValueError(
-            "manager has %d variables, unit has %d inputs" % (manager.num_vars, n)
-        )
     w = unit.weights
-    t0 = unit.threshold
-
-    # suffix sums of the negative and positive weight mass below each level
+    n = len(w)
     mins = [0] * (n + 1)
     maxs = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         mins[i] = mins[i + 1] + (w[i] if w[i] < 0 else 0)
         maxs[i] = maxs[i + 1] + (w[i] if w[i] > 0 else 0)
-
-    if t0 <= mins[0]:
-        return manager.true
-    if t0 > maxs[0]:
-        return manager.false
-
-    # forward pass: undecided residuals reachable at each level; the budget
-    # also bounds the cells, before any node is allocated
+    levels: list[list[int]] = []
+    if not mins[0] < unit.threshold <= maxs[0]:
+        return mins, maxs, levels
     budget = manager.node_budget
-    levels: list[set[int]] = []
-    cur = {t0}
+    cur = [unit.threshold]
     cells = 0
     for i in range(n):
         levels.append(cur)
@@ -206,35 +202,70 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
         if budget is not None and cells > budget:
             raise manager._exhausted(cells)
         wi = w[i]
-        lo_b = mins[i + 1]
-        hi_b = maxs[i + 1]
-        nxt = set()
-        for t in cur:
-            if lo_b < t <= hi_b:
-                nxt.add(t)
-            u = t - wi
-            if lo_b < u <= hi_b:
-                nxt.add(u)
-        cur = nxt
+        nxt = sorted(set(cur).union([t - wi for t in cur]))
+        cur = nxt[bisect_right(nxt, mins[i + 1]) : bisect_right(nxt, maxs[i + 1])]
     assert cells <= n * (2 * unit.magnitude + 1)
+    return mins, maxs, levels
+
+
+def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
+    """Compile an integer threshold unit by residual-threshold dynamic programming.
+
+    Level k of the diagram tests input k.  Setting it keeps the residual or
+    lowers it by the input's weight; a residual at or below the remaining
+    negative mass is TRUE, one above the remaining positive mass is FALSE,
+    and the fully assigned case is TRUE iff the residual is <= 0.
+    `_residual_levels` lists each level's undecided residuals in ascending
+    order.  The backward pass makes one node per cell, from the last level
+    up; it first enters the level's terminal children, a prefix or a suffix
+    of its cells found by bisection, so its loop has no range test.  Time
+    and memory follow the cells, never the size of the weights.  Each
+    cell's node is ordered and reduced by construction and goes straight
+    into the unique table of variable k, without `_mk_id`; the backward
+    pass fetches that table once per level and makes it on the level's
+    first new node.  The manager's node budget, if any, also bounds the
+    number of cells.
+    """
+    n = unit.arity
+    if manager.num_vars != n:
+        raise ValueError(
+            "manager has %d variables, unit has %d inputs" % (manager.num_vars, n)
+        )
+    mins, maxs, levels = _residual_levels(unit, manager)
+    if not levels:
+        return manager.true if unit.threshold <= mins[0] else manager.false
+    w = unit.weights
+    budget = manager.node_budget
 
     # backward pass: one node per surviving cell, straight into the unique
     # table of the level's variable, fetched once per level (an empty stand-in
-    # until the level's first new node makes it).  _mk_id's ordering check
-    # cannot fail here: a cell's children are next-level cells, terminals, or
-    # the deeper node a reduced cell stands for.
+    # until the level's first new node makes it).  `prev` maps the next
+    # level's cells, all in (lo_b, hi_b], to their nodes; before the loop it
+    # gets TRUE for the child residuals <= lo_b and FALSE for those > hi_b,
+    # which never collide with a cell.  The level's own cells lie in
+    # (mins[i], maxs[i]], so with wi >= 0 no low child t is <= lo_b and no
+    # high child t - wi is > hi_b, and with wi < 0 the other way round: each
+    # child has one terminal side, a suffix or prefix of the cells.  _mk_id's
+    # ordering check cannot fail here: a cell's children are next-level
+    # cells, terminals, or the deeper node a reduced cell stands for.
     nodes, tables = manager._nodes, manager._unique
     prev: dict[int, int] = {}
     for i in range(n - 1, -1, -1):
         wi = w[i]
         lo_b = mins[i + 1]
         hi_b = maxs[i + 1]
+        cur = levels[i]
+        if wi >= 0:
+            prev.update(dict.fromkeys(cur[bisect_right(cur, hi_b) :], 0))
+            prev.update(dict.fromkeys([t - wi for t in cur[: bisect_right(cur, lo_b + wi)]], 1))
+        else:
+            prev.update(dict.fromkeys(cur[: bisect_right(cur, lo_b)], 1))
+            prev.update(dict.fromkeys([t - wi for t in cur[bisect_right(cur, hi_b + wi) :]], 0))
         unique = tables.get(i, _NO_TABLE)
         table: dict[int, int] = {}
-        for t in levels[i]:
-            lo = 1 if t <= lo_b else (0 if t > hi_b else prev[t])
-            u = t - wi
-            hi = 1 if u <= lo_b else (0 if u > hi_b else prev[u])
+        for t in cur:
+            lo = prev[t]
+            hi = prev[t - wi]
             v = lo if lo == hi else unique.get(key := (i, lo, hi))
             if v is None:
                 v = len(nodes)
@@ -246,7 +277,7 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
                 unique[key] = v
             table[t] = v
         prev = table
-    return NodeRef(manager, prev[t0])
+    return NodeRef(manager, prev[unit.threshold])
 
 
 # --------------------------------------------------------------- text format

@@ -137,6 +137,35 @@ def compile_exact(unit, manager):
     return NodeRef(manager, build(0, t0))
 
 
+def residual_levels(unit) -> list[set[int]]:
+    """Reference forward pass of the pseudo-polynomial compiler.
+
+    The undecided residuals of each level of an integer unit, one set per
+    level, built one residual at a time; no levels when the threshold alone
+    decides the unit.
+    """
+    w, t0 = unit.weights, unit.threshold
+    n = len(w)
+    mins = [0] * (n + 1)
+    maxs = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        mins[i] = mins[i + 1] + min(w[i], 0)
+        maxs[i] = maxs[i + 1] + max(w[i], 0)
+    if not mins[0] < t0 <= maxs[0]:
+        return []
+    levels = []
+    cur = {t0}
+    for i in range(n):
+        levels.append(cur)
+        nxt = set()
+        for t in cur:
+            for u in (t, t - w[i]):
+                if mins[i + 1] < u <= maxs[i + 1]:
+                    nxt.add(u)
+        cur = nxt
+    return levels
+
+
 def check_unique_tables(manager) -> None:
     """Every node id in ``2..allocated-1`` sits exactly once, under its own
     ``(var, lo, hi)`` tuple, in its own variable's table; no table is empty

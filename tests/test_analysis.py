@@ -283,6 +283,28 @@ class TestMaxRobustness:
             f, table = random_nontrivial(rng, n, m)
             assert max_robustness(f) == max_positive_robustness(table, n)
 
+    def test_each_polarity_is_the_profile_maxr(self):
+        rng = random.Random(411)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            m = Manager(n)
+            f, table = random_nontrivial(rng, n, m)
+            values = hamming_robustness(table, n)
+            for polarity, label in (("positive", {1}), ("negative", {0}), ("both", {0, 1})):
+                expected = max(r for r, b in zip(values, table) if b in label)
+                assert max_robustness(f, polarity) == expected
+                assert model_robustness(f, polarity).maxr == expected
+
+    def test_counts_no_level(self, monkeypatch):
+        _, f = and2()
+        monkeypatch.setattr(Manager, "model_count", None)
+        assert [max_robustness(f, p) for p in ("positive", "negative", "both")] == [1, 2, 2]
+
+    def test_unknown_polarity(self):
+        _, f = or2()
+        with pytest.raises(ValueError):
+            max_robustness(f, "neither")
+
 
 class TestHistogram:
     def test_disjunction(self):

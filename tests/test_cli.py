@@ -743,6 +743,25 @@ class TestCountsTooLongToPrint:
         capsys.readouterr()
 
 
+class TestMaxFromChainLengths:
+    """`robustness max` prints a chain length and counts no level."""
+
+    @pytest.mark.parametrize("polarity", ["positive", "negative", "both"])
+    def test_memory_grows_with_the_file_not_the_variables(self, workdir, capsys, polarity):
+        # the longest chain of x0 over 10**9 variables has one level
+        path = workdir / "huge.obdd"
+        path.write_text("obdd n=1000000000 root=2\n2 0 0 1\n")
+        build_parser()
+        tracemalloc.start()
+        try:
+            assert main(["robustness", "max", str(path), "--polarity", polarity]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the count of TRUE alone is 125 MB
+        assert capsys.readouterr().out == "1\n"
+
+
 WIDE = 15000  # 2**14999 models: more digits than Python's default str limit
 
 

@@ -1,7 +1,9 @@
 """Threshold units: exact integer form, quantization, the compiler."""
 
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -19,7 +21,8 @@ from nnobdd import (
     unateness,
 )
 
-from oracles import all_instances, check_unique_tables, compile_exact
+from nnobdd.neuron import _residual_levels
+from oracles import all_instances, check_unique_tables, compile_exact, residual_levels
 
 WORKED = LinearThresholdUnit((1.15, 0.95, -1.05), -0.52)
 
@@ -213,6 +216,68 @@ class TestCompilePseudo:
     def test_manager_width_must_match(self):
         with pytest.raises(ValueError):
             compile_pseudo(IntThresholdUnit((1, 1), 1), Manager(3))
+
+
+def random_scaled_unit(rng):
+    """A unit with small or 10**9-scale weights, zeros and negatives included."""
+    n = rng.randint(0, 12)
+    scale = rng.choice((3, 20, 10**6, 10**9))
+    weights = tuple(rng.choice((0, rng.randint(-scale, scale))) for _ in range(n))
+    bound = sum(abs(w) for w in weights) + 1
+    return IntThresholdUnit(weights, rng.randint(-bound, bound))
+
+
+class TestForwardPass:
+    """Each level's cells, listed ascending, are the reference's residual sets."""
+
+    def test_levels_equal_the_reference(self):
+        rng = random.Random(6170)
+        sizes = set()
+        for _ in range(300):
+            unit = random_scaled_unit(rng)
+            _, _, levels = _residual_levels(unit, Manager(unit.arity))
+            assert [set(level) for level in levels] == residual_levels(unit)
+            for level in levels:
+                assert level == sorted(set(level))
+            sizes.add(len(levels))
+            m = Manager(unit.arity)
+            assert compile_pseudo(unit, m) == compile_exact(unit, m)
+        assert 0 in sizes and 12 in sizes  # decided roots and full-depth units occurred
+
+    def test_budget_abort_names_the_reference_cells(self):
+        rng = random.Random(6171)
+        aborts = 0
+        for _ in range(300):
+            unit = random_scaled_unit(rng)
+            cumulative = list(accumulate(map(len, residual_levels(unit))))
+            if not cumulative or cumulative[-1] <= 2:
+                continue
+            budget = rng.randint(2, cumulative[-1] - 1)
+            m = Manager(unit.arity, node_budget=budget)
+            over = [c for c in cumulative if c > budget]
+            with pytest.raises(BudgetExceededError) as exc:
+                compile_pseudo(unit, m)
+            assert str(exc.value) == "node budget of %d exhausted (%d cells)" % (budget, over[0])
+            assert m.allocated == 2
+            aborts += 1
+        assert aborts > 50
+
+    def test_wide_weights_cost_memory_by_cells(self):
+        # 12 inputs of magnitude 10**9 or more: 2,053 cells, while anything
+        # sized by the weights would hold billions of entries
+        rng = random.Random(6172)
+        weights = tuple(rng.choice((-1, 1)) * rng.randint(10**9, 2 * 10**9) for _ in range(12))
+        unit = IntThresholdUnit(weights, sum(weights) // 2)
+        assert sum(map(len, residual_levels(unit))) == 2053
+        m = Manager(12)
+        tracemalloc.start()
+        try:
+            f = compile_pseudo(unit, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert f == compile_exact(unit, m)
 
 
 class UniqueHits(dict):
