@@ -261,6 +261,14 @@ def _cmd_train(args):
 def _cmd_sweep(args):
     from .trainer import precision_sweep, read_dataset_csv, train_neuron
 
+    # checked before the dataset is read: quantize takes 0..9 digits
+    for flag, value in (("--min-digits", args.min_digits), ("--max-digits", args.max_digits)):
+        if not 0 <= value <= 9:
+            raise ValueError("%s must be in 0..9, not %d" % (flag, value))
+    if args.min_digits > args.max_digits:
+        raise ValueError(
+            "--min-digits %d is above --max-digits %d" % (args.min_digits, args.max_digits)
+        )
     data = read_dataset_csv(args.dataset)
     unit = train_neuron(data, _train_config(args))
     rows = precision_sweep(

@@ -21,9 +21,11 @@ ordered and reduced by construction, so they go straight into their
 variable's unique table.
 
 There are no complement edges, so a negation is a diagram of its own.
-There is no garbage collection; node stores only grow, which is fine at
-the sizes this package targets, and an optional node budget turns runaway
-growth into a `BudgetExceededError` instead of an out-of-memory failure.
+Within a manager, node stores only grow, and an optional node budget
+turns runaway growth into a `BudgetExceededError` instead of an
+out-of-memory failure.  A manager lives exactly as long as a handle or
+reference to it: it holds no handle of its own, so reference counting
+frees it with the last one, without the cyclic collector.
 This module owns that abort: every budget check raises the error that
 `Manager._exhausted` builds, and callers name what they were building with
 `during` instead of catching it.
@@ -196,7 +198,10 @@ class Manager:
     node's id.  ``node_budget``, when set, caps the total number of nodes
     ever allocated (terminals included).  Queries keep no state here: a
     diagram's walk is kept on its handle, and model counts are computed per
-    call, over all the variables, in one pass over that walk.
+    call, over all the variables, in one pass over that walk.  `true` and
+    `false` make a new handle on each access, so the manager holds none and
+    is freed with its last handle or reference; compare them with ``==`` or
+    `NodeRef.is_true`, never ``is``.
     """
 
     def __init__(self, num_vars: int, node_budget: int | None = None):
@@ -214,11 +219,19 @@ class Manager:
         # var -> that variable's unique table; see the class docstring
         self._unique: dict[int, dict[tuple[int, int, int], int]] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
-        self.false = NodeRef(self, 0)
-        self.true = NodeRef(self, 1)
 
     def __repr__(self) -> str:
         return "<Manager vars=%d nodes=%d>" % (self.num_vars, len(self._nodes))
+
+    @property
+    def false(self) -> NodeRef:
+        """The FALSE terminal, as a new handle on each access."""
+        return NodeRef(self, 0)
+
+    @property
+    def true(self) -> NodeRef:
+        """The TRUE terminal, as a new handle on each access."""
+        return NodeRef(self, 1)
 
     @property
     def allocated(self) -> int:

@@ -607,6 +607,25 @@ class TestTrainAndSweep:
         assert lines[0] == "digits,accuracy,nodes,status"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize(
+        "digits, flag",
+        [
+            (["--min-digits", "3", "--max-digits", "1"], "--min-digits 3 is above --max-digits 1"),
+            (["--max-digits", "10"], "--max-digits must be in 0..9"),
+            (["--min-digits", "-1"], "--min-digits must be in 0..9"),
+        ],
+        ids=["empty", "max-too-large", "min-negative"],
+    )
+    def test_sweep_digit_range_it_cannot_run_exits_2(self, workdir, capsys, digits, flag):
+        sweep_out = workdir / "sweep.csv"
+        # the check comes before the dataset is read, so a missing one is never reached
+        argv = ["sweep", str(workdir / "missing.csv"), "-o", str(sweep_out)]
+        assert main(argv + digits) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nnobdd: error: " + flag)
+        assert not sweep_out.exists()
+
     @pytest.mark.parametrize("value", ["-1", "2", "99999999999999999999"])
     def test_out_of_range_dataset_value_exits_2(self, workdir, capsys, value):
         out = compile_or(workdir)

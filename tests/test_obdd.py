@@ -1,25 +1,34 @@
 """Engine tests: construction, Boolean algebra, counting, serialization."""
 
+import gc
 import io
 import random
 import tracemalloc
+import weakref
 
 import pytest
 
 from nnobdd import (
     BudgetExceededError,
+    IntThresholdUnit,
     Manager,
     OBDDError,
     compile_network,
+    compile_pseudo,
+    fooling_complete,
+    instance_robustness,
     marginal_grid,
+    model_robustness,
     pi_explanation,
     polarity_summary,
+    read_neuron,
     read_obdd,
     read_spec,
     robust_sets,
+    unateness_grid,
     write_obdd,
 )
-from nnobdd import obdd
+from nnobdd import cli, obdd
 from nnobdd.obdd import NodeRef, _counts, _reachable, _walk_from
 
 from oracles import (
@@ -636,6 +645,102 @@ class TestUniqueTables:
         assert list(f.manager._unique) == [99999999]
         check_unique_tables(f.manager)
         assert f == f.manager.literal(99999999)
+
+
+class TestManagerLifetime:
+    """A manager lives exactly as long as a handle or reference to it."""
+
+    def test_no_attribute_of_a_manager_is_a_handle(self):
+        assert not any(isinstance(v, NodeRef) for v in vars(Manager(3)).values())
+
+    def test_terminals_are_equal_handles_made_on_each_access(self):
+        m = Manager(2)
+        assert m.true == NodeRef(m, 1) and hash(m.true) == hash(NodeRef(m, 1))
+        assert m.false == NodeRef(m, 0) and hash(m.false) == hash(NodeRef(m, 0))
+        assert m.false.is_false and m.true.is_true and m.true != m.false
+        assert m.true != Manager(2).true
+        assert compile_pseudo(IntThresholdUnit((1, 2), 0), m) == m.true
+        assert compile_pseudo(IntThresholdUnit((1, 2), 4), m) == m.false
+
+    def test_every_manager_is_freed_without_the_collector(self, monkeypatch, tmp_path, capsys):
+        made = []
+        init = Manager.__init__
+
+        def recording_init(self, *args, **kwargs):
+            made.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Manager, "__init__", recording_init)
+        net = str(tmp_path / "net")
+        runs = [
+            _lifetime_algebra,
+            lambda: compile_pseudo(IntThresholdUnit((3, -2, 2, 1), 2), Manager(4)),
+            lambda: compile_network(read_spec("docs/net4x4.json"), 2),
+            lambda: _lifetime_round_trip(tmp_path / "f.obdd"),
+            _lifetime_queries,
+            _lifetime_abort,
+            _lifetime_sweep,
+            lambda: _lifetime_cli("compile-net", "docs/net4x4.json", "--digits", "2", "-o", net),
+            lambda: _lifetime_cli("stats", net + "-out0.obdd"),
+            lambda: _lifetime_cli("explain", net + "-out0.obdd", "docs/image4x4.pbm"),
+        ]
+        gc.disable()
+        try:
+            for run in runs:
+                count = len(made)
+                run()
+                assert len(made) > count
+            alive = [r() for r in made if r() is not None]
+        finally:
+            gc.enable()
+        assert alive == []
+        assert "label" in capsys.readouterr().out
+
+
+def _lifetime_cli(*argv):
+    assert cli.main(list(argv)) == 0
+
+
+def _lifetime_algebra():
+    m = Manager(4)
+    x = [m.literal(v) for v in range(4)]
+    f = m.apply("or", x[0] & ~x[1], x[2] ^ x[3])
+    base = Manager(3)
+    g = base.compose(f, [base.literal(v) for v in (1, 0, 2, 1)])
+    assert g.manager is base and g != base.false
+
+
+def _lifetime_round_trip(path):
+    m = Manager(3)
+    f = m.literal(0) | (m.literal(1) & m.literal(2))
+    write_obdd(f, str(path))
+    assert read_obdd(str(path), m) == f
+    assert read_obdd(str(path)).manager is not m
+
+
+def _lifetime_queries():
+    f = compile_network(read_spec("docs/net4x4.json"), 2).outputs[0]
+    x = [1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1]
+    assert instance_robustness(f, x) >= 1
+    assert fooling_complete(f, pi_explanation(f, x), [0] * 16)
+    assert model_robustness(f).maxr >= 0
+    assert len(marginal_grid(f, 4, 4)) == len(unateness_grid(f, 4, 4)) == 16
+
+
+def _lifetime_abort():
+    try:
+        compile_network(read_spec("docs/net4x4.json"), 2, node_budget=20)
+    except BudgetExceededError:
+        return
+    raise AssertionError("the budget did not abort the compile")
+
+
+def _lifetime_sweep():
+    from nnobdd.trainer import LabeledDataset, precision_sweep
+
+    unit = read_neuron("docs/neuron3.txt")
+    data = LabeledDataset([[1, 0, 0], [0, 0, 1]], [1, 0])
+    assert [row.status for row in precision_sweep(unit, data, range(3))] == ["ok"] * 3
 
 
 def _compile_net4x4(budget):
