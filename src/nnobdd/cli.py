@@ -251,8 +251,9 @@ def _train_config(args):
 def _cmd_train(args):
     from .trainer import accuracy, read_dataset_csv, train_neuron
 
+    config = _train_config(args)
     data = read_dataset_csv(args.dataset)
-    unit = train_neuron(data, _train_config(args))
+    unit = train_neuron(data, config)
     write_neuron(unit, args.output)
     print("train_accuracy %s" % accuracy(unit, data))
     return 0
@@ -261,7 +262,10 @@ def _cmd_train(args):
 def _cmd_sweep(args):
     from .trainer import precision_sweep, read_dataset_csv, train_neuron
 
-    # checked before the dataset is read: quantize takes 0..9 digits
+    # checked before the dataset is read: the training options, the budget
+    # (by the manager's own rule) and the digits (quantize takes 0..9)
+    config = _train_config(args)
+    Manager(0, node_budget=args.budget)
     for flag, value in (("--min-digits", args.min_digits), ("--max-digits", args.max_digits)):
         if not 0 <= value <= 9:
             raise ValueError("%s must be in 0..9, not %d" % (flag, value))
@@ -270,7 +274,7 @@ def _cmd_sweep(args):
             "--min-digits %d is above --max-digits %d" % (args.min_digits, args.max_digits)
         )
     data = read_dataset_csv(args.dataset)
-    unit = train_neuron(data, _train_config(args))
+    unit = train_neuron(data, config)
     rows = precision_sweep(
         unit,
         data,

@@ -27,6 +27,7 @@ channel, then row, then column.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
@@ -276,7 +277,10 @@ def _load_layer(entry: dict) -> Layer:
     kind = entry.get("type")
     if kind == "conv_step":
         filters = tuple(
-            ConvFilter(_nested(f["weights"], 3, "filter weights[channel][row][col]"), f["bias"])
+            ConvFilter(
+                _nested(f["weights"], 3, "filter weights[channel][row][col]"),
+                _nested(f["bias"], 0, "filter bias"),
+            )
             for f in entry["filters"]
         )
         return ConvStep(filters, _size(entry["stride"], "stride"))
@@ -292,10 +296,15 @@ def _load_layer(entry: dict) -> Layer:
 
 
 def _nested(value, depth: int, shape: str):
-    """``value`` as tuples nested ``depth`` lists deep, with no list below."""
+    """``value`` as tuples nested ``depth`` lists deep around finite numbers."""
     if isinstance(value, list) != bool(depth):
         raise ValueError("expected %s, lists nested around numbers" % shape)
-    return tuple(_nested(v, depth - 1, shape) for v in value) if depth else value
+    if depth:
+        return tuple(_nested(v, depth - 1, shape) for v in value)
+    # a JSON number a float holds: no string or boolean; NaN fails the test
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError("%s holds %r, not a finite number" % (shape, value))
+    return value
 
 
 def read_spec(src: PathOrFile) -> NetworkSpec:

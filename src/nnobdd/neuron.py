@@ -25,15 +25,16 @@ no longer succeed resolve to FALSE, and each remaining (level, residual)
 cell becomes one decision node.  A forward pass lists each level's
 undecided residuals in ascending order, in bulk: one sort of the level
 before and its shift by the weight, clipped to the level's range by two
-bisections.  The backward pass enters, before each level, the terminal of
-every child residual outside the next level's range; for each child those
-residuals are a prefix or a suffix of the sorted cells, so each cell then
-looks up both children without a range test.  Every step is sized by the
-cells, never by the weights, so 9-digit weights cost what small ones with
-as many cells cost.  The nodes are ordered and reduced by construction, so
-they go straight into the unique table of their level's variable.  The
-cells, and so the work and the reduced node count, are at most
-``n * (2W + 1)``, where W is the magnitude ``|T| + sum(|w|)``.
+bisections.  The backward pass looks up each cell's two children among
+the next level's cells; a child that is not a cell is decided, on one
+side only: for a weight w >= 0 the low child can only be FALSE and the
+high child only TRUE, and for w < 0 the other way round.  Every step is
+sized by the cells, never by the weights, so 9-digit weights cost what
+small ones with as many cells cost.  The nodes are ordered and reduced
+by construction, so they go straight into the unique table of their
+level's variable.  The cells, and so the work and the reduced node
+count, are at most ``n * (2W + 1)``, where W is the magnitude
+``|T| + sum(|w|)``.
 """
 
 from __future__ import annotations
@@ -172,8 +173,8 @@ def quantize(
 
 def _residual_levels(
     unit: IntThresholdUnit, manager: Manager
-) -> tuple[list[int], list[int], list[list[int]]]:
-    """The forward pass of `compile_pseudo`: bounds and undecided residuals.
+) -> tuple[list[int], list[list[int]]]:
+    """The forward pass of `compile_pseudo`: ``mins`` and undecided residuals.
 
     ``mins[i]`` and ``maxs[i]`` are the negative and positive weight mass of
     inputs i..n-1.  Level i lists, ascending, the residuals in
@@ -192,7 +193,7 @@ def _residual_levels(
         maxs[i] = maxs[i + 1] + (w[i] if w[i] > 0 else 0)
     levels: list[list[int]] = []
     if not mins[0] < unit.threshold <= maxs[0]:
-        return mins, maxs, levels
+        return mins, levels
     budget = manager.node_budget
     cur = [unit.threshold]
     cells = 0
@@ -205,7 +206,7 @@ def _residual_levels(
         nxt = sorted(set(cur).union([t - wi for t in cur]))
         cur = nxt[bisect_right(nxt, mins[i + 1]) : bisect_right(nxt, maxs[i + 1])]
     assert cells <= n * (2 * unit.magnitude + 1)
-    return mins, maxs, levels
+    return mins, levels
 
 
 def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
@@ -217,55 +218,46 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
     and the fully assigned case is TRUE iff the residual is <= 0.
     `_residual_levels` lists each level's undecided residuals in ascending
     order.  The backward pass makes one node per cell, from the last level
-    up; it first enters the level's terminal children, a prefix or a suffix
-    of its cells found by bisection, so its loop has no range test.  Time
-    and memory follow the cells, never the size of the weights.  Each
-    cell's node is ordered and reduced by construction and goes straight
-    into the unique table of variable k, without `_mk_id`; the backward
-    pass fetches that table once per level and makes it on the level's
-    first new node.  The manager's node budget, if any, also bounds the
-    number of cells.
+    up, and looks up each child among the next level's cells with the one
+    terminal it can be as the default: for a weight >= 0 the low child can
+    only be FALSE and the high child only TRUE, and for a weight < 0 the
+    other way round.  Time and memory follow the cells, never the size of
+    the weights.  Each cell's node is ordered and reduced by construction
+    and goes straight into the unique table of variable k, without
+    `_mk_id`; the backward pass fetches that table once per level and makes
+    it on the level's first new node.  The manager's node budget, if any,
+    also bounds the number of cells.
     """
     n = unit.arity
     if manager.num_vars != n:
         raise ValueError(
             "manager has %d variables, unit has %d inputs" % (manager.num_vars, n)
         )
-    mins, maxs, levels = _residual_levels(unit, manager)
+    mins, levels = _residual_levels(unit, manager)
     if not levels:
         return manager.true if unit.threshold <= mins[0] else manager.false
     w = unit.weights
     budget = manager.node_budget
 
-    # backward pass: one node per surviving cell, straight into the unique
-    # table of the level's variable, fetched once per level (an empty stand-in
-    # until the level's first new node makes it).  `prev` maps the next
-    # level's cells, all in (lo_b, hi_b], to their nodes; before the loop it
-    # gets TRUE for the child residuals <= lo_b and FALSE for those > hi_b,
-    # which never collide with a cell.  The level's own cells lie in
-    # (mins[i], maxs[i]], so with wi >= 0 no low child t is <= lo_b and no
-    # high child t - wi is > hi_b, and with wi < 0 the other way round: each
-    # child has one terminal side, a suffix or prefix of the cells.  _mk_id's
-    # ordering check cannot fail here: a cell's children are next-level
-    # cells, terminals, or the deeper node a reduced cell stands for.
+    # backward pass: one node per cell, straight into the unique table of the
+    # level's variable, fetched once per level (an empty stand-in until the
+    # level's first new node makes it).  `prev` maps the next level's cells to
+    # their nodes.  A cell t lies in (mins[i], maxs[i]], so with wi >= 0 its
+    # low child t can leave the next level's range only above it (FALSE) and
+    # its high child t - wi only below it (TRUE); with wi < 0 the other way
+    # round, and with wi == 0 both children are cells.  _mk_id's ordering
+    # check cannot fail here: a cell's children are next-level cells,
+    # terminals, or the deeper node a reduced cell stands for.
     nodes, tables = manager._nodes, manager._unique
     prev: dict[int, int] = {}
     for i in range(n - 1, -1, -1):
         wi = w[i]
-        lo_b = mins[i + 1]
-        hi_b = maxs[i + 1]
-        cur = levels[i]
-        if wi >= 0:
-            prev.update(dict.fromkeys(cur[bisect_right(cur, hi_b) :], 0))
-            prev.update(dict.fromkeys([t - wi for t in cur[: bisect_right(cur, lo_b + wi)]], 1))
-        else:
-            prev.update(dict.fromkeys(cur[: bisect_right(cur, lo_b)], 1))
-            prev.update(dict.fromkeys([t - wi for t in cur[bisect_right(cur, hi_b + wi) :]], 0))
+        lo_out, hi_out = (0, 1) if wi >= 0 else (1, 0)
         unique = tables.get(i, _NO_TABLE)
         table: dict[int, int] = {}
-        for t in cur:
-            lo = prev[t]
-            hi = prev[t - wi]
+        for t in levels[i]:
+            lo = prev.get(t, lo_out)
+            hi = prev.get(t - wi, hi_out)
             v = lo if lo == hi else unique.get(key := (i, lo, hi))
             if v is None:
                 v = len(nodes)

@@ -136,8 +136,21 @@ class TestCompileAndEval:
             (0, [[[[0.5], -0.25], [0.25, 0.5]]], "weights[channel][row][col]"),
             (1, [0.75, 0.5, 0.5, 0.75], "weights[out][in]"),
             (1, [[[0.75], 0.5, 0.5, 0.75]], "weights[out][in]"),
+            (1, [["0.5", 0.5, 0.5, 0.75]], "weights[out][in] holds '0.5', not a finite number"),
+            (1, [[0.75, True, 0.5, 0.75]], "weights[out][in] holds True, not a finite number"),
+            (0, [[[0.5, float("nan")], [0.25, 0.5]]], "weights[channel][row][col] holds nan"),
+            (0, [[[0.5, float("inf")], [0.25, 0.5]]], "weights[channel][row][col] holds inf"),
         ],
-        ids=["conv-no-channel", "conv-too-deep", "dense-no-row", "dense-too-deep"],
+        ids=[
+            "conv-no-channel",
+            "conv-too-deep",
+            "dense-no-row",
+            "dense-too-deep",
+            "dense-string",
+            "dense-bool",
+            "conv-nan",
+            "conv-infinity",
+        ],
     )
     def test_weight_nesting_error_names_the_shape(
         self, workdir, capsys, layer, weights, shape
@@ -613,8 +626,10 @@ class TestTrainAndSweep:
             (["--min-digits", "3", "--max-digits", "1"], "--min-digits 3 is above --max-digits 1"),
             (["--max-digits", "10"], "--max-digits must be in 0..9"),
             (["--min-digits", "-1"], "--min-digits must be in 0..9"),
+            (["--budget", "1"], "node budget must allow at least the terminals"),
+            (["--epochs", "0"], "epoch count must be positive"),
         ],
-        ids=["empty", "max-too-large", "min-negative"],
+        ids=["empty", "max-too-large", "min-negative", "budget-1", "epochs-0"],
     )
     def test_sweep_digit_range_it_cannot_run_exits_2(self, workdir, capsys, digits, flag):
         sweep_out = workdir / "sweep.csv"
@@ -625,6 +640,14 @@ class TestTrainAndSweep:
         assert captured.out == ""
         assert captured.err.startswith("nnobdd: error: " + flag)
         assert not sweep_out.exists()
+
+    def test_train_checks_its_options_before_the_dataset(self, workdir, capsys):
+        out = workdir / "unit.txt"
+        argv = ["train", str(workdir / "missing.csv"), "-o", str(out), "--lr", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nnobdd: error: learning rate must be positive")
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["-1", "2", "99999999999999999999"])
     def test_out_of_range_dataset_value_exits_2(self, workdir, capsys, value):

@@ -118,6 +118,43 @@ class TestLoadSpec:
                 ],
                 "layer 2: ",
             ),
+            (
+                [
+                    {"type": "maxpool_or", "window": [1, 1], "stride": 1},
+                    {
+                        "type": "conv_step",
+                        "filters": [{"weights": [[[float("nan")]]], "bias": 0}],
+                        "stride": 1,
+                    },
+                ],
+                "layer 2: filter weights[channel][row][col] holds nan, not a finite number",
+            ),
+            (
+                [
+                    {
+                        "type": "conv_step",
+                        "filters": [{"weights": [[[1]]], "bias": True}],
+                        "stride": 1,
+                    }
+                ],
+                "layer 1: filter bias holds True, not a finite number",
+            ),
+            (
+                [{"type": "dense_step", "weights": [["0.5", 1, 1, 1]], "bias": [-1]}],
+                "layer 1: dense weights[out][in] holds '0.5', not a finite number",
+            ),
+            (
+                [{"type": "dense_step", "weights": [[1, False, 1, 1]], "bias": [-1]}],
+                "layer 1: dense weights[out][in] holds False, not a finite number",
+            ),
+            (
+                [{"type": "dense_step", "weights": [[1, 1, 1, 1]], "bias": [-float("inf")]}],
+                "layer 1: dense bias[out] holds -inf, not a finite number",
+            ),
+            (
+                [{"type": "dense_step", "weights": [[1, 1, 1, 1]], "bias": [10**400]}],
+                "layer 1: dense bias[out] holds 1000",
+            ),
         ],
     )
     def test_malformed_layer_names_it(self, layers, message):

@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 
@@ -173,6 +173,21 @@ class TestCompilePseudo:
             m = Manager(unit.arity)
             assert compile_pseudo(unit, m) == compile_exact(unit, m)
 
+    def test_every_small_unit_at_every_threshold(self):
+        # children leave the next level's range on each side, for weights of
+        # both signs and zero, and thresholds one past each decided bound
+        count = 0
+        for n in range(4):
+            for weights in product(range(-3, 4), repeat=n):
+                low = sum(v for v in weights if v < 0)
+                high = sum(v for v in weights if v > 0)
+                m = Manager(n)
+                for threshold in range(low - 1, high + 2):
+                    unit = IntThresholdUnit(weights, threshold)
+                    assert compile_pseudo(unit, m) == compile_exact(unit, m), unit
+                    count += 1
+        assert count == 3144
+
     def test_soundness_exhaustive(self):
         rng = random.Random(99)
         for _ in range(60):
@@ -235,7 +250,7 @@ class TestForwardPass:
         sizes = set()
         for _ in range(300):
             unit = random_scaled_unit(rng)
-            _, _, levels = _residual_levels(unit, Manager(unit.arity))
+            _, levels = _residual_levels(unit, Manager(unit.arity))
             assert [set(level) for level in levels] == residual_levels(unit)
             for level in levels:
                 assert level == sorted(set(level))
