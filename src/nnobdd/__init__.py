@@ -14,12 +14,11 @@ from .analysis import (
     dataset_average_robustness,
     fooling_complete,
     instance_robustness,
-    marginal,
     marginal_grid,
+    marginals,
     max_robustness,
     model_robustness,
     pi_explanation,
-    polarity_summary,
     robust_sets,
     unateness,
     unateness_grid,

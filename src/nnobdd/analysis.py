@@ -256,43 +256,39 @@ class RobustnessProfile:
         )
 
 
-def polarity_summary(f: NodeRef, polarity: str) -> PolaritySummary:
-    """Exact per-level robustness counts for one polarity of ``f``.
-
-    The negative side dilates ``f`` instead of eroding its complement: the
-    negative instances with robustness > k are those outside ``D^k(f)``.
-    """
-    mgr = f.manager
-    n = mgr.num_vars
-    if polarity == POSITIVE:
-        levels = _level_chain(f, dilate=False)
-        sizes = [mgr.model_count(level) for level in levels]
-    elif polarity == NEGATIVE:
-        levels = _level_chain(f, dilate=True)
-        sizes = [2**n - mgr.model_count(level) for level in levels]
-    else:
-        raise ValueError("polarity must be 'positive' or 'negative'")
-    sizes.append(0)  # the level after the last satisfiable one is empty
-    counts = tuple(
-        (k, sizes[k - 1] - sizes[k])
-        for k in range(1, len(levels) + 1)
-        if sizes[k - 1] - sizes[k]
-    )
-    return PolaritySummary(polarity, n, counts)
+def _sides(polarity: str) -> tuple[str, ...]:
+    """The labels ``polarity`` selects, positive first."""
+    if polarity not in (POSITIVE, NEGATIVE, BOTH):
+        raise ValueError("polarity must be 'positive', 'negative' or 'both'")
+    return tuple(side for side in (POSITIVE, NEGATIVE) if polarity in (side, BOTH))
 
 
 def model_robustness(f: NodeRef, polarity: str = BOTH) -> RobustnessProfile:
     """Exact robustness profile of a non-trivial function.
 
     ``polarity`` selects whose instances are tallied: the positive ones,
-    the negative ones (levels from dilation rather than erosion), or both.
+    the negative ones, or both.  Each side's per-level counts are the
+    differences of its level sizes.  The negative side dilates ``f``
+    instead of eroding its complement: the negative instances with
+    robustness > k are those outside ``D^k(f)``.
     """
     _nontrivial(f)
-    if polarity not in (POSITIVE, NEGATIVE, BOTH):
-        raise ValueError("polarity must be 'positive', 'negative' or 'both'")
-    pos = polarity_summary(f, POSITIVE) if polarity in (POSITIVE, BOTH) else None
-    neg = polarity_summary(f, NEGATIVE) if polarity in (NEGATIVE, BOTH) else None
-    return RobustnessProfile(f.manager.num_vars, pos, neg)
+    mgr = f.manager
+    n = mgr.num_vars
+    summaries = {}
+    for side in _sides(polarity):
+        levels = _level_chain(f, dilate=side == NEGATIVE)
+        sizes = [mgr.model_count(level) for level in levels]
+        if side == NEGATIVE:
+            sizes = [2**n - size for size in sizes]
+        sizes.append(0)  # the level after the last satisfiable one is empty
+        counts = tuple(
+            (k, sizes[k - 1] - sizes[k])
+            for k in range(1, len(levels) + 1)
+            if sizes[k - 1] - sizes[k]
+        )
+        summaries[side] = PolaritySummary(side, n, counts)
+    return RobustnessProfile(n, summaries.get(POSITIVE), summaries.get(NEGATIVE))
 
 
 def max_robustness(f: NodeRef, polarity: str = POSITIVE) -> int:
@@ -305,12 +301,8 @@ def max_robustness(f: NodeRef, polarity: str = POSITIVE) -> int:
     cost does not grow with the number of variables.
     """
     _nontrivial(f)
-    if polarity not in (POSITIVE, NEGATIVE, BOTH):
-        raise ValueError("polarity must be 'positive', 'negative' or 'both'")
     return max(
-        len(_level_chain(f, dilate=side == NEGATIVE))
-        for side in (POSITIVE, NEGATIVE)
-        if polarity in (side, BOTH)
+        len(_level_chain(f, dilate=side == NEGATIVE)) for side in _sides(polarity)
     )
 
 
@@ -489,7 +481,7 @@ def _forced_label(f: NodeRef, pairs: Mapping[int, int]) -> int | None:
 # ------------------------------------------------------- per-variable views
 
 
-def _marginals(f: NodeRef) -> list[Fraction]:
+def marginals(f: NodeRef) -> list[Fraction]:
     """Probability that each variable is 1 among the satisfying instances.
 
     Darwiche's differential pass over the kept walk: bottom-up
@@ -539,12 +531,6 @@ def _marginals(f: NodeRef) -> list[Fraction]:
     return result
 
 
-def marginal(f: NodeRef, var: int) -> Fraction:
-    """Probability that ``var`` is 1 among the satisfying instances."""
-    _check_var(f, var)
-    return _marginals(f)[var]
-
-
 def _implies(nodes: list[tuple[int, int, int]], memo: dict, a: int, b: int) -> bool:
     """Whether every model of node ``a`` is a model of node ``b``.
 
@@ -592,8 +578,8 @@ def _implies(nodes: list[tuple[int, int, int]], memo: dict, a: int, b: int) -> b
     return memo[(a, b)]
 
 
-def _unateness(f: NodeRef) -> list[Unateness]:
-    """Unateness of every variable in one pass.
+def unateness(f: NodeRef) -> list[Unateness]:
+    """How flipping each variable from 0 to 1 can move the output, in one pass.
 
     A variable is positive exactly when ``lo => hi`` holds at every
     reachable node labelled with it, negative when ``hi => lo`` does, and
@@ -630,18 +616,12 @@ def _unateness(f: NodeRef) -> list[Unateness]:
     return [label(v) for v in range(mgr.num_vars)]
 
 
-def unateness(f: NodeRef, var: int) -> Unateness:
-    """How flipping ``var`` from 0 to 1 can move the output, if at all."""
-    _check_var(f, var)
-    return _unateness(f)[var]
-
-
 def marginal_grid(
     f: NodeRef, height: int, width: int
 ) -> list[tuple[int, int, int, Fraction]]:
     """(var, row, col, marginal) rows for a raster-ordered pixel grid."""
     _check_grid(f, height, width)
-    return _grid(_marginals(f), width)
+    return _grid(marginals(f), width)
 
 
 def unateness_grid(
@@ -649,16 +629,11 @@ def unateness_grid(
 ) -> list[tuple[int, int, int, Unateness]]:
     """(var, row, col, unateness) rows for a raster-ordered pixel grid."""
     _check_grid(f, height, width)
-    return _grid(_unateness(f), width)
+    return _grid(unateness(f), width)
 
 
 def _grid(values: list, width: int) -> list[tuple]:
     return [(v, v // width, v % width, value) for v, value in enumerate(values)]
-
-
-def _check_var(f: NodeRef, var: int) -> None:
-    if not 0 <= var < f.manager.num_vars:
-        raise ValueError("variable %d out of range" % var)
 
 
 def _check_grid(f: NodeRef, height: int, width: int) -> None:
@@ -672,14 +647,14 @@ def _check_grid(f: NodeRef, height: int, width: int) -> None:
 
 
 def dataset_average_robustness(f: NodeRef, dataset) -> Fraction:
-    """Mean instance robustness over dataset rows (features only).
+    """Mean instance robustness over dataset rows of bits.
 
     Every row is checked before any is scored; each row is then scored by
     `instance_robustness`, the one search that answers every instance query.
     """
     _nontrivial(f)
     n = f.manager.num_vars
-    rows = dataset.features.tolist() if hasattr(dataset, "features") else list(dataset)
+    rows = list(dataset)
     if not rows:
         raise ValueError("empty dataset")
     try:

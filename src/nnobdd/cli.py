@@ -164,7 +164,8 @@ def _cmd_robustness(args):
     elif args.mode == "max":
         print(analysis.max_robustness(f, polarity=polarity))
     else:  # hist: a histogram holds one polarity
-        summary = analysis.polarity_summary(f, polarity)
+        profile = analysis.model_robustness(f, polarity)
+        summary = profile.positive or profile.negative
         dest = args.output if args.output else sys.stdout
         formats.write_histogram_csv(dict(summary.counts), mgr.num_vars, dest)
     return 0
@@ -193,16 +194,18 @@ def _cmd_explain(args):
             )
         print("\n".join(lines))  # formatted whole first: a failure leaves stdout empty
         return 0
-    _, width, bits = _load_image_for(f, args.image)
-    fill = _load_image_for(f, args.fool_fill) if args.fool_fill else None
+    height, width, bits = _load_image_for(f, args.image)
+    if args.fool_fill:
+        fh, fw, fill = formats.read_pbm(args.fool_fill)
+        if (fh, fw) != (height, width):
+            raise ValueError("filler is %dx%d but the image is %dx%d" % (fh, fw, height, width))
     reason = analysis.pi_explanation(f, bits)
     lines = ["label %d" % reason.label, "cardinality %d" % reason.cardinality]
     for var, bit in reason.literals:
         lines.append("%d %d %d %d" % (var, var // width, var % width, bit))
-    if fill:
-        fh, fw, fill_bits = fill
-        fooled = analysis.fooling_complete(f, reason, fill_bits)
-        formats.write_pbm(fooled, fh, fw, args.fool_out)
+    if args.fool_fill:
+        fooled = analysis.fooling_complete(f, reason, fill)
+        formats.write_pbm(fooled, height, width, args.fool_out)
         lines.append("fooling image written to %s" % args.fool_out)
     # printed after every step that can fail: a failure leaves stdout empty
     print("\n".join(lines))

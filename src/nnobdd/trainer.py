@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -36,6 +37,9 @@ class TrainConfig:
     l2: float = 0.0
 
     def __post_init__(self):
+        for name, value in (("learning rate", self.learning_rate), ("l2 penalty", self.l2)):
+            if not math.isfinite(value):
+                raise ValueError("%s must be finite, not %s" % (name, value))
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.epochs <= 0:

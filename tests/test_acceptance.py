@@ -25,7 +25,7 @@ from nnobdd import (
     compile_pseudo,
     forward_eval,
     instance_robustness,
-    marginal,
+    marginals,
     max_robustness,
     model_robustness,
     pi_explanation,
@@ -263,18 +263,20 @@ def test_criterion_07_marginals_and_unateness():
         table = random_nontrivial_table(rng, n)
         m = Manager(n)
         f = bdd_from_table(m, table)
+        marg, unate = marginals(f), unateness(f)
         for v in sorted(rng.sample(range(n), min(n, 3))):
-            if marginal(f, v) != tt_marginal(table, n, v):
+            if marg[v] != tt_marginal(table, n, v):
                 failures.append("trial %d: marginal of %d mismatch" % (trial, v))
-            if unateness(f, v).value != tt_unateness(table, n, v):
+            if unate[v].value != tt_unateness(table, n, v):
                 failures.append("trial %d: unateness of %d mismatch" % (trial, v))
     # a function embedded among extra variables never mentions them
     m = Manager(6)
     f = (m.literal(0) | m.literal(1)) & ~m.literal(2)
+    marg, unate = marginals(f), unateness(f)
     for v in (3, 4, 5):
-        if marginal(f, v) != Fraction(1, 2):
-            failures.append("unused variable %d has marginal %s" % (v, marginal(f, v)))
-        if unateness(f, v).value != "unused":
+        if marg[v] != Fraction(1, 2):
+            failures.append("unused variable %d has marginal %s" % (v, marg[v]))
+        if unate[v].value != "unused":
             failures.append("unused variable %d not reported unused" % v)
     report(7, "marginals and unateness match truth tables (100 functions)", started, None, failures)
 

@@ -20,12 +20,11 @@ from nnobdd import (
     dataset_average_robustness,
     fooling_complete,
     instance_robustness,
-    marginal,
     marginal_grid,
+    marginals,
     max_robustness,
     model_robustness,
     pi_explanation,
-    polarity_summary,
     robust_sets,
     unateness,
     unateness_grid,
@@ -300,20 +299,23 @@ class TestMaxRobustness:
         monkeypatch.setattr(Manager, "model_count", None)
         assert [max_robustness(f, p) for p in ("positive", "negative", "both")] == [1, 2, 2]
 
-    def test_unknown_polarity(self):
+    @pytest.mark.parametrize("query", [model_robustness, max_robustness])
+    @pytest.mark.parametrize("polarity", ["neither", "", "Positive"])
+    def test_unknown_polarity(self, query, polarity):
         _, f = or2()
-        with pytest.raises(ValueError):
-            max_robustness(f, "neither")
+        message = "^polarity must be 'positive', 'negative' or 'both'$"
+        with pytest.raises(ValueError, match=message):
+            query(f, polarity)
 
 
 class TestHistogram:
     def test_disjunction(self):
         _, f = or2()
-        assert polarity_summary(f, "positive").counts == ((1, 2), (2, 1))
+        assert model_robustness(f, "positive").positive.counts == ((1, 2), (2, 1))
 
     def test_single_literal(self):
         m = Manager(1)
-        assert polarity_summary(m.literal(0), "positive").counts == ((1, 1),)
+        assert model_robustness(m.literal(0), "positive").positive.counts == ((1, 1),)
 
     def test_proportions_sum_to_positive_mass(self):
         rng = random.Random(411)
@@ -321,14 +323,14 @@ class TestHistogram:
             n = rng.randint(1, 7)
             m = Manager(n)
             f, table = random_nontrivial(rng, n, m)
-            counts = polarity_summary(f, "positive").counts
+            counts = model_robustness(f, "positive").positive.counts
             assert sum(c for _, c in counts) == sum(table)
             assert sum(c for _, c in counts) <= 1 << n
 
     def test_unknown_polarity_rejected(self):
         _, f = or2()
         with pytest.raises(ValueError):
-            polarity_summary(f, "bogus")
+            model_robustness(f, "bogus")
 
 
 class TestUnreadVariables:
@@ -353,8 +355,8 @@ class TestUnreadVariables:
             assert small.mr == large.mr
             assert small.maxr == large.maxr
             for v in range(3):
-                assert marginal(f, v) == marginal(g, v)
-                assert unateness(f, v) == unateness(g, v)
+                assert marginals(f)[v] == marginals(g)[v]
+                assert unateness(f)[v] == unateness(g)[v]
 
 
 class TestPiExplanation:
@@ -713,16 +715,16 @@ class TestFooling:
 class TestMarginal:
     def test_disjunction(self):
         _, f = or2()
-        assert marginal(f, 0) == Fraction(2, 3)
+        assert marginals(f)[0] == Fraction(2, 3)
 
     def test_literal(self):
         m = Manager(1)
-        assert marginal(m.literal(0), 0) == 1
+        assert marginals(m.literal(0))[0] == 1
 
     def test_unused_variable_is_half(self):
         m = Manager(3)
         f = m.literal(0) & m.literal(1)
-        assert marginal(f, 2) == Fraction(1, 2)
+        assert marginals(f)[2] == Fraction(1, 2)
 
     def test_matches_truth_table(self):
         rng = random.Random(415)
@@ -731,22 +733,22 @@ class TestMarginal:
             m = Manager(n)
             f, table = random_nontrivial(rng, n, m)
             v = rng.randrange(n)
-            assert marginal(f, v) == tt_marginal(table, n, v)
+            assert marginals(f)[v] == tt_marginal(table, n, v)
 
     def test_unsatisfiable_rejected(self):
         m = Manager(2)
         with pytest.raises(ValueError):
-            marginal(m.false, 0)
+            marginals(m.false)
 
 
 class TestUnateness:
     def test_examples(self):
         m = Manager(3)
         a, b = m.literal(0), m.literal(1)
-        assert unateness(a | b, 0) == Unateness.POSITIVE
-        assert unateness(~a & ~b, 0) == Unateness.NEGATIVE
-        assert unateness(a & b, 2) == Unateness.UNUSED
-        assert unateness(a ^ b, 0) == Unateness.NONE
+        assert unateness(a | b)[0] == Unateness.POSITIVE
+        assert unateness(~a & ~b)[0] == Unateness.NEGATIVE
+        assert unateness(a & b)[2] == Unateness.UNUSED
+        assert unateness(a ^ b)[0] == Unateness.NONE
 
     def test_matches_truth_table(self):
         rng = random.Random(416)
@@ -755,7 +757,7 @@ class TestUnateness:
             m = Manager(n)
             f, table = random_nontrivial(rng, n, m)
             v = rng.randrange(n)
-            assert unateness(f, v).value == tt_unateness(table, n, v)
+            assert unateness(f)[v].value == tt_unateness(table, n, v)
 
     def test_positive_node_skips_the_reverse_implication(self, monkeypatch):
         calls = []
@@ -929,13 +931,13 @@ class TestSinglePassOracles:
                 continue
             expected = [tt_marginal(table, n, v) for v in range(n)]
             assert [value for _, _, _, value in marginal_grid(f, 1, n)] == expected
-            assert [marginal(f, v) for v in range(n)] == expected
+            assert marginals(f) == expected
 
     def test_marginals_with_fewer_counted_variables(self):
         m = Manager(5)
         f = m.literal(1) | m.literal(2)
-        assert marginal(f, 2) == Fraction(2, 3)
-        assert marginal(f, 4) == Fraction(1, 2)
+        assert marginals(f)[2] == Fraction(2, 3)
+        assert marginals(f)[4] == Fraction(1, 2)
 
     def test_unateness_matches_truth_table(self):
         rng = random.Random(418)
@@ -943,14 +945,7 @@ class TestSinglePassOracles:
             n = m.num_vars
             expected = [tt_unateness(table, n, v) for v in range(n)]
             assert [u.value for _, _, _, u in unateness_grid(f, 1, n)] == expected
-            assert [unateness(f, v).value for v in range(n)] == expected
-
-    def test_variable_out_of_range_rejected(self):
-        m, f = or2()
-        with pytest.raises(ValueError):
-            marginal(f, 2)
-        with pytest.raises(ValueError):
-            unateness(f, -1)
+            assert [u.value for u in unateness(f)] == expected
 
 
 def container_sizes(m):
@@ -1039,7 +1034,7 @@ class TestQueryBudgetErrors:
     def test_dilation_names_its_level(self, full):
         m, _, every = full
         with pytest.raises(BudgetExceededError) as exc:
-            polarity_summary(every, "negative")
+            model_robustness(every, "negative")
         assert str(exc.value) == (
             "node budget of %d exhausted while building robustness level 2 by dilation"
             % m.node_budget
@@ -1073,7 +1068,7 @@ class TestRobustnessBuildsOnlyThroughIte:
             assert profile.mr == mean_robustness(table, n)
             assert max_robustness(f) == max_positive_robustness(table, n)
             negative = robustness_counts(table, n, False)
-            assert polarity_summary(f, "negative").counts == tuple(
+            assert model_robustness(f, "negative").negative.counts == tuple(
                 sorted(negative.items())
             )
 

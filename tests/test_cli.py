@@ -3,11 +3,13 @@
 import decimal
 import json
 import os
+import random
 import shlex
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from nnobdd import Manager, analysis, cli, formats, obdd, pi_explanation, read_obdd, write_obdd
 from nnobdd.cli import build_parser, main
 from nnobdd.formats import write_pbm
+from oracles import bdd_from_table, formula_table, random_formula, robustness_counts
 
 NEURON3 = "weights: 1.15 0.95 -1.05\nbias: -0.52\n"
 OR_NEURON = "weights: 1 1\nthreshold: 1\n"  # x0 or x1
@@ -325,6 +328,32 @@ class TestRobustnessCommands:
             assert captured.err.startswith("nnobdd: error:")
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("polarity", ["positive", "negative"])
+    def test_hist_matches_the_hamming_oracle(self, workdir, polarity):
+        rng = random.Random(426)
+        path, csv_path = workdir / "f.obdd", workdir / "hist.csv"
+        checked = 0
+        while checked < 20:
+            n = rng.randint(1, 7)
+            if rng.random() < 0.5:
+                table = formula_table(random_formula(rng, n, depth=rng.randint(2, 4)), n)
+            else:
+                table = [rng.randint(0, 1) for _ in range(1 << n)]
+            if not 0 < sum(table) < len(table):
+                continue
+            checked += 1
+            f = bdd_from_table(Manager(n), table)
+            write_obdd(f, str(path))
+            argv = ["robustness", "hist", str(path), "--polarity", polarity]
+            assert main(argv + ["-o", str(csv_path)]) == 0
+            lines = csv_path.read_text().splitlines()
+            assert lines[0] == "k,count,proportion"
+            rows = [line.split(",") for line in lines[1:]]
+            side = getattr(analysis.model_robustness(f, polarity), polarity)
+            oracle = sorted(robustness_counts(table, n, polarity == "positive").items())
+            assert [(int(k), int(c)) for k, c, _ in rows] == list(side.counts) == oracle
+            assert [Fraction(p) for _, _, p in rows] == [Fraction(c, 1 << n) for _, c in oracle]
+
     def test_flags_do_not_carry_over_between_calls(self, workdir, capsys):
         out = compile_or(workdir)
         neg, pos = workdir / "neg.csv", workdir / "pos.csv"
@@ -417,6 +446,20 @@ class TestExplainCommand:
         assert captured.out == ""
         assert captured.err.startswith("nnobdd: error:")
         assert not Path("x.pbm").exists()
+
+    def test_fill_of_another_shape_exits_2(self, workdir, capsys, monkeypatch):
+        # 8x2 has the 16 pixels of the 4x4 image, but not its rows and columns
+        shutil.copytree(ROOT / "docs", workdir / "docs")
+        monkeypatch.chdir(workdir / "docs")
+        assert main(["compile-net", "net4x4.json", "-o", "net"]) == 0
+        Path("fill8x2.pbm").write_text("P1\n2 8\n" + "0 1\n" * 8)
+        capsys.readouterr()
+        argv = ["explain", "net-out0.obdd", "image4x4.pbm", "--fool-fill", "fill8x2.pbm"]
+        assert main(argv + ["--fool-out", "fooled.pbm"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "nnobdd: error: filler is 8x2 but the image is 4x4\n"
+        assert not Path("fooled.pbm").exists()
 
 
 class TestExplainDataset:
@@ -641,12 +684,26 @@ class TestTrainAndSweep:
         assert captured.err.startswith("nnobdd: error: " + flag)
         assert not sweep_out.exists()
 
-    def test_train_checks_its_options_before_the_dataset(self, workdir, capsys):
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--lr", "0", "learning rate must be positive"),
+            ("--lr", "nan", "learning rate must be finite, not nan"),
+            ("--l2", "nan", "l2 penalty must be finite, not nan"),
+            ("--lr", "inf", "learning rate must be finite, not inf"),
+            ("--l2", "inf", "l2 penalty must be finite, not inf"),
+        ],
+        ids=["lr-0", "lr-nan", "l2-nan", "lr-inf", "l2-inf"],
+    )
+    def test_train_checks_its_options_before_the_dataset(
+        self, workdir, capsys, command, flag, value, message
+    ):
         out = workdir / "unit.txt"
-        argv = ["train", str(workdir / "missing.csv"), "-o", str(out), "--lr", "0"]
+        argv = [command, str(workdir / "missing.csv"), "-o", str(out), flag, value]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("nnobdd: error: learning rate must be positive")
+        assert err.startswith("nnobdd: error: " + message)
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["-1", "2", "99999999999999999999"])

@@ -20,7 +20,6 @@ from nnobdd import (
     marginal_grid,
     model_robustness,
     pi_explanation,
-    polarity_summary,
     read_neuron,
     read_obdd,
     read_spec,
@@ -766,7 +765,7 @@ def _full_budget(build, query):
         ),
         (
             lambda: _full_budget(
-                lambda a, b, c: a & b & c, lambda f: polarity_summary(f, "negative")
+                lambda a, b, c: a & b & c, lambda f: model_robustness(f, "negative")
             ),
             "building robustness level 2 by dilation",
         ),
