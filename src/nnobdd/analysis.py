@@ -31,12 +31,15 @@ level correction.
 
 What does not depend on the instance is built once per handle and kept
 on it: the children-first walk, which every query reads through
-`obdd._reachable`, and on the first PI explanation the certified releases
-of both labels, one list each, aligned with the walk.  Every later PI
-explanation on that handle runs only its cost pass, trace-back and
-`_forced_label` check; the check runs on every call and is never kept.
-Model counts stay per call.  Equal handles made separately keep walks of
-their own.
+`obdd._reachable`; on the first PI explanation the certified releases of
+both labels, one list each, aligned with the walk; and on the first
+unateness query or level chain the unateness of each support variable,
+a dict that `_unate_kinds` fills and every later query reads.  Every
+later PI explanation on that handle runs only its cost pass, trace-back
+and `_forced_label` check.  That check keeps the last literal set it
+proved with its label, so `fooling_complete` of the reason just
+explained reads the proof instead of walking again.  Model counts stay
+per call.  Equal handles made separately keep all of these on their own.
 
 The robustness of an instance is the least number of input flips that
 changes the classifier's label; the robustness of a whole function is
@@ -46,7 +49,10 @@ of that sum both by all 2**n instances and by the instances of the
 polarity alone.  The per-level sets come from repeated erosion, which
 peels away the instances that sit within one flip of the boundary in one
 pass over the previous level's nodes; the negative label's levels come
-from dilating the function instead of eroding its complement.
+from dilating the function instead of eroding its complement.  At a node
+of a unate variable one of erosion's (dilation's) two conjunctions
+(disjunctions) is the identity, so the kept unateness saves one ITE call
+there.
 
 A sufficient reason for an instance is a minimum-cardinality subset of its
 bits that forces the classification no matter how the remaining bits are
@@ -173,7 +179,15 @@ def _level_chain(f: NodeRef, dilate: bool) -> list[NodeRef]:
     variable skipped by reduction never changes the value, so it imposes
     nothing.  Dilation is its dual ``D(u) = mk(v, D(lo) | hi, D(hi) | lo)``,
     adding every instance within one flip, and equals the complement of
-    eroding the complement.  One children-first pass per level.  A budget
+    eroding the complement.  One children-first pass per level.
+
+    Erosion and dilation keep each variable's unateness, so the one pass
+    `_unate_kinds` keeps on ``f`` serves every level.  Where v is positive,
+    ``lo => hi`` at every node labelled v, so ``E(lo) & hi`` is ``E(lo)``
+    and ``D(hi) | lo`` is ``D(hi)``; where v is negative, ``E(hi) & lo`` is
+    ``E(hi)`` and ``D(lo) | hi`` is ``D(lo)``.  That side takes the lower
+    level's node as it is: an ITE call would only have found it, so the
+    nodes made, and their ids, are those of two calls per node.  A budget
     abort names the chain and the level it was building, ``f`` being 1.
     """
     mgr = f.manager
@@ -181,6 +195,8 @@ def _level_chain(f: NodeRef, dilate: bool) -> list[NodeRef]:
     nodes = mgr._nodes
     mk = mgr._mk_id
     ite = mgr._ite_id
+    kinds = _unate_kinds(f)
+    positive, negative = Unateness.POSITIVE, Unateness.NEGATIVE
     levels = [f]
     while True:
         nxt = {0: 0, 1: 1}
@@ -190,10 +206,14 @@ def _level_chain(f: NodeRef, dilate: bool) -> list[NodeRef]:
         ):
             for u in _reachable(levels[-1]):
                 var, lo, hi = nodes[u]
+                kind = kinds[var]
                 if dilate:
-                    nxt[u] = mk(var, ite(nxt[lo], 1, hi), ite(nxt[hi], 1, lo))
+                    low = nxt[lo] if kind is negative else ite(nxt[lo], 1, hi)
+                    high = nxt[hi] if kind is positive else ite(nxt[hi], 1, lo)
                 else:
-                    nxt[u] = mk(var, ite(nxt[lo], hi, 0), ite(nxt[hi], lo, 0))
+                    low = nxt[lo] if kind is positive else ite(nxt[lo], hi, 0)
+                    high = nxt[hi] if kind is negative else ite(nxt[hi], lo, 0)
+                nxt[u] = mk(var, low, high)
         g = nxt[levels[-1].i]
         if g == (1 if dilate else 0):
             return levels
@@ -270,7 +290,9 @@ def model_robustness(f: NodeRef, polarity: str = BOTH) -> RobustnessProfile:
     the negative ones, or both.  Each side's per-level counts are the
     differences of its level sizes.  The negative side dilates ``f``
     instead of eroding its complement: the negative instances with
-    robustness > k are those outside ``D^k(f)``.
+    robustness > k are those outside ``D^k(f)``.  Both chains read the
+    unateness kept on ``f`` (`_level_chain`), so after `unateness` or
+    `unateness_grid` on the same handle they run no implication check.
     """
     _nontrivial(f)
     mgr = f.manager
@@ -433,7 +455,9 @@ def fooling_complete(
     The filler may be crafted to *look* like the opposite class; because
     the reason already forces the classification, the returned instance is
     still classified the same way, which is verified before returning.
-    Raises `ValueError` when the reason does not force a label.
+    Raises `ValueError` when the reason does not force a label.  That check
+    is `_forced_label`: a reason that `pi_explanation` certified on the same
+    handle, as its last one, reads the proof kept on ``f`` without a walk.
     """
     mgr = f.manager
     _check_instance(fill, mgr.num_vars)
@@ -450,7 +474,24 @@ def fooling_complete(
 
 
 def _forced_label(f: NodeRef, pairs: Mapping[int, int]) -> int | None:
-    """The label that fixing ``pairs`` forces on ``f``, or None, in one walk.
+    """The label that fixing ``pairs`` forces on ``f``, or None.
+
+    The one accessor for a forcing proof: a forced label is kept on ``f``
+    with its literal set, and a later call with that same set returns it
+    without a walk (`_forcing_walk`).  Only the last proof is kept.
+    """
+    literals = tuple(sorted(pairs.items()))
+    proof = f._proof
+    if proof is not None and proof[0] == literals:
+        return proof[1]
+    label = _forcing_walk(f, pairs)
+    if label is not None:
+        f._proof = (literals, label)
+    return label
+
+
+def _forcing_walk(f: NodeRef, pairs: Mapping[int, int]) -> int | None:
+    """The proof `_forced_label` keeps, made anew, in one walk.
 
     Follows the fixed variables' branches and both branches of every free
     variable, collecting the terminals reached; the label is forced exactly
@@ -578,42 +619,49 @@ def _implies(nodes: list[tuple[int, int, int]], memo: dict, a: int, b: int) -> b
     return memo[(a, b)]
 
 
-def unateness(f: NodeRef) -> list[Unateness]:
-    """How flipping each variable from 0 to 1 can move the output, in one pass.
+def _unate_kinds(f: NodeRef) -> dict[int, Unateness]:
+    """Each support variable's unateness, in one pass, kept on ``f``.
 
     A variable is positive exactly when ``lo => hi`` holds at every
     reachable node labelled with it, negative when ``hi => lo`` does, and
-    unused when no reachable node is labelled with it.
+    neither otherwise.  Only the support has entries, so the pass and what
+    it keeps grow with the diagram, not with the number of variables.  The
+    first call runs the pass and keeps its result on ``f``; every later
+    call returns that same dict, so callers must never mutate it.
     """
-    mgr = f.manager
-    nodes = mgr._nodes
-    used = [False] * mgr.num_vars
-    pos = [True] * mgr.num_vars
-    neg = [True] * mgr.num_vars
+    kinds = f._unate
+    if kinds is not None:
+        return kinds
+    nodes = f.manager._nodes
+    positive, negative, neither = Unateness.POSITIVE, Unateness.NEGATIVE, Unateness.NONE
     memo: dict[tuple[int, int], bool] = {}
+    kinds = {}
     for u in _reachable(f):
         var, lo, hi = nodes[u]
-        used[var] = True
-        if pos[var]:
-            if _implies(nodes, memo, lo, hi):
-                # lo != hi at a reduced node, and equal functions share an id,
-                # so hi => lo fails here: var is not negative
-                neg[var] = False
-                continue
-            pos[var] = False
-        if neg[var] and not _implies(nodes, memo, hi, lo):
-            neg[var] = False
+        kind = kinds.get(var)
+        if kind is neither:
+            continue
+        if kind is not negative and _implies(nodes, memo, lo, hi):
+            # lo != hi at a reduced node, and equal functions share an id,
+            # so hi => lo fails here: var is not negative
+            kinds[var] = positive
+        elif kind is not positive and _implies(nodes, memo, hi, lo):
+            kinds[var] = negative
+        else:
+            kinds[var] = neither
+    f._unate = kinds
+    return kinds
 
-    def label(v: int) -> Unateness:
-        if not used[v]:
-            return Unateness.UNUSED
-        if pos[v]:
-            return Unateness.POSITIVE
-        if neg[v]:
-            return Unateness.NEGATIVE
-        return Unateness.NONE
 
-    return [label(v) for v in range(mgr.num_vars)]
+def unateness(f: NodeRef) -> list[Unateness]:
+    """How flipping each variable from 0 to 1 can move the output.
+
+    Reads `_unate_kinds`, kept on ``f``; a variable that no reachable node
+    is labelled with is unused.
+    """
+    kinds = _unate_kinds(f)
+    unused = Unateness.UNUSED
+    return [kinds.get(v, unused) for v in range(f.manager.num_vars)]
 
 
 def marginal_grid(

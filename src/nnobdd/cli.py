@@ -1,6 +1,7 @@
 """Command-line surface for the compile / query / explain / train pipeline.
 
-Exit codes: 0 success, 1 usage error, 2 input error, 3 node-budget abort.
+Exit codes: 0 success, 1 usage error, 2 input error, 3 budget abort (the
+node budget, the recursion limit or, as a stopgap, memory ran out).
 All diagnostics go to stderr; results go to stdout or to the named files.
 """
 
@@ -403,12 +404,15 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print("nnobdd: budget abort: %s" % e, file=sys.stderr)
         return 3
-    except RecursionError:
-        print(
-            "nnobdd: budget abort: %s: diagram too deep for the recursion limit"
-            % args.command,
-            file=sys.stderr,
+    except (RecursionError, MemoryError) as e:
+        # a stopgap for MemoryError, not an honest bound: the query commands
+        # take no --budget, and the ITE cache has no bound at all
+        why = (
+            "out of memory"
+            if isinstance(e, MemoryError)
+            else "diagram too deep for the recursion limit"
         )
+        print("nnobdd: budget abort: %s: %s" % (args.command, why), file=sys.stderr)
         return 3
     except (OSError, ValueError, OverflowError, OBDDError) as e:
         print("nnobdd: error: %s" % e, file=sys.stderr)

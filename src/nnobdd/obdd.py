@@ -79,20 +79,23 @@ class NodeRef:
     Handles compare equal exactly when they come from the same manager and
     denote the same function.  The bitwise operators build new diagrams
     through the owning manager.  A handle also keeps, from the first query
-    that needs them, its diagram's walk (`_reachable`) and a PI
-    explanation's certified releases, so later queries on it read them
-    instead of walking again.  Diagrams never change and node ids are never
-    reused, so both stay valid as the manager grows.  Equal handles made
-    separately do not share them.
+    that needs them, its diagram's walk (`_reachable`), a PI explanation's
+    certified releases, the last literal set proved to force a label and
+    the unateness of its support variables, so later queries on it read
+    them instead of walking again.  Diagrams never change and node ids are
+    never reused, so all of them stay valid as the manager grows.  Equal
+    handles made separately do not share them.
     """
 
-    __slots__ = ("manager", "i", "_walk", "_releases")
+    __slots__ = ("manager", "i", "_walk", "_releases", "_proof", "_unate")
 
     def __init__(self, manager: "Manager", i: int):
         self.manager = manager
         self.i = i
         self._walk: list[int] | None = None
         self._releases: tuple[list[int], list[int]] | None = None
+        self._proof: tuple[tuple[tuple[int, int], ...], int] | None = None
+        self._unate: dict[int, str] | None = None  # analysis.Unateness values
 
     def __eq__(self, other: object) -> bool:
         return (

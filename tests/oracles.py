@@ -257,6 +257,32 @@ def bottom_up_robustness(f, x):
     return cost[f.i]
 
 
+def two_ite_level_chain(f, dilate=False) -> list[NodeRef]:
+    """``f`` and its erosions (dilations) with two ITE calls at every node.
+
+    The level recurrence without the unateness shortcut: ``E(u) = mk(v,
+    E(lo) & hi, E(hi) & lo)`` and ``D(u) = mk(v, D(lo) | hi, D(hi) | lo)``,
+    one children-first pass per level, until FALSE (TRUE).
+    """
+    mgr = f.manager
+    nodes = mgr._nodes
+    mk = mgr._mk_id
+    ite = mgr._ite_id
+    levels = [f]
+    while True:
+        nxt = {0: 0, 1: 1}
+        for u in _reachable(levels[-1]):
+            var, lo, hi = nodes[u]
+            if dilate:
+                nxt[u] = mk(var, ite(nxt[lo], 1, hi), ite(nxt[hi], 1, lo))
+            else:
+                nxt[u] = mk(var, ite(nxt[lo], hi, 0), ite(nxt[hi], lo, 0))
+        g = nxt[levels[-1].i]
+        if g == (1 if dilate else 0):
+            return levels
+        levels.append(NodeRef(mgr, g))
+
+
 def mean_robustness(table, n) -> Fraction:
     values = hamming_robustness(table, n)
     return Fraction(sum(values), 1 << n)

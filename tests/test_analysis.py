@@ -48,8 +48,10 @@ from oracles import (
     random_formula,
     recursive_pi_explanation,
     robustness_counts,
+    table_of,
     tt_marginal,
     tt_unateness,
+    two_ite_level_chain,
 )
 
 
@@ -583,6 +585,10 @@ class TestSharedWalk:
                 reason = pi_explanation(f, x)
                 kinds.add((unate, len(calls) > before, reason.label))
                 assert reason == pi_explanation(NodeRef(m, f.i), x)
+                fill = bits_of(i ^ ((1 << n) - 1), n)
+                fooled = fooling_complete(f, reason, fill)
+                assert fooled == fooling_complete(NodeRef(m, f.i), reason, fill)
+                assert table[sum(b << k for k, b in enumerate(fooled))] == reason.label
                 assert reason.cardinality == min_sufficient_size(table, n, x)
             fresh = NodeRef(m, f.i)
             assert marginal_grid(f, 1, n) == marginal_grid(fresh, 1, n)
@@ -712,6 +718,63 @@ class TestFooling:
             fooling_complete(f, {0: 0}, (0, 0))
 
 
+class TestKeptProof:
+    """`_forced_label` keeps its last proof on the handle; answers never change."""
+
+    @staticmethod
+    def spy_on_walks(monkeypatch):
+        walks = []
+        walk = analysis._forcing_walk
+        monkeypatch.setattr(
+            analysis, "_forcing_walk", lambda g, pairs: walks.append(g) or walk(g, pairs)
+        )
+        return walks
+
+    def test_fooling_a_certified_reason_walks_no_more(self, monkeypatch):
+        rng = random.Random(450)
+        f = block_order_output(rng, 10, 2, -4.0)
+        walks = self.spy_on_walks(monkeypatch)
+        labels = set()
+        for _ in range(20):
+            x = random_image(rng, 100)
+            reason = pi_explanation(f, x)
+            assert walks == [f]  # the certified pass's check, on a unate net
+            fooled = fooling_complete(f, reason, tuple(1 - b for b in x))
+            assert walks == [f]
+            assert f.manager.evaluate(f, fooled) == reason.label
+            labels.add(reason.label)
+            walks.clear()
+        assert labels == {0, 1}
+
+    def test_at_most_one_walk_per_reason_and_fill(self, monkeypatch):
+        # non-unate functions too: a reason from the exact pass was never
+        # walked, so fooling it walks once (none if an earlier instance's
+        # proof has the same literals); a certified one is not walked again
+        rng = random.Random(451)
+        walks = self.spy_on_walks(monkeypatch)
+        exact = certified = 0
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            m = Manager(n)
+            f, table = random_nontrivial(rng, n, m)
+            calls = spy_on_ite(m)
+            for i in range(1 << n):
+                x = bits_of(i, n)
+                before = len(calls)
+                reason = pi_explanation(f, x)
+                from_exact = len(calls) > before
+                walks.clear()
+                fill = bits_of(rng.randrange(1 << n), n)
+                for _ in range(2):
+                    out = fooling_complete(f, reason, fill)
+                    assert forces_label(table, n, reason.literals, reason.label)
+                    assert table[sum(b << k for k, b in enumerate(out))] == reason.label
+                assert len(walks) <= from_exact
+                exact += len(walks)
+                certified += not from_exact
+        assert exact and certified
+
+
 class TestMarginal:
     def test_disjunction(self):
         _, f = or2()
@@ -776,6 +839,47 @@ class TestUnateness:
         ]
         reverse = {(hi, lo) for _, lo, hi in (m._nodes[u] for u in _reachable(f))}
         assert calls and not reverse & set(calls)
+
+
+class TestKeptUnateness:
+    """One unateness pass per handle, kept sparse over the support."""
+
+    @staticmethod
+    def spy_on_implies(monkeypatch):
+        calls = []
+        implies = analysis._implies
+        monkeypatch.setattr(
+            analysis, "_implies", lambda *args: calls.append(args[2:]) or implies(*args)
+        )
+        return calls
+
+    def test_second_pass_makes_no_implication_check(self, monkeypatch):
+        rng = random.Random(460)
+        calls = self.spy_on_implies(monkeypatch)
+        for _ in range(20):
+            f = two_filter_grid_output(rng)
+            if f.is_terminal:
+                continue
+            first = unateness_grid(f, 4, 4)
+            assert calls
+            calls.clear()
+            assert unateness_grid(f, 4, 4) == first
+            assert [u for _, _, _, u in first] == unateness(f)
+            model_robustness(f)  # the level chain reads the kept kinds too
+            assert calls == []
+
+    def test_kept_kinds_cover_the_support_only(self):
+        rng = random.Random(461)
+        for m, f, table in oracle_functions(rng, 40):
+            kinds = unateness(f)
+            assert set(f._unate) == m.support(f)
+            assert all(kinds[v] == kind != Unateness.UNUSED for v, kind in f._unate.items())
+
+    def test_chain_over_a_billion_variables_keeps_one_entry(self):
+        m = Manager(10**9)
+        f = m.literal(5) | m.literal(7, False)
+        assert max_robustness(f, "both") == 2
+        assert f._unate == {5: Unateness.POSITIVE, 7: Unateness.NEGATIVE}
 
 
 class TestGridsAndDatasets:
@@ -1001,12 +1105,15 @@ class TestQueriesAllocateNothing:
             f, table = random_nontrivial(rng, n, m)
             x = bits_of(rng.randrange(1 << n), n)
             reason = pi_explanation(f, x)
+            fooling_complete(f, reason, x)  # the reason's proof is kept on f now
             for dropped in range(reason.cardinality):
                 subset = reason.literals[:dropped] + reason.literals[dropped + 1 :]
-                with pytest.raises(ValueError):
-                    fooling_complete(f, subset, x)
+                for bad in (subset, Explanation(subset, reason.label)):
+                    with pytest.raises(ValueError):
+                        fooling_complete(f, bad, x)
             with pytest.raises(ValueError):
                 fooling_complete(f, {}, x)
+            assert fooling_complete(f, reason, x) == x
 
 
 class TestQueryBudgetErrors:
@@ -1071,6 +1178,109 @@ class TestRobustnessBuildsOnlyThroughIte:
             assert model_robustness(f, "negative").negative.counts == tuple(
                 sorted(negative.items())
             )
+
+
+def overlapping_window_output(rng, height, width, filters):
+    """The one output of a seeded net whose 2x2 windows overlap (stride 1)."""
+
+    def weight():
+        return rng.choice((-2.0, -1.0, 1.0, 2.0))
+
+    conv = ConvStep(
+        tuple(
+            ConvFilter(((tuple(weight() for _ in range(2)), tuple(weight() for _ in range(2))),), -1.0)
+            for _ in range(filters)
+        ),
+        1,
+    )
+    windows = filters * (height - 1) * (width - 1)
+    dense = DenseStep((tuple(weight() for _ in range(windows)),), (0.0,))
+    return compile_network(NetworkSpec((height, width), (conv, dense)), 0).outputs[0]
+
+
+def mixed_unateness_functions(rng):
+    """Seeded functions with unate and non-unate variables side by side.
+
+    Overlapping-window nets, random formulas with 1-6 non-unate variables,
+    and XOR-like functions: a parity of a few variables joined to a unate
+    part.  Each comes with its truth table.
+    """
+    for _ in range(12):
+        f = overlapping_window_output(rng, 3, 4, rng.randint(1, 2))
+        if not f.is_terminal:
+            yield f, table_of(f, 12)
+    found = 0
+    while found < 40:
+        n = rng.randint(3, 8)
+        m = Manager(n)
+        f, table = random_nontrivial(rng, n, m)
+        if 1 <= sum(tt_unateness(table, n, v) == "none" for v in range(n)) <= 6:
+            found += 1
+            yield f, table
+    for _ in range(12):
+        n = rng.randint(3, 8)
+        m = Manager(n)
+        xs = [m.literal(v) for v in range(n)]
+        k = rng.randint(2, n - 1)
+        parity = xs[0]
+        for v in range(1, k):
+            parity = parity ^ xs[v]
+        rest = xs[k]
+        for v in range(k + 1, n):
+            rest = rest | xs[v] if rng.random() < 0.5 else rest & ~xs[v]
+        f = parity & rest if rng.random() < 0.5 else parity | rest
+        yield f, table_of(f, n)
+
+
+class TestLevelChainReadsUnateness:
+    """Unate variables take one ITE call per node; answers and nodes stay the same."""
+
+    def test_profiles_match_the_oracles(self):
+        rng = random.Random(470)
+        mixed = 0
+        for f, table in mixed_unateness_functions(rng):
+            n = f.manager.num_vars
+            kinds = set(unateness(f))
+            mixed += Unateness.NONE in kinds and bool({Unateness.POSITIVE, Unateness.NEGATIVE} & kinds)
+            profile = model_robustness(f)
+            assert dict(profile.positive.counts) == robustness_counts(table, n, True)
+            assert dict(profile.negative.counts) == robustness_counts(table, n, False)
+            values = hamming_robustness(table, n)
+            for polarity, labels in (("positive", {1}), ("negative", {0}), ("both", {0, 1})):
+                expected = max(r for r, b in zip(values, table) if b in labels)
+                assert max_robustness(f, polarity) == expected
+        assert mixed >= 30
+
+    def test_same_levels_and_node_store_as_two_ite_calls(self):
+        # each function is built twice, in two managers, the same way
+        rng = random.Random(471)
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            expr = random_formula(rng, n, depth=rng.randint(2, 5))
+            var = rng.randrange(n)
+            managers = Manager(n), Manager(n)
+            f, g = (build_formula(expr, m) ^ m.literal(var) for m in managers)
+            if f.is_terminal:
+                continue
+            profile = model_robustness(f)
+            assert [h.i for h in two_ite_level_chain(g)] == [h.i for h in robust_sets(f)]
+            two_ite_level_chain(g, dilate=True)
+            assert managers[0]._nodes == managers[1]._nodes
+            assert profile.mr == model_robustness(g).mr
+
+    def test_unate_chain_adds_fewer_ite_entries(self):
+        # a deterministic gate: the same unate net compiled twice
+        for dilate in (False, True):
+            f, g = (block_order_output(random.Random(472), 6, 2, -2.0) for _ in range(2))
+            assert Unateness.NONE not in unateness(f)
+            entries = [len(h.manager._ite_cache) for h in (f, g)]
+            levels = analysis._level_chain(f, dilate)
+            reference = two_ite_level_chain(g, dilate)
+            assert [h.i for h in levels] == [h.i for h in reference]
+            assert len(levels) > 1
+            assert f.manager._nodes == g.manager._nodes
+            added = [len(h.manager._ite_cache) - e for h, e in zip((f, g), entries)]
+            assert added[0] < added[1]
 
 
 class TestDeepDiagrams:

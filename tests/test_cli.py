@@ -771,6 +771,21 @@ class TestStatsAndExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("nnobdd: error:")
 
+    @pytest.mark.parametrize("mode, query", [("model", "model_robustness"), ("max", "max_robustness")])
+    def test_memory_error_is_a_budget_abort(self, workdir, capsys, monkeypatch, mode, query):
+        # a stopgap: the query commands take no --budget to bound memory
+        out = compile_or(workdir)
+        capsys.readouterr()
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(analysis, query, exhausted)
+        assert main(["robustness", mode, str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "nnobdd: budget abort: robustness: out of memory\n"
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["robustness"])  # missing required arguments
