@@ -37,9 +37,11 @@ unateness query or level chain the unateness of each support variable,
 a dict that `_unate_kinds` fills and every later query reads.  Every
 later PI explanation on that handle runs only its cost pass, trace-back
 and `_forced_label` check.  That check keeps the last literal set it
-proved with its label, so `fooling_complete` of the reason just
-explained reads the proof instead of walking again.  Model counts stay
-per call.  Equal handles made separately keep all of these on their own.
+proved with its label, and the exact pass keeps its reason the same way
+without a walk, as its true releases force the label by construction,
+so `fooling_complete` of the reason just explained, by either pass,
+reads the proof instead of walking again.  Model counts stay per call.
+Equal handles made separately keep all of these on their own.
 
 The robustness of an instance is the least number of input flips that
 changes the classifier's label; the robustness of a whole function is
@@ -135,18 +137,19 @@ def instance_robustness(f: NodeRef, x: Sequence[int]) -> int | float:
     label = mgr.evaluate(f, x)
     target = 1 - label
     nodes = mgr._nodes
-    done = {label}  # the label's own terminal is a dead end
+    done = bytearray(f.i + 1)  # the marking rule of `obdd._walk_from`
+    done[label] = 1  # the label's own terminal is a dead end
     level = [f.i]
     flips = 0
     while level:
         stack, level = level, []
         while stack:
             u = stack.pop()
-            if u in done:
+            if done[u]:
                 continue
             if u == target:
                 return flips
-            done.add(u)
+            done[u] = 1
             var, lo, hi = nodes[u]
             if x[var]:
                 stack.append(hi)
@@ -371,8 +374,11 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     label 0.  Three steps without recursion of its own: queue each node
     reached through an instance branch or a release once, cost them deepest
     variable first (not by id: a release may be newer than the node that
-    needs it), then follow the cheaper choice down from the root.  A budget
-    abort names the query.
+    needs it), then follow the cheaper choice down from the root.  Its
+    reason forces the label by construction and is kept on ``f`` as the
+    proof `_forced_label` reads.  That queue keeps a set of ids, not the
+    byte marks of `obdd._walk_from`: releases may be newer than ``f``.  A
+    budget abort names the query.
     """
     mgr = f.manager
     _check_instance(x, mgr.num_vars)
@@ -404,6 +410,7 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     literals = _cheapest_reason(
         f, x, label, order, [release[u] for u in order], position.__getitem__
     )
+    f._proof = (literals, label)  # `_forced_label`'s key: literals ascend by variable
     return Explanation(literals, label)
 
 
@@ -456,8 +463,8 @@ def fooling_complete(
     the reason already forces the classification, the returned instance is
     still classified the same way, which is verified before returning.
     Raises `ValueError` when the reason does not force a label.  That check
-    is `_forced_label`: a reason that `pi_explanation` certified on the same
-    handle, as its last one, reads the proof kept on ``f`` without a walk.
+    is `_forced_label`: the reason `pi_explanation` last returned on the same
+    handle, from either pass, reads the proof kept on ``f`` without a walk.
     """
     mgr = f.manager
     _check_instance(fill, mgr.num_vars)
@@ -478,7 +485,9 @@ def _forced_label(f: NodeRef, pairs: Mapping[int, int]) -> int | None:
 
     The one accessor for a forcing proof: a forced label is kept on ``f``
     with its literal set, and a later call with that same set returns it
-    without a walk (`_forcing_walk`).  Only the last proof is kept.
+    without a walk (`_forcing_walk`).  Only the last proof is kept; the
+    exact pass of `pi_explanation` keeps its reason there too, under the
+    same key, the literals in ascending variable order.
     """
     literals = tuple(sorted(pairs.items()))
     proof = f._proof
@@ -498,7 +507,7 @@ def _forcing_walk(f: NodeRef, pairs: Mapping[int, int]) -> int | None:
     when only one terminal is reachable, and the walk stops at the second.
     """
     nodes = f.manager._nodes
-    seen: set[int] = set()
+    seen = bytearray(f.i + 1)  # the marking rule of `obdd._walk_from`
     reached: set[int] = set()
     stack = [f.i]
     while stack:
@@ -507,8 +516,8 @@ def _forcing_walk(f: NodeRef, pairs: Mapping[int, int]) -> int | None:
             reached.add(u)
             if len(reached) == 2:
                 return None
-        elif u not in seen:
-            seen.add(u)
+        elif not seen[u]:
+            seen[u] = 1
             var, lo, hi = nodes[u]
             bit = pairs.get(var)
             if bit != 1:

@@ -225,8 +225,10 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
     the weights.  Each cell's node is ordered and reduced by construction
     and goes straight into the unique table of variable k, without
     `_mk_id`; the backward pass fetches that table once per level and makes
-    it on the level's first new node.  The manager's node budget, if any,
-    also bounds the number of cells.
+    it on the level's first new node.  The pass pops each level's residual
+    list as it reaches it, so a level is freed once its nodes are made, not
+    at return.  The manager's node budget, if any, also bounds the number
+    of cells.
     """
     n = unit.arity
     if manager.num_vars != n:
@@ -255,7 +257,7 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
         lo_out, hi_out = (0, 1) if wi >= 0 else (1, 0)
         unique = tables.get(i, _NO_TABLE)
         table: dict[int, int] = {}
-        for t in levels[i]:
+        for t in levels.pop():  # level i, freed once used
             lo = prev.get(t, lo_out)
             hi = prev.get(t - wi, hi_out)
             v = lo if lo == hi else unique.get(key := (i, lo, hi))

@@ -156,19 +156,32 @@ def _reachable(f: NodeRef) -> list[int]:
 def _walk_from(f: NodeRef) -> list[int]:
     """The walk `_reachable` keeps, made anew: each node is queued once, when
     first met, onto the list being read, and the list is sorted once at the
-    end, as a node's id exceeds its children's."""
+    end, as a node's id exceeds its children's.
+
+    The marking rule of every full walk over a handle's nodes: a node's id
+    exceeds its children's, so every node ``f`` reaches has an id of at most
+    ``f.i``, and a ``bytearray(f.i + 1)`` marks the visited ones.  That costs
+    ``f.i + 1`` bytes per walk, even for a small diagram made early in a
+    large manager, against about 50 bytes per reached node for a set of ids.
+    Sorting the queued ids reuses the node store's int objects.  Two walks
+    keep sets: the exact PI pass, whose order holds release ids above
+    ``f.i``, and `Manager.condition`, which walks only the nodes above one
+    variable, often many times on one growing manager.
+    """
     if f.i <= 1:
         return []
     nodes = f.manager._nodes
-    seen = {0, 1, f.i}  # the terminals stop the walk without a test of their own
+    seen = bytearray(f.i + 1)
+    # the terminals stop the walk without a test of their own
+    seen[0] = seen[1] = seen[f.i] = 1
     order = [f.i]
     for u in order:
         _, lo, hi = nodes[u]
-        if lo not in seen:
-            seen.add(lo)
+        if not seen[lo]:
+            seen[lo] = 1
             order.append(lo)
-        if hi not in seen:
-            seen.add(hi)
+        if not seen[hi]:
+            seen[hi] = 1
             order.append(hi)
     order.sort()
     return order
@@ -532,14 +545,14 @@ def write_obdd(f: NodeRef, dest: PathOrFile) -> None:
     """Serialize a diagram to the diffable text format."""
     mgr = f.manager
     order: list[int] = []
-    seen = {0, 1}
+    seen = bytearray(f.i + 1)  # the marking rule of `_walk_from`
     stack: list[tuple[int, bool]] = [(f.i, False)]
     while stack:
         u, expanded = stack.pop()
-        if u in seen:
+        if u <= 1 or seen[u]:
             continue
         if expanded:
-            seen.add(u)
+            seen[u] = 1
             order.append(u)
             continue
         _, lo, hi = mgr._nodes[u]

@@ -167,6 +167,10 @@ def precision_sweep(
     Accuracy is that of the quantized unit (the compiled diagram computes
     the same function), so it is available even when compilation runs out
     of budget; the node count is only reported for completed compilations.
+    Each precision compiles into a fresh manager, and the sweep keeps no
+    handle to its diagram: the row needs only the allocation count, so the
+    previous precision's manager is freed, by reference counting alone,
+    before the next compile starts.
     """
     rows = []
     for digits in digits_range:
@@ -178,7 +182,7 @@ def precision_sweep(
         acc = accuracy(quantized, data)
         manager = Manager(quantized.arity, node_budget=node_budget)
         try:
-            root = compile_pseudo(quantized, manager)
+            compile_pseudo(quantized, manager)
         except BudgetExceededError:
             rows.append(SweepRow(digits, acc, None, "budget"))
             continue

@@ -83,6 +83,37 @@ def table_of(f, n) -> list[int]:
     return [mgr.evaluate(f, bits_of(i, mgr.num_vars)) for i in range(1 << n)]
 
 
+def set_walk(f) -> list[int]:
+    """The nonterminals ``f`` reaches, ascending, marked in a set of ids."""
+    nodes = f.manager._nodes
+    seen = {0, 1}
+    stack = [f.i]
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen.add(u)
+            stack.extend(nodes[u][1:])
+    return sorted(seen - {0, 1})
+
+
+def depth_first_text(f) -> str:
+    """The `write_obdd` text, by recursion, lo child first, over a dict of ids."""
+    nodes = f.manager._nodes
+    ids = {0: 0, 1: 1}
+    lines = []
+
+    def visit(u):
+        if u not in ids:
+            var, lo, hi = nodes[u]
+            visit(lo)
+            visit(hi)
+            ids[u] = len(ids)
+            lines.append("%d %d %d %d\n" % (ids[u], var, ids[lo], ids[hi]))
+
+    visit(f.i)
+    return "obdd n=%d root=%d\n" % (f.manager.num_vars, ids[f.i]) + "".join(lines)
+
+
 def bdd_from_table(manager, table, variables=None):
     """Build a diagram for an explicit truth table via Shannon splits.
 

@@ -747,9 +747,10 @@ class TestKeptProof:
         assert labels == {0, 1}
 
     def test_at_most_one_walk_per_reason_and_fill(self, monkeypatch):
-        # non-unate functions too: a reason from the exact pass was never
-        # walked, so fooling it walks once (none if an earlier instance's
-        # proof has the same literals); a certified one is not walked again
+        # non-unate functions too: explaining an instance and fooling its
+        # reason twice take at most one forcing walk, the certified pass's
+        # check, whichever pass made the reason; the exact pass keeps its
+        # reason as the proof, so fooling it walks no more
         rng = random.Random(451)
         walks = self.spy_on_walks(monkeypatch)
         exact = certified = 0
@@ -761,16 +762,17 @@ class TestKeptProof:
             for i in range(1 << n):
                 x = bits_of(i, n)
                 before = len(calls)
+                walks.clear()
                 reason = pi_explanation(f, x)
                 from_exact = len(calls) > before
-                walks.clear()
+                assert f._proof == (reason.literals, reason.label)
                 fill = bits_of(rng.randrange(1 << n), n)
                 for _ in range(2):
                     out = fooling_complete(f, reason, fill)
                     assert forces_label(table, n, reason.literals, reason.label)
                     assert table[sum(b << k for k, b in enumerate(out))] == reason.label
-                assert len(walks) <= from_exact
-                exact += len(walks)
+                assert len(walks) <= 1
+                exact += from_exact
                 certified += not from_exact
         assert exact and certified
 

@@ -35,10 +35,12 @@ from oracles import (
     bdd_from_table,
     build_formula,
     check_unique_tables,
+    depth_first_text,
     eval_formula,
     formula_table,
     index_of,
     random_formula,
+    set_walk,
     table_of,
 )
 
@@ -467,6 +469,69 @@ class TestReachable:
                     _reachable(h)
             assert _reachable(f) is order
             assert order == _walk_from(NodeRef(m, f.i)) == path_nodes(m, f)
+
+    def test_marks_match_a_set_walk(self):
+        # terminals, and diagrams made early in a manager that grew much
+        # larger afterwards, each walked through a fresh handle
+        rng = random.Random(1105)
+        for _ in range(20):
+            n = rng.randint(7, 10)
+            m = Manager(n)
+            early = [build_formula(random_formula(rng, n, 3), m) for _ in range(3)]
+            for _ in range(20):
+                bdd_from_table(m, [rng.randint(0, 1) for _ in range(1 << n)])
+            late = [build_formula(random_formula(rng, n, 5), m) for _ in range(3)]
+            assert m.allocated > 10 * max(f.i for f in early)
+            for f in [m.false, m.true] + early + late:
+                g = NodeRef(m, f.i)
+                assert _walk_from(g) == set_walk(g)
+                buf = io.StringIO()
+                write_obdd(g, buf)
+                assert buf.getvalue() == depth_first_text(g)
+
+    def test_marks_match_a_set_walk_on_relabelled_files(self):
+        # a file's ids may be arbitrary, negative and sparse; the reader
+        # makes its own, after the nodes already in the manager
+        rng = random.Random(1106)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            buf = io.StringIO()
+            write_obdd(build_formula(random_formula(rng, n, 4), Manager(n)), buf)
+            text = buf.getvalue()
+            header, *lines = text.splitlines()
+            pool = [v for v in range(-5 * len(lines), 5 * len(lines) + 3) if v not in (0, 1)]
+            ids = {0: 0, 1: 1}
+            ids.update(zip(range(2, len(lines) + 2), rng.sample(pool, len(lines))))
+            root = int(header.split("root=")[1])
+            if root > 1:
+                ids[root] = 10**12 + rng.randrange(10**6)  # the header's id is nonnegative
+            relabelled = ["obdd n=%d root=%d" % (n, ids[root])]
+            for line in lines:
+                u, var, lo, hi = map(int, line.split())
+                relabelled.append("%d %d %d %d" % (ids[u], var, ids[lo], ids[hi]))
+            m = Manager(n)
+            build_formula(random_formula(rng, n, 4), m)
+            g = read_obdd(io.StringIO("\n".join(relabelled) + "\n"), m)
+            assert _walk_from(g) == set_walk(g)
+            again = io.StringIO()
+            write_obdd(g, again)
+            assert again.getvalue() == depth_first_text(g) == text
+
+    def test_first_walk_peaks_under_20_bytes_per_node(self):
+        # visited ids are marked in f.i + 1 bytes; what the walk keeps is
+        # the order list and its sort, not a set of ids (about 60 bytes per node)
+        rng = random.Random(1107)
+        unit = IntThresholdUnit(tuple(rng.randint(-100, 100) for _ in range(144)), 0)
+        m = Manager(144)
+        f = compile_pseudo(unit, m)
+        tracemalloc.start()
+        try:
+            count = m.node_count(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count >= 200_000
+        assert peak < 20 * count
 
     def test_compose_walks_each_handle_once(self, monkeypatch):
         src = Manager(3)

@@ -1,7 +1,9 @@
 """Training determinism, accuracy arithmetic, and the precision sweep."""
 
+import gc
 import io
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from nnobdd import (
     read_dataset_csv,
     train_neuron,
 )
+from nnobdd import trainer
 
 
 def separable(seed=0, rows=80, features=2):
@@ -143,13 +146,19 @@ class TestPrecisionSweep:
         assert [r.digits for r in rows] == [0, 1, 2, 3]
         assert all(r.status == "ok" for r in rows)
 
-    def test_budget_failures_become_rows(self):
+    @staticmethod
+    def two_of_six():
+        """32 features, labelled by two of the first six; 37 nodes at 0 digits,
+        1,200 at 1, 8,909 at 2."""
         rng = np.random.default_rng(12)
         feats = rng.integers(0, 2, size=(100, 32))
         truth = IntThresholdUnit(tuple([1] * 6 + [0] * 26), 2)
         labels = [truth.fires(tuple(int(b) for b in row)) for row in feats]
         data = LabeledDataset(feats, labels)
-        unit = train_neuron(data, TrainConfig(epochs=150, seed=2, l2=0.001))
+        return data, train_neuron(data, TrainConfig(epochs=150, seed=2, l2=0.001))
+
+    def test_budget_failures_become_rows(self):
+        data, unit = self.two_of_six()
         rows = precision_sweep(unit, data, range(0, 5), node_budget=3000)
         statuses = [r.status for r in rows]
         assert "budget" in statuses
@@ -166,6 +175,35 @@ class TestPrecisionSweep:
         unit = LinearThresholdUnit((0.75, -0.25), -0.5)
         rows = precision_sweep(unit, data, range(0, 3))
         assert rows[-1].accuracy == accuracy(unit, data)
+
+    def test_one_live_manager_when_each_compile_starts(self, monkeypatch):
+        # the previous precision's manager is freed before the next compile,
+        # without the collector, also after a budget abort
+        made = []
+        init = Manager.__init__
+
+        def recording_init(self, *args, **kwargs):
+            made.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        live = []
+        compile_at = trainer.compile_pseudo
+
+        def counting_compile(unit, manager):
+            live.append(sum(ref() is not None for ref in made))
+            return compile_at(unit, manager)
+
+        monkeypatch.setattr(Manager, "__init__", recording_init)
+        monkeypatch.setattr(trainer, "compile_pseudo", counting_compile)
+        data, unit = self.two_of_six()
+        gc.disable()
+        try:
+            rows = precision_sweep(unit, data, range(0, 3))
+            rows += precision_sweep(unit, data, range(0, 4), node_budget=3000)
+        finally:
+            gc.enable()
+        assert [row.status for row in rows] == ["ok"] * 5 + ["budget"] * 2
+        assert live == [1] * 7
 
     def test_nodes_match_direct_compile(self):
         datasets = [(separable(seed=8), TrainConfig(epochs=80))]
