@@ -18,6 +18,14 @@ the other, that stops at the first flip count reaching the opposite
 terminal, so it reads the nodes near the instance's path and, at worst,
 every node.
 
+Every pass sizes what it keeps per node by the rule of `obdd._walk_from`:
+a node that ``f`` reaches has an id of at most ``f.i``, so visits are
+marked in a ``bytearray(f.i + 1)`` and values (model counts, PI costs,
+path mass, one level's results) kept in a list of ``f.i + 1`` entries,
+and the forcing walk reads the fixed bits from a list indexed by
+variable.  Dicts and sets stay where keys can exceed ``f.i`` or are pairs
+of ids: the exact PI pass's releases and queue, and `_implies`'s memo.
+
 PI explanation first runs a certified pass that allocates nothing: it
 releases a variable into one of the node's own cofactors, chosen by model
 count, which gives a lower bound on every cost, and one walk checks that
@@ -70,7 +78,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from itertools import chain
+from numbers import Integral
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .obdd import NodeRef, _counts, _reachable, during
 
@@ -110,7 +120,19 @@ def _certified_releases(f: NodeRef, order: list[int]) -> tuple[list[int], list[i
 def _check_instance(x: Sequence[int], n: int) -> None:
     if len(x) != n:
         raise ValueError("instance has %d bits, expected %d" % (len(x), n))
-    if any(b not in (0, 1) for b in x):
+    _check_bits(x)
+
+
+_BITS = frozenset((0, 1))
+
+
+def _check_bits(bits: Iterable) -> None:
+    """Refuse any bit but 0 or 1 (True, False and 1.0 pass) in one C-level set test."""
+    try:
+        ok = _BITS.issuperset(bits)
+    except TypeError:  # an unhashable bit, such as a list
+        ok = False
+    if not ok:
         raise ValueError("instance bits must be 0 or 1")
 
 
@@ -202,7 +224,9 @@ def _level_chain(f: NodeRef, dilate: bool) -> list[NodeRef]:
     positive, negative = Unateness.POSITIVE, Unateness.NEGATIVE
     levels = [f]
     while True:
-        nxt = {0: 0, 1: 1}
+        top = levels[-1].i
+        nxt = [0] * (top + 1)  # results by id, sized by the rule of `obdd._walk_from`
+        nxt[1] = 1
         with during(
             "building robustness level %d by %s"
             % (len(levels) + 1, "dilation" if dilate else "erosion")
@@ -217,7 +241,7 @@ def _level_chain(f: NodeRef, dilate: bool) -> list[NodeRef]:
                     low = nxt[lo] if kind is positive else ite(nxt[lo], hi, 0)
                     high = nxt[hi] if kind is negative else ite(nxt[hi], lo, 0)
                 nxt[u] = mk(var, low, high)
-        g = nxt[levels[-1].i]
+        g = nxt[top]
         if g == (1 if dilate else 0):
             return levels
         levels.append(NodeRef(mgr, g))
@@ -388,9 +412,9 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     if f._releases is None:
         f._releases = _certified_releases(f, order)
     literals = _cheapest_reason(
-        f, x, label, order, f._releases[label], partial(bisect_left, order)
+        f, x, label, order, f._releases[label], partial(bisect_left, order), f.i
     )
-    if _forced_label(f, dict(literals)) == label:
+    if _forced_label(f, literals) == label:
         return Explanation(literals, label)
     nodes = mgr._nodes
     ite = mgr._ite_id
@@ -408,7 +432,7 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     order.sort(key=lambda u: nodes[u][0], reverse=True)  # both edges go deeper
     position = {u: k for k, u in enumerate(order)}
     literals = _cheapest_reason(
-        f, x, label, order, [release[u] for u in order], position.__getitem__
+        f, x, label, order, [release[u] for u in order], position.__getitem__, max(order)
     )
     f._proof = (literals, label)  # `_forced_label`'s key: literals ascend by variable
     return Explanation(literals, label)
@@ -421,6 +445,7 @@ def _cheapest_reason(
     order: list[int],
     release: list[int],
     position: Callable[[int], int],
+    top: int,
 ) -> tuple[tuple[int, int], ...]:
     """Literals of the cheapest reason under the given releases.
 
@@ -429,10 +454,13 @@ def _cheapest_reason(
     nodes its release and its instance branch, read from ``x``, lead to.  A
     node costs the cheaper of one committed bit plus its instance branch and
     its release, committing on a tie; the trace follows those choices down
-    from the root.
+    from the root.  Costs sit in a list indexed by id, sized by ``top``,
+    the largest id in ``order``: ``f.i`` for the certified pass, whose
+    releases are children, and possibly a newer release's for the exact one.
     """
     nodes = f.manager._nodes
-    cost: dict[int, int | float] = {label: 0, 1 - label: math.inf}
+    cost: list[int | float] = [0] * (top + 1)  # the label's terminal costs 0
+    cost[1 - label] = math.inf
     for u, r in zip(order, release):
         var, lo, hi = nodes[u]
         committed = 1 + cost[hi if x[var] else lo]
@@ -467,44 +495,55 @@ def fooling_complete(
     handle, from either pass, reads the proof kept on ``f`` without a walk.
     """
     mgr = f.manager
-    _check_instance(fill, mgr.num_vars)
+    n = mgr.num_vars
+    _check_instance(fill, n)
     pairs = dict(reason.literals if isinstance(reason, Explanation) else reason)
     for var, bit in pairs.items():
-        if not 0 <= var < mgr.num_vars or bit not in (0, 1):
+        # a variable indexes lists below, so 1.0 is refused, not read as 1
+        integral = type(var) is int or isinstance(var, Integral)
+        if not (integral and 0 <= var < n) or bit not in (0, 1):
             raise ValueError("bad literal (%r, %r)" % (var, bit))
-    label = _forced_label(f, pairs)
+    literals = tuple(sorted(pairs.items()))
+    label = _forced_label(f, literals)
     if label is None:
         raise ValueError("the given assignment is not a sufficient reason")
-    out = tuple(pairs.get(v, fill[v]) for v in range(mgr.num_vars))
+    out = list(fill)
+    for var, bit in literals:
+        out[var] = bit
     assert mgr.evaluate(f, out) == label
-    return out
+    return tuple(out)
 
 
-def _forced_label(f: NodeRef, pairs: Mapping[int, int]) -> int | None:
-    """The label that fixing ``pairs`` forces on ``f``, or None.
+def _forced_label(f: NodeRef, literals: tuple[tuple[int, int], ...]) -> int | None:
+    """The label that fixing ``literals`` forces on ``f``, or None.
 
     The one accessor for a forcing proof: a forced label is kept on ``f``
-    with its literal set, and a later call with that same set returns it
+    with its literals, and a later call with those same literals returns it
     without a walk (`_forcing_walk`).  Only the last proof is kept; the
-    exact pass of `pi_explanation` keeps its reason there too, under the
-    same key, the literals in ascending variable order.
+    exact pass of `pi_explanation` keeps its reason there too.  ``literals``
+    are (variable, bit) pairs in ascending variable order, the key of both.
+    The walk reads them from a list indexed by variable, None where free;
+    every caller holds an instance or filler of that length already.
     """
-    literals = tuple(sorted(pairs.items()))
     proof = f._proof
     if proof is not None and proof[0] == literals:
         return proof[1]
-    label = _forcing_walk(f, pairs)
+    fixed: list[int | None] = [None] * f.manager.num_vars
+    for var, bit in literals:
+        fixed[var] = bit
+    label = _forcing_walk(f, fixed)
     if label is not None:
         f._proof = (literals, label)
     return label
 
 
-def _forcing_walk(f: NodeRef, pairs: Mapping[int, int]) -> int | None:
+def _forcing_walk(f: NodeRef, fixed: list[int | None]) -> int | None:
     """The proof `_forced_label` keeps, made anew, in one walk.
 
-    Follows the fixed variables' branches and both branches of every free
-    variable, collecting the terminals reached; the label is forced exactly
-    when only one terminal is reachable, and the walk stops at the second.
+    Follows the fixed variables' branches (``fixed[var]`` is 0 or 1) and
+    both branches of every free variable (None), collecting the terminals
+    reached; the label is forced exactly when only one terminal is
+    reachable, and the walk stops at the second.
     """
     nodes = f.manager._nodes
     seen = bytearray(f.i + 1)  # the marking rule of `obdd._walk_from`
@@ -519,7 +558,7 @@ def _forcing_walk(f: NodeRef, pairs: Mapping[int, int]) -> int | None:
         elif not seen[u]:
             seen[u] = 1
             var, lo, hi = nodes[u]
-            bit = pairs.get(var)
+            bit = fixed[var]
             if bit != 1:
                 stack.append(lo)
             if bit != 0:
@@ -556,17 +595,20 @@ def marginals(f: NodeRef) -> list[Fraction]:
     skipped = [0] * (nvars + 1)  # difference array of models on skipping edges
     skipped[0] = total  # the variables above the root are free
     skipped[root_level] -= total
-    mass = {f.i: 1 << root_level}  # assignments above a node that reach it
+    # assignments above a node that reach it, indexed by id (`_counts`)
+    mass = [0] * (f.i + 1)
+    mass[f.i] = 1 << root_level
     for u in reversed(order):
         var, lo, hi = nodes[u]
-        m = mass.pop(u)
+        m = mass[u]
+        mass[u] = 0  # free it: only the nodes still to pass on mass hold any
         for child in (lo, hi):
             if child == 0:
                 continue
             level = nodes[child][0]
             gap = level - var - 1
             if child > 1:
-                mass[child] = mass.get(child, 0) + (m << gap)
+                mass[child] += m << gap
             flow = m * (count[child] >> (var + 1))
             if child == hi:
                 on[var] += flow
@@ -720,7 +762,6 @@ def dataset_average_robustness(f: NodeRef, dataset) -> Fraction:
         widths = None
     if widths != {n}:
         raise ValueError("dataset rows must each have %d bits" % n)
-    if any(b not in (0, 1) for x in rows for b in x):
-        raise ValueError("instance bits must be 0 or 1")
+    _check_bits(chain.from_iterable(rows))
     total = sum(instance_robustness(f, x) for x in rows)
     return Fraction(total, len(rows))

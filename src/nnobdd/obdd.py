@@ -160,13 +160,19 @@ def _walk_from(f: NodeRef) -> list[int]:
 
     The marking rule of every full walk over a handle's nodes: a node's id
     exceeds its children's, so every node ``f`` reaches has an id of at most
-    ``f.i``, and a ``bytearray(f.i + 1)`` marks the visited ones.  That costs
-    ``f.i + 1`` bytes per walk, even for a small diagram made early in a
-    large manager, against about 50 bytes per reached node for a set of ids.
-    Sorting the queued ids reuses the node store's int objects.  Two walks
-    keep sets: the exact PI pass, whose order holds release ids above
-    ``f.i``, and `Manager.condition`, which walks only the nodes above one
-    variable, often many times on one growing manager.
+    ``f.i``, and a ``bytearray(f.i + 1)`` marks the visited ones; a pass
+    that keeps a value per node (`_counts`, PI costs, path mass, the level
+    chain) keeps it in a list of ``f.i + 1`` entries.  That costs ``f.i +
+    1`` bytes (or list slots) per walk, even for a small diagram made late
+    in a large manager, against about 50 bytes per reached node for a set
+    of ids, and more for a dict.  Sorting the queued ids reuses the node
+    store's int objects.  Sets and dicts stay where keys are not ids of at
+    most ``f.i``: the exact PI pass's releases (newer than ``f``),
+    `_implies` (pairs of ids), `read_obdd` (file ids) and `compile_pseudo`
+    (residuals).  They also stay in `Manager.condition`, which walks only
+    the nodes above one variable, often many times on one growing manager,
+    in `compose`'s results, where a list showed no clear gain on compiles,
+    and in `write_obdd`'s file ids.
     """
     if f.i <= 1:
         return []
@@ -187,16 +193,21 @@ def _walk_from(f: NodeRef) -> list[int]:
     return order
 
 
-def _counts(f: NodeRef, order: list[int]) -> dict[int, int]:
-    """Models of each node over all of the manager's variables.
+def _counts(f: NodeRef, order: list[int]) -> list[int]:
+    """Models of each node over all of the manager's variables, indexed by id.
 
     ``order`` is `_reachable(f)`; one pass over it, children first.  TRUE
     counts ``2**num_vars``; a node testing v keeps half of each child's
     models, those that set v its way, and the halving is exact because a
     child at level k > v counts a multiple of ``2**k``.
+
+    The list has ``f.i + 1`` entries, at least 2 for the terminals: the
+    per-node values of `_walk_from`'s marking rule.  Entries of ids that
+    ``f`` does not reach are 0 and meaningless.
     """
     nodes = f.manager._nodes
-    count = {0: 0, 1: 1 << f.manager.num_vars}
+    count = [0] * (max(f.i, 1) + 1)
+    count[1] = 1 << f.manager.num_vars
     for u in order:
         _, lo, hi = nodes[u]
         count[u] = (count[lo] + count[hi]) >> 1

@@ -1,5 +1,6 @@
 """Robustness, explanation, marginal and unateness queries against oracles."""
 
+import io
 import math
 import random
 from fractions import Fraction
@@ -12,11 +13,13 @@ from nnobdd import (
     ConvStep,
     DenseStep,
     Explanation,
+    IntThresholdUnit,
     Manager,
     NetworkSpec,
     NodeRef,
     Unateness,
     compile_network,
+    compile_pseudo,
     dataset_average_robustness,
     fooling_complete,
     instance_robustness,
@@ -25,9 +28,11 @@ from nnobdd import (
     max_robustness,
     model_robustness,
     pi_explanation,
+    read_obdd,
     robust_sets,
     unateness,
     unateness_grid,
+    write_obdd,
 )
 from nnobdd import analysis, obdd
 from nnobdd.obdd import _reachable
@@ -717,6 +722,15 @@ class TestFooling:
         with pytest.raises(ValueError):
             fooling_complete(f, {0: 0}, (0, 0))
 
+    @pytest.mark.parametrize(
+        "var", [1.0, 0.5, -1, 2, "0", None],
+        ids=["float-one", "half", "negative", "past-the-end", "string", "none"],
+    )
+    def test_literal_variables_must_index_the_instance(self, var):
+        _, f = or2()
+        with pytest.raises(ValueError, match="^bad literal"):
+            fooling_complete(f, {var: 1}, (0, 0))
+
 
 class TestKeptProof:
     """`_forced_label` keeps its last proof on the handle; answers never change."""
@@ -986,16 +1000,21 @@ class TestDatasetBatch:
         zeros = [(0,) * n]
         assert dataset_average_robustness(f, zeros) == self.per_row_mean(f, zeros) == n
 
+    WIDTH = "dataset rows must each have 2 bits"
+    BIT = "instance bits must be 0 or 1"
+
     @pytest.mark.parametrize(
-        "rows",
-        [[], [(0, 1), (0,)], [(0, 1), (1, 1, 0)], [(0, 1), (0, -1)], [(0, 0.5)],
-         [(0, "1")], [(0, None)], [0, 1], [[(0, 1)]]],
+        "rows, message",
+        [([], "empty dataset"), ([(0, 1), (0,)], WIDTH), ([(0, 1), (1, 1, 0)], WIDTH),
+         ([(0, 1), (0, -1)], BIT), ([(0, 0.5)], BIT), ([(0, "1")], BIT), ([(0, None)], BIT),
+         ([0, 1], WIDTH), ([[(0, 1)]], WIDTH), ([(0, 1), (1, 2)], BIT),
+         ([(0, 1), (1, [1])], BIT), ([(0, 1), (1, float("nan"))], BIT)],
         ids=["empty", "short", "long", "negative", "fraction", "string", "none",
-             "flat", "nested"],
+             "flat", "nested", "two", "list", "nan"],
     )
-    def test_bad_rows_rejected(self, rows):
+    def test_bad_rows_rejected(self, rows, message):
         m, f = or2()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^%s$" % message):
             dataset_average_robustness(f, rows)
 
 
@@ -1116,6 +1135,85 @@ class TestQueriesAllocateNothing:
             with pytest.raises(ValueError):
                 fooling_complete(f, {}, x)
             assert fooling_complete(f, reason, x) == x
+
+
+class TestInstanceBits:
+    """Every instance query refuses a bit that is not 0 or 1, before any walk."""
+
+    BAD = [2, -1, None, "1", [1], float("nan")]
+    BAD_IDS = ["two", "minus-one", "none", "string", "list", "nan"]
+
+    @staticmethod
+    def fx():
+        # x0 = 0 decides the label, so no walk reads the other bits
+        m = Manager(3)
+        return m, m.literal(0) & (m.literal(1) | m.literal(2))
+
+    @pytest.mark.parametrize("bad", BAD, ids=BAD_IDS)
+    def test_bad_bits_refused(self, bad):
+        m, f = self.fx()
+        reason = pi_explanation(f, (1, 1, 0))
+        for x in ((0, 1, bad), (bad, 1, 0)):
+            for query in (instance_robustness, pi_explanation):
+                with pytest.raises(ValueError, match="^instance bits must be 0 or 1$"):
+                    query(f, x)
+            with pytest.raises(ValueError, match="^instance bits must be 0 or 1$"):
+                fooling_complete(f, reason, x)
+
+    def test_bools_and_floats_read_as_bits(self):
+        m, f = self.fx()
+        for x in all_instances(3):
+            reason = pi_explanation(f, x)
+            for same in (tuple(b == 1 for b in x), tuple(float(b) for b in x)):
+                assert instance_robustness(f, same) == instance_robustness(f, x)
+                assert pi_explanation(f, same) == reason
+                assert fooling_complete(f, reason, same) == fooling_complete(f, reason, x)
+
+    @pytest.mark.parametrize("x", [(0, 1), (0, 1, 1, 0), ()])
+    def test_wrong_length_keeps_its_message(self, x):
+        m, f = self.fx()
+        reason = pi_explanation(f, (1, 1, 0))
+        message = "^instance has %d bits, expected 3$" % len(x)
+        for query in (instance_robustness, pi_explanation):
+            with pytest.raises(ValueError, match=message):
+                query(f, x)
+        with pytest.raises(ValueError, match=message):
+            fooling_complete(f, reason, x)
+
+
+class TestSmallDiagramMadeLate:
+    """A small diagram made after 100,000 nodes answers as its fresh copy does."""
+
+    VARS = (3, 17, 30, 41, 52, 63)
+
+    def test_answers_match_a_fresh_copy(self):
+        rng = random.Random(2901)
+        m = Manager(64)
+        compile_pseudo(IntThresholdUnit([rng.randint(-300, 300) for _ in range(64)], 0), m)
+        assert m.allocated >= 100_000
+        draw = random.Random(0)  # a table whose explanations take both passes for both labels
+        f = bdd_from_table(m, [draw.randint(0, 1) for _ in range(64)], self.VARS)
+        text = io.StringIO()
+        write_obdd(f, text)
+        g = read_obdd(io.StringIO(text.getvalue()))
+        assert m.node_count(f) <= 40 and f.i >= 100_000 > 50 > g.i
+        assert m.model_count(f) == g.manager.model_count(g)
+        assert marginals(f) == marginals(g)
+        assert model_robustness(f) == model_robustness(g)
+        calls = spy_on_ite(m)
+        fill = tuple(rng.randint(0, 1) for _ in range(64))
+        passes = set()
+        for i in range(64):
+            x = list(fill)
+            for k, v in enumerate(self.VARS):
+                x[v] = (i >> k) & 1
+            before = len(calls)
+            reason = pi_explanation(f, x)
+            passes.add((reason.label, "exact" if len(calls) > before else "certified"))
+            assert reason == pi_explanation(g, x)
+            assert fooling_complete(f, reason, fill) == fooling_complete(g, reason, fill)
+            assert fooling_complete(f, reason, x) == tuple(x)
+        assert passes == {(label, p) for label in (0, 1) for p in ("certified", "exact")}
 
 
 class TestQueryBudgetErrors:

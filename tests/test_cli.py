@@ -22,6 +22,12 @@ from oracles import bdd_from_table, formula_table, random_formula, robustness_co
 NEURON3 = "weights: 1.15 0.95 -1.05\nbias: -0.52\n"
 OR_NEURON = "weights: 1 1\nthreshold: 1\n"  # x0 or x1
 ROOT = Path(__file__).resolve().parent.parent
+# 7x7 input, one 3x3 filter at stride 2: its windows overlap, so 15 of 49 pixels are not unate
+OVERLAP_7X7 = (
+    '{"input":{"h":7,"w":7},"layers":[{"type":"conv_step","stride":2,"filters":[{"weights":'
+    '[[[-1,-2,1],[-2,2,2],[2,2,-1]]],"bias":-1}]},{"type":"dense_step","weights":'
+    '[[-2,2,-2,2,2,-2,2,1,-1]],"bias":[0]}]}'
+)
 
 
 @pytest.fixture
@@ -460,6 +466,32 @@ class TestExplainCommand:
         assert captured.out == ""
         assert captured.err == "nnobdd: error: filler is 8x2 but the image is 4x4\n"
         assert not Path("fooled.pbm").exists()
+
+    def test_exact_pass_fools_the_overlapping_checkerboard(self, workdir, capsys, monkeypatch):
+        # the 7x7 net that CI's numpy-free step compiles: its windows overlap,
+        # and the checkerboard's certified check fails, so the exact pass runs,
+        # with releases newer than the root; CI fools it under -X dev -W error
+        monkeypatch.chdir(workdir)
+        Path("overlap.json").write_text(OVERLAP_7X7)
+        assert main(["compile-net", "overlap.json", "--digits", "0", "-o", "overlap"]) == 0
+        Path("checker7.pbm").write_text("P1\n7 7\n" + " ".join("10" * 24 + "1") + "\n")
+        Path("zeros7.pbm").write_text("P1\n7 7\n" + " ".join("0" * 49) + "\n")
+        passes = []
+        cheapest = analysis._cheapest_reason
+        monkeypatch.setattr(
+            analysis, "_cheapest_reason", lambda *args: passes.append(args[6]) or cheapest(*args)
+        )
+        capsys.readouterr()
+        argv = ["explain", "overlap-out0.obdd", "checker7.pbm"]
+        assert main(argv + ["--fool-fill", "zeros7.pbm", "--fool-out", "fooled7.pbm"]) == 0
+        f = read_obdd("overlap-out0.obdd")
+        assert len(passes) == 2 and passes[0] == f.i < passes[1]  # certified, then exact
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["label 1", "cardinality 14"]
+        literals = [tuple(map(int, line.split()))[::3] for line in lines[2:-1]]
+        _, _, fooled = formats.read_pbm("fooled7.pbm")
+        assert fooled == tuple(dict(literals).get(v, 0) for v in range(49))
+        assert f.manager.evaluate(f, fooled) == 1
 
 
 class TestExplainDataset:

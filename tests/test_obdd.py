@@ -5,6 +5,7 @@ import io
 import random
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from nnobdd import (
     fooling_complete,
     instance_robustness,
     marginal_grid,
+    marginals,
     model_robustness,
     pi_explanation,
     read_neuron,
@@ -377,7 +379,7 @@ class TestCounting:
             order = _reachable(f)
             count = _counts(f, order)
             assert (count[0], count[1]) == (0, 2**n)
-            assert set(count) == {0, 1, *order}
+            assert len(count) == max(f.i, 1) + 1  # a list indexed by id
             for u in order:
                 assert count[u] == sum(table_of(NodeRef(m, u), n))
                 var, lo, hi = m._nodes[u]
@@ -389,8 +391,15 @@ class TestCounting:
         for n in (0, 3, 70):
             m = Manager(n)
             for f in (m.false, m.true):
-                assert _counts(f, _reachable(f)) == {0: 0, 1: 2**n}
+                assert _counts(f, _reachable(f)) == [0, 2**n]
             assert (m.model_count(m.false), m.model_count(m.true)) == (0, 2**n)
+
+    def test_terminal_marginals(self):
+        for n in (0, 3, 70):
+            m = Manager(n)
+            assert marginals(m.true) == [Fraction(1, 2)] * n
+            with pytest.raises(ValueError, match="unsatisfiable"):
+                marginals(m.false)
 
     def test_false_counts_zero_without_counting_true(self):
         m = Manager(10**9)
