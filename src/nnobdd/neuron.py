@@ -31,10 +31,14 @@ side only: for a weight w >= 0 the low child can only be FALSE and the
 high child only TRUE, and for w < 0 the other way round.  Every step is
 sized by the cells, never by the weights, so 9-digit weights cost what
 small ones with as many cells cost.  The nodes are ordered and reduced
-by construction, so they go straight into the unique table of their
-level's variable.  The cells, and so the work and the reduced node
-count, are at most ``n * (2W + 1)``, where W is the magnitude
-``|T| + sum(|w|)``.
+by construction, and two rules keep them distinct without a unique
+table: a level's cell functions ``[sum(w_j x_j, j >= i) >= t]`` fall as
+the residual t rises, so equal ones are runs of adjacent cells, and a
+cell can equal an older node only when both its children are older, so
+only such a cell is looked up.  The nodes are therefore appended to the
+node store and left out of the tables until a later lookup needs them.
+The cells, and so the work and the reduced node count, are at most
+``n * (2W + 1)``, where W is the magnitude ``|T| + sum(|w|)``.
 """
 
 from __future__ import annotations
@@ -222,13 +226,24 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
     terminal it can be as the default: for a weight >= 0 the low child can
     only be FALSE and the high child only TRUE, and for a weight < 0 the
     other way round.  Time and memory follow the cells, never the size of
-    the weights.  Each cell's node is ordered and reduced by construction
-    and goes straight into the unique table of variable k, without
-    `_mk_id`; the backward pass fetches that table once per level and makes
-    it on the level's first new node.  The pass pops each level's residual
-    list as it reaches it, so a level is freed once its nodes are made, not
-    at return.  The manager's node budget, if any, also bounds the number
-    of cells.
+    the weights.  Each cell's node is ordered and reduced by construction,
+    and it is appended to the node store without `_mk_id` and without a
+    unique-table insert: the call completes the manager's tables on entry
+    and leaves its own nodes as the manager's pending suffix, indexed by
+    the first later lookup that needs them, so a diagram that is only
+    counted or grafted from (`precision_sweep`, `compile_network`'s
+    placeholders) never pays for them.  No duplicate can arise.  Within
+    level k, the cells' functions ``[sum(w_j x_j, j >= k) >= t]`` fall as
+    t rises, so equal ones form runs of adjacent cells, and equal
+    functions have equal children, so a cell whose ``(lo, hi)`` equals the
+    previous non-reduced cell's takes that cell's node.  An older node has
+    only older children, so a cell is looked up in variable k's table only
+    when both its children predate the call.  The budget is checked
+    before each append; an abort leaves the nodes made so far pending and
+    the manager usable.  The pass pops each level's residual list as it
+    reaches it, so a level is freed once its nodes are made, not at
+    return.  The manager's node budget, if any, also bounds the number of
+    cells.
     """
     n = unit.arity
     if manager.num_vars != n:
@@ -241,36 +256,45 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
     w = unit.weights
     budget = manager.node_budget
 
-    # backward pass: one node per cell, straight into the unique table of the
-    # level's variable, fetched once per level (an empty stand-in until the
-    # level's first new node makes it).  `prev` maps the next level's cells to
-    # their nodes.  A cell t lies in (mins[i], maxs[i]], so with wi >= 0 its
-    # low child t can leave the next level's range only above it (FALSE) and
-    # its high child t - wi only below it (TRUE); with wi < 0 the other way
-    # round, and with wi == 0 both children are cells.  _mk_id's ordering
-    # check cannot fail here: a cell's children are next-level cells,
-    # terminals, or the deeper node a reduced cell stands for.
+    # backward pass: one node per run of equal cells, appended to the node
+    # store and put in no table (the docstring says why no other lookup is
+    # needed).  `prev` maps the next level's cells to their nodes.  A cell t
+    # lies in (mins[i], maxs[i]], so with wi >= 0 its low child t can leave
+    # the next level's range only above it (FALSE) and its high child t - wi
+    # only below it (TRUE); with wi < 0 the other way round, and with
+    # wi == 0 both children are cells.  _mk_id's ordering check cannot fail
+    # here: a cell's children are next-level cells, terminals, or the
+    # deeper node a reduced cell stands for.
+    manager._index()
     nodes, tables = manager._nodes, manager._unique
+    old = len(nodes)  # ids below this predate the call and sit in the tables
+    manager._unindexed = old
     prev: dict[int, int] = {}
     for i in range(n - 1, -1, -1):
         wi = w[i]
         lo_out, hi_out = (0, 1) if wi >= 0 else (1, 0)
         unique = tables.get(i, _NO_TABLE)
         table: dict[int, int] = {}
+        run = None  # the previous non-reduced cell's (i, lo, hi)
         for t in levels.pop():  # level i, freed once used
             lo = prev.get(t, lo_out)
             hi = prev.get(t - wi, hi_out)
-            v = lo if lo == hi else unique.get(key := (i, lo, hi))
-            if v is None:
-                v = len(nodes)
-                if budget is not None and v >= budget:
-                    raise manager._exhausted()
-                nodes.append(key)
-                if unique is _NO_TABLE:
-                    unique = tables[i] = {}
-                unique[key] = v
+            if lo == hi:
+                table[t] = lo
+                continue
+            key = (i, lo, hi)
+            if key != run:
+                run = key
+                v = unique.get(key) if lo < old and hi < old else None
+                if v is None:
+                    v = len(nodes)
+                    if budget is not None and v >= budget:
+                        raise manager._exhausted()
+                    nodes.append(key)
             table[t] = v
         prev = table
+    if len(nodes) == old:
+        manager._unindexed = None
     return NodeRef(manager, prev[unit.threshold])
 
 

@@ -1,13 +1,23 @@
 """Canonical reduced ordered binary decision diagrams.
 
 Nodes live in a per-manager store and are hash-consed through unique
-tables, one per variable, each made when its variable gets its first node,
-with reduction (no node whose branches coincide) applied eagerly at
-construction.  As a consequence two handles produced by the same manager
-denote the same Boolean function if and only if they are equal, which is
-what makes validity and satisfiability checks plain comparisons against
-the terminals.  A node is always created after its children, so its id
-exceeds theirs and ascending ids are a topological order.
+tables, one per variable, each made when its variable gets its first
+indexed node, with reduction (no node whose branches coincide) applied
+eagerly at construction.  As a consequence two handles produced by the
+same manager denote the same Boolean function if and only if they are
+equal, which is what makes validity and satisfiability checks plain
+comparisons against the terminals.  A node is always created after its
+children, so its id exceeds theirs and ascending ids are a topological
+order.
+
+The unique tables are an index completed on first lookup.  A builder that
+proves its own nodes distinct from each other and from every older node
+(`neuron.compile_pseudo`) appends them to the store only, leaving a
+pending suffix of ids that `Manager._index` puts into the tables before
+the next lookup: `_mk_id` (and so every `ite`, `condition`, `literal` and
+`read_obdd`), `compose`, `audit` and the next `compile_pseudo` call it
+first.  A diagram that is only counted, walked or grafted from never pays
+for its tables.
 
 Every combining operation is one memoized if-then-else, `ite`: conjunction,
 disjunction, exclusive or and negation all reduce to it and share its
@@ -18,7 +28,7 @@ ite is ``s_k`` with its TRUE terminal replaced by g and its FALSE terminal
 by h, so `compose` grafts g and h onto a copy of ``s_k`` in one pass over
 its nodes, without the ite cache; otherwise it calls `ite`.  The copies are
 ordered and reduced by construction, so they go straight into their
-variable's unique table.
+variable's unique table, which `compose` completes first.
 
 There are no complement edges, so a negation is a diagram of its own.
 Within a manager, node stores only grow, and an optional node budget
@@ -33,8 +43,8 @@ This module owns that abort: every budget check raises the error that
 A manager and every handle it produced must be confined to a single thread
 of control at a time.  Distinct managers are fully independent and may be
 used in parallel.  No operation ever mutates an existing diagram; the
-unique tables and the if-then-else cache are the only mutable state besides
-the node store.
+unique tables, their pending-suffix mark and the if-then-else cache are the
+only mutable state besides the node store.
 """
 
 from __future__ import annotations
@@ -69,7 +79,7 @@ Instance = Sequence[int]
 
 _OPS = ("and", "or", "xor")
 
-#: Stands in, read-only, for the unique table of a variable with no node yet.
+#: Stands in, read-only, for the unique table of a variable with no indexed node yet.
 _NO_TABLE: Mapping[tuple[int, int, int], int] = MappingProxyType({})
 
 
@@ -220,12 +230,16 @@ class Manager:
     Variables are the integers ``0 .. num_vars-1``; every edge goes from a
     variable to a strictly larger variable or to a terminal.  Each variable
     has its own unique table, ``_unique[var]``, made when that variable gets
-    its first node, so a manager over any number of variables starts with
-    none; it maps the ``(var, lo, hi)`` tuple held in the node store to the
-    node's id.  ``node_budget``, when set, caps the total number of nodes
-    ever allocated (terminals included).  Queries keep no state here: a
-    diagram's walk is kept on its handle, and model counts are computed per
-    call, over all the variables, in one pass over that walk.  `true` and
+    its first indexed node, so a manager over any number of variables
+    starts with none; it maps the ``(var, lo, hi)`` tuple held in the node
+    store to the node's id.  The tables hold every node except a pending
+    suffix, the ids from ``_unindexed`` on (None when there is none), which
+    `compile_pseudo` leaves there; `_index` completes them, and every
+    lookup calls it first.  ``node_budget``, when set, caps the total
+    number of nodes ever allocated (terminals included).  Queries keep no
+    state here: a diagram's walk is kept on its handle, and model counts
+    are computed per call, over all the variables, in one pass over that
+    walk.  `true` and
     `false` make a new handle on each access, so the manager holds none and
     is freed with its last handle or reference; compare them with ``==`` or
     `NodeRef.is_true`, never ``is``.
@@ -245,6 +259,8 @@ class Manager:
         ]
         # var -> that variable's unique table; see the class docstring
         self._unique: dict[int, dict[tuple[int, int, int], int]] = {}
+        # first id of the suffix of nodes in no table yet, or None; see `_index`
+        self._unindexed: int | None = None
         self._ite_cache: dict[tuple[int, int, int], int] = {}
 
     def __repr__(self) -> str:
@@ -279,6 +295,8 @@ class Manager:
         nodes = self._nodes
         if var >= nodes[lo][0] or var >= nodes[hi][0]:
             raise OBDDError("ordering violation at variable %d" % var)
+        if self._unindexed is not None:
+            self._index()
         key = (var, lo, hi)
         table = self._unique.get(var, _NO_TABLE)
         u = table.get(key)
@@ -291,6 +309,21 @@ class Manager:
                 table = self._unique[var] = {}
             table[key] = u
         return u
+
+    def _index(self) -> None:
+        """Complete the unique tables: put the pending suffix of nodes, from id
+        ``_unindexed`` on, into their variables' tables, in id order."""
+        start = self._unindexed
+        if start is None:
+            return
+        self._unindexed = None
+        nodes, tables = self._nodes, self._unique
+        for u in range(start, len(nodes)):
+            key = nodes[u]
+            table = tables.get(key[0])
+            if table is None:
+                table = tables[key[0]] = {}
+            table[key] = u
 
     def _exhausted(self, cells: int | None = None) -> BudgetExceededError:
         """The error every budget check raises; ``cells`` counts the work items
@@ -434,6 +467,7 @@ class Manager:
             )
         for s in subs:
             self._own(s)
+        self._index()  # the graft reads the tables directly
         nodes, tables, budget = self._nodes, self._unique, self.node_budget
         src_nodes = src._nodes
         # per distinct substituent id: its deepest variable and its nodes as
@@ -529,8 +563,10 @@ class Manager:
 
     def audit(self, f: NodeRef) -> None:
         """Verify ordering, reducedness and hash-consing for all reachable nodes."""
+        self._own(f)
+        self._index()
         nodes = self._nodes
-        for u in _reachable(self._own(f)):
+        for u in _reachable(f):
             var, lo, hi = nodes[u]
             if not 0 <= var < self.num_vars:
                 raise OBDDError("node %d labeled with bad variable %d" % (u, var))

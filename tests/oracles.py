@@ -12,7 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from nnobdd import ConvStep, DenseStep, NodeRef
+from nnobdd import ConvStep, DenseStep, Manager, NodeRef
 from nnobdd.obdd import _reachable
 
 
@@ -141,6 +141,14 @@ def compile_exact(unit, manager):
     with ``Fraction(str(v))``.  Level i tests input i.  Exponential in the
     worst case, so only for small arities.
     """
+    root, _ = exact_cells(unit, manager)
+    return NodeRef(manager, root)
+
+
+def exact_cells(unit, manager):
+    """`compile_exact`'s root id and its memo: the node id of every undecided
+    ``(level, residual)`` cell reached from the threshold, each made by one
+    `_mk_id` call (a reduced cell's id is its child's)."""
     n = len(unit.weights)
     assert manager.num_vars == n
     w = [Fraction(str(v)) for v in unit.weights]
@@ -165,7 +173,7 @@ def compile_exact(unit, manager):
             memo[key] = manager._mk_id(i, build(i + 1, t), build(i + 1, t - w[i]))
         return memo[key]
 
-    return NodeRef(manager, build(0, t0))
+    return build(0, t0), memo
 
 
 def residual_levels(unit) -> list[set[int]]:
@@ -198,10 +206,19 @@ def residual_levels(unit) -> list[set[int]]:
 
 
 def check_unique_tables(manager) -> None:
-    """Every node id in ``2..allocated-1`` sits exactly once, under its own
-    ``(var, lo, hi)`` tuple, in its own variable's table; no table is empty
-    or holds anything else."""
+    """No id of the pending suffix (from ``_unindexed`` on) sits in a table;
+    then, once `_index` has completed them, every node id in
+    ``2..allocated-1`` sits exactly once, under its own ``(var, lo, hi)``
+    tuple, in its own variable's table; no table is empty or holds anything
+    else."""
     nodes = manager._nodes
+    start = manager._unindexed
+    if start is not None:
+        assert 2 <= start <= len(nodes), start
+        for table in manager._unique.values():
+            assert all(u < start for u in table.values()), start
+    manager._index()
+    assert manager._unindexed is None
     held = []
     for var, table in manager._unique.items():
         assert table, "variable %d has an empty table" % var
@@ -209,6 +226,21 @@ def check_unique_tables(manager) -> None:
             assert 2 <= u < len(nodes) and nodes[u] is key and key[0] == var, (var, key, u)
             held.append(u)
     assert sorted(held) == list(range(2, len(nodes)))
+
+
+def index_spy(monkeypatch) -> list[int]:
+    """Wrap `Manager._index` to record, per call, how many pending nodes it
+    puts into the unique tables."""
+    counts = []
+    index = Manager._index
+
+    def spy(manager):
+        start = manager._unindexed
+        counts.append(0 if start is None else len(manager._nodes) - start)
+        index(manager)
+
+    monkeypatch.setattr(Manager, "_index", spy)
+    return counts
 
 
 def covered_pixels(spec) -> set[int]:

@@ -21,7 +21,7 @@ from nnobdd import (
     read_spec,
 )
 
-from oracles import all_instances, bits_of, block_order, covered_pixels
+from oracles import all_instances, bits_of, block_order, covered_pixels, index_spy
 
 FIXTURE = "docs/net4x4.json"
 
@@ -521,6 +521,25 @@ class TestCompileCalls:
         assert arities == [4, 4, 2, 2, 2]
         assert composes == [4] * 8 + [2] * 3
         for x in seeded_images(16, 256, seed=14):
+            assert net.evaluate(x) == forward_eval(spec, x)
+
+    def test_placeholder_managers_never_index_a_node(self, monkeypatch):
+        # compose reads a placeholder diagram's node store only
+        indexed = index_spy(monkeypatch)
+        placeholders = []
+        real_pseudo = network.compile_pseudo
+
+        def pseudo(unit, manager):
+            placeholders.append(manager)
+            return real_pseudo(unit, manager)
+
+        monkeypatch.setattr(network, "compile_pseudo", pseudo)
+        spec = read_spec(FIXTURE)
+        net = compile_network(spec, 2)
+        assert len(placeholders) == 2 and len(indexed) >= len(placeholders)
+        assert not any(indexed)
+        assert all(p._unique == {} and p._unindexed == 2 for p in placeholders)
+        for x in seeded_images(16, 64, seed=15):
             assert net.evaluate(x) == forward_eval(spec, x)
 
 

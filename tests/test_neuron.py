@@ -1,5 +1,6 @@
 """Threshold units: exact integer form, quantization, the compiler."""
 
+import io
 import random
 import tracemalloc
 from fractions import Fraction
@@ -12,17 +13,26 @@ from nnobdd import (
     IntThresholdUnit,
     LinearThresholdUnit,
     Manager,
+    NodeRef,
     QuantizationError,
     Unateness,
     compile_pseudo,
     format_neuron,
     parse_neuron,
     quantize,
+    read_obdd,
     unateness,
+    write_obdd,
 )
 
 from nnobdd.neuron import _residual_levels
-from oracles import all_instances, check_unique_tables, compile_exact, residual_levels
+from oracles import (
+    all_instances,
+    check_unique_tables,
+    compile_exact,
+    exact_cells,
+    residual_levels,
+)
 
 WORKED = LinearThresholdUnit((1.15, 0.95, -1.05), -0.52)
 
@@ -296,51 +306,28 @@ class TestForwardPass:
         assert f == compile_exact(unit, m)
 
 
-class UniqueHits(dict):
-    """Per-variable unique tables that count the lookups that find a node.
-
-    ``get`` hands out a variable's table, or a new one that registers itself
-    on its first node, as the manager makes its tables.
-    """
-
-    hits = 0
-
-    def get(self, var, default=None):
-        return super().get(var) or CountingTable(self, var)
-
-
-class CountingTable(dict):
-    def __init__(self, tables, var):
-        super().__init__()
-        self.tables, self.var = tables, var
-
-    def get(self, key, default=None):
-        found = super().get(key, default)
-        self.tables.hits += found is not None
-        return found
-
-    def __setitem__(self, key, u):
-        if not self:
-            dict.__setitem__(self.tables, self.var, self)
-        super().__setitem__(key, u)
-
-
 class TestCompilePseudoTable:
-    """Cells go straight into the unique table: counts, reuse and budget."""
+    """Cells are appended to the node store and stay out of the unique tables
+    until a lookup needs them: counts, reuse, memory and budget."""
 
     def test_fresh_manager_holds_only_the_root_diagram(self):
         rng = random.Random(4242)
-        hits = terminal = 0
+        merged = terminal = 0
         for _ in range(300):
             unit = random_int_unit(rng, max_n=10, max_w=4)
             m = Manager(unit.arity)
-            m._unique = UniqueHits()
             f = compile_pseudo(unit, m)
             assert m.allocated - 2 == m.node_count(f)
             check_unique_tables(m)
-            hits += m._unique.hits
+            # every cell's node, looked up again through _mk_id: nothing new
+            root, cells = exact_cells(unit, m)
+            assert root == f.i and m.allocated - 2 == m.node_count(f)
+            assert len(cells) == sum(map(len, residual_levels(unit)))
+            reduced = sum(m._nodes[u][0] != i for (i, _), u in cells.items())
+            assert len(cells) - reduced >= m.allocated - 2
+            merged += len(cells) - reduced - (m.allocated - 2)
             terminal += f.is_terminal
-        assert hits and terminal  # equal-residual merges and terminal roots occurred
+        assert merged and terminal  # equal-residual merges and terminal roots occurred
 
     @pytest.mark.parametrize(
         "unit, nodes",
@@ -377,6 +364,7 @@ class TestCompilePseudoTable:
         with pytest.raises(BudgetExceededError) as built:
             compile_pseudo(unit, m)
         assert m.allocated == m.node_budget  # five nodes made, the sixth refused
+        assert m._unique == {} and m._unindexed == 2  # the made suffix is pending
         check_unique_tables(m)  # levels 5..1 hold one node each, level 0 has no table
         assert sorted(m._unique) == [1, 2, 3, 4, 5]
         with pytest.raises(BudgetExceededError) as direct:
@@ -406,6 +394,162 @@ class TestCompilePseudoTable:
         monkeypatch.undo()
         for unit, f in built:
             assert f == compile_exact(unit, m)
+
+    def test_a_fresh_manager_holds_its_nodes_without_tables(self):
+        # the CI's seeded 256-input unit: 804,850 nodes, 140 tracemalloc bytes
+        # per node when each also sat in its variable's unique table
+        rng = random.Random(1)
+        unit = IntThresholdUnit(tuple(rng.randint(-100, 100) for _ in range(256)), 0)
+        m = Manager(256)
+        tracemalloc.start()
+        try:
+            f = compile_pseudo(unit, m)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert m.allocated == 804850
+        assert held / m.allocated < 120
+        assert m._unique == {} and m._unindexed == 2
+        assert m.node_count(f) == m.allocated - 2
+
+
+class TestPendingIndex:
+    """Every lookup completes the unique tables first.  After `compile_pseudo`,
+    finished or aborted by the budget, each lookup site returns the pending
+    node it asks for: a missed `_index` would make a duplicate node and break
+    equality by id."""
+
+    UNIT = IntThresholdUnit((3, 1, 2, 5, 1, 4, 2, 0, 3, 1, 2), 12)
+    ZERO = 7  # the input of weight 0, which no node tests
+
+    @staticmethod
+    def literal(m, sub, u):
+        return m.literal(m.num_vars - 1)  # (10, 0, 1), the last level's node
+
+    @staticmethod
+    def apply(m, sub, u):
+        _, lo, _ = m._nodes[u]
+        return NodeRef(m, u) | NodeRef(m, lo)  # lo implies hi, so this is u
+
+    @staticmethod
+    def ite(m, sub, u):
+        _, _, hi = m._nodes[u]
+        return m.ite(NodeRef(m, u), NodeRef(m, hi), m.false)  # u implies hi
+
+    @classmethod
+    def condition(cls, m, sub, u):
+        return m.condition(NodeRef(m, u), cls.ZERO, 1)  # rebuilds u's upper nodes
+
+    @staticmethod
+    def read(m, sub, u):
+        buf = io.StringIO()
+        write_obdd(NodeRef(m, u), buf)
+        return read_obdd(io.StringIO(buf.getvalue()), m)
+
+    @staticmethod
+    def compose(m, sub, u):
+        f = Manager(1).literal(0)
+        cached = len(m._ite_cache)
+        g = m.compose(f, [NodeRef(m, u)])  # grafts TRUE -> TRUE, FALSE -> FALSE
+        assert len(m._ite_cache) == cached  # no ITE call
+        return g
+
+    @staticmethod
+    def pseudo(m, sub, u):
+        return compile_pseudo(sub, m)
+
+    @staticmethod
+    def exact(m, sub, u):
+        return compile_exact(sub, m)
+
+    SITES = ("literal", "apply", "ite", "condition", "read", "compose", "pseudo", "exact")
+
+    @classmethod
+    def build(cls, budget=None):
+        """A manager holding the parity of its inputs (indexed, 31 nodes), then
+        the unit's diagram or, under ``budget``, part of it (pending)."""
+        m = Manager(cls.UNIT.arity, node_budget=budget)
+        parity = m.false
+        for v in range(m.num_vars):
+            parity ^= m.literal(v)
+        start = m.allocated
+        try:
+            compile_pseudo(cls.UNIT, m)
+        except BudgetExceededError:
+            assert budget is not None
+        assert m._unindexed == start and len(m._unique) == m.num_vars
+        return m, start
+
+    @pytest.mark.parametrize("aborted", [False, True], ids=["finished", "aborted"])
+    @pytest.mark.parametrize("site", SITES)
+    def test_each_site_finds_the_pending_node(self, site, aborted):
+        unit, n = self.UNIT, self.UNIT.arity
+        ref, start = self.build()
+        _, cells = exact_cells(unit, ref)  # looked up in ref's completed tables
+        assert len(cells) == 63 and ref.allocated - start == 54
+        m, _ = self.build(start + 30 if aborted else None)  # 63 cells fit the budget
+        assert m._nodes == ref._nodes[: m.allocated]
+        # the newest pending node above the zero-weight input whose children are nodes
+        (v, t), u = max(
+            ((v, t), u)
+            for (v, t), u in cells.items()
+            if start <= u < m.allocated
+            and ref._nodes[u][0] == v < self.ZERO
+            and min(ref._nodes[u][1:]) > 1
+        )
+        # the unit that starts at cell (v, t): u is its reduced root
+        sub = IntThresholdUnit((0,) * v + unit.weights[v:], int(t))
+        want = ref.literal(n - 1).i if site == "literal" else u
+        before = m.allocated
+        g = getattr(self, site)(m, sub, u)
+        assert g.manager is m and g.i == want
+        assert m.allocated == before
+        assert m._unindexed is None
+        m.audit(g)
+        check_unique_tables(m)
+
+    def test_random_sequences_match_the_oracle(self):
+        # shared managers, with and without budgets: compiles, literals,
+        # connectives, file round trips and grafts, in seeded random order
+        rng = random.Random(3030)
+        for trial in range(60):
+            n = rng.randint(1, 9)
+            budget = rng.choice((None, rng.randint(2, 60)))
+            m = Manager(n, node_budget=budget)
+            made = []
+            for _ in range(rng.randint(1, 10)):
+                op = rng.choice(("pseudo", "pseudo", "literal", "and", "read", "compose"))
+                try:
+                    if op == "pseudo":
+                        unit = random_int_unit(rng, max_n=n, max_w=6)
+                        pad = (0,) * (n - unit.arity)
+                        unit = IntThresholdUnit(unit.weights + pad, unit.threshold)
+                        f = compile_pseudo(unit, m)
+                        before = m.allocated
+                        assert compile_exact(unit, m) == f
+                        assert m.allocated == before
+                    elif op == "literal":
+                        f = m.literal(rng.randrange(n), rng.random() < 0.5)
+                    elif op == "and" and made:
+                        f = rng.choice(made) & rng.choice(made)
+                    elif op == "read" and made:
+                        g = rng.choice(made)
+                        buf = io.StringIO()
+                        write_obdd(g, buf)
+                        before = m.allocated
+                        f = read_obdd(io.StringIO(buf.getvalue()), m)
+                        assert f == g and m.allocated == before
+                    elif op == "compose" and made:
+                        holes = Manager(2)
+                        f = m.compose(holes.literal(0) | holes.literal(1), rng.sample(made * 2, 2))
+                    else:
+                        continue
+                except BudgetExceededError:
+                    continue
+                made.append(f)
+            for f in made:
+                m.audit(f)
+            check_unique_tables(m)
 
 
 class TestCompileExact:

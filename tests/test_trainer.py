@@ -23,6 +23,7 @@ from nnobdd import (
     train_neuron,
 )
 from nnobdd import trainer
+from oracles import index_spy
 
 
 def separable(seed=0, rows=80, features=2):
@@ -204,6 +205,23 @@ class TestPrecisionSweep:
             gc.enable()
         assert [row.status for row in rows] == ["ok"] * 5 + ["budget"] * 2
         assert live == [1] * 7
+
+    def test_sweep_never_indexes_a_node(self, monkeypatch):
+        # the rows read only `allocated`, so the nodes stay out of the tables
+        indexed = index_spy(monkeypatch)
+        managers = []
+        compile_at = trainer.compile_pseudo
+
+        def recording_compile(unit, manager):
+            managers.append(manager)
+            return compile_at(unit, manager)
+
+        monkeypatch.setattr(trainer, "compile_pseudo", recording_compile)
+        data, unit = self.two_of_six()
+        rows = precision_sweep(unit, data, range(0, 3))
+        assert [row.nodes for row in rows] == [37, 1200, 8909]
+        assert indexed == [0, 0, 0]  # compile_pseudo's own call on entry
+        assert all(m._unique == {} and m._unindexed == 2 for m in managers)
 
     def test_nodes_match_direct_compile(self):
         datasets = [(separable(seed=8), TrainConfig(epochs=80))]
