@@ -4,6 +4,9 @@ The pipeline: describe a neuron or a layered binary network, compile it to
 a reduced ordered binary decision diagram, then answer exact verification
 and explanation queries on the compiled form (robustness, sufficient
 reasons, fooling completions, marginals, unateness).
+
+Every name is imported eagerly; numpy is loaded only when a `LabeledDataset`
+is built or a neuron is trained (see `trainer`).
 """
 
 from .analysis import (
@@ -56,28 +59,17 @@ from .obdd import (
     read_obdd,
     write_obdd,
 )
-
-# `trainer` loads numpy, so its names are imported on first use (PEP 562)
-_TRAINER_NAMES = (
-    "LabeledDataset",
-    "SweepRow",
-    "TrainConfig",
-    "accuracy",
-    "precision_sweep",
-    "read_dataset_csv",
-    "train_neuron",
+from .trainer import (
+    LabeledDataset,
+    SweepRow,
+    TrainConfig,
+    accuracy,
+    precision_sweep,
+    read_dataset_csv,
+    read_dataset_rows,
+    train_neuron,
 )
 
-
-def __getattr__(name):
-    if name in _TRAINER_NAMES:
-        from . import trainer
-
-        return getattr(trainer, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
 __all__ = [name for name in globals() if not name.startswith("_")]
-__all__ += _TRAINER_NAMES
 
 __version__ = "0.1.0"

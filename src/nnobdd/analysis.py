@@ -80,9 +80,9 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 from numbers import Integral
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .obdd import NodeRef, _counts, _reachable, during
+from .obdd import NodeRef, _check_bits, _counts, _reachable, during
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -121,19 +121,6 @@ def _check_instance(x: Sequence[int], n: int) -> None:
     if len(x) != n:
         raise ValueError("instance has %d bits, expected %d" % (len(x), n))
     _check_bits(x)
-
-
-_BITS = frozenset((0, 1))
-
-
-def _check_bits(bits: Iterable) -> None:
-    """Refuse any bit but 0 or 1 (True, False and 1.0 pass) in one C-level set test."""
-    try:
-        ok = _BITS.issuperset(bits)
-    except TypeError:  # an unhashable bit, such as a list
-        ok = False
-    if not ok:
-        raise ValueError("instance bits must be 0 or 1")
 
 
 def _nontrivial(f: NodeRef) -> None:

@@ -13,7 +13,7 @@ import io
 import os
 import sys
 
-from . import analysis, formats
+from . import analysis, formats, trainer
 from .neuron import (
     LinearThresholdUnit,
     compile_pseudo,
@@ -23,8 +23,6 @@ from .neuron import (
 )
 from .network import compile_network, read_spec
 from .obdd import BudgetExceededError, Manager, OBDDError, read_obdd, write_obdd
-
-# `trainer` loads numpy, so only the commands that read datasets import it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,12 +44,10 @@ def _load_image_for(f, path):
 
 def _load_rows_for(f, path):
     """The feature rows of a dataset file, checked against the diagram's width."""
-    from .trainer import read_dataset_csv
-
-    data = read_dataset_csv(path)
-    if data.n_features != f.manager.num_vars:
+    rows, _ = trainer.read_dataset_rows(path)
+    if len(rows[0]) != f.manager.num_vars:
         raise ValueError("dataset width does not match the diagram")
-    return data.features.tolist()
+    return rows
 
 
 def _refuse_unprintable(f):
@@ -241,9 +237,7 @@ def _cmd_unate(args):
 
 
 def _train_config(args):
-    from .trainer import TrainConfig
-
-    return TrainConfig(
+    return trainer.TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -253,19 +247,15 @@ def _train_config(args):
 
 
 def _cmd_train(args):
-    from .trainer import accuracy, read_dataset_csv, train_neuron
-
     config = _train_config(args)
-    data = read_dataset_csv(args.dataset)
-    unit = train_neuron(data, config)
+    data = trainer.read_dataset_csv(args.dataset)
+    unit = trainer.train_neuron(data, config)
     write_neuron(unit, args.output)
-    print("train_accuracy %s" % accuracy(unit, data))
+    print("train_accuracy %s" % trainer.accuracy(unit, data))
     return 0
 
 
 def _cmd_sweep(args):
-    from .trainer import precision_sweep, read_dataset_csv, train_neuron
-
     # checked before the dataset is read: the training options, the budget
     # (by the manager's own rule) and the digits (quantize takes 0..9)
     config = _train_config(args)
@@ -277,9 +267,9 @@ def _cmd_sweep(args):
         raise ValueError(
             "--min-digits %d is above --max-digits %d" % (args.min_digits, args.max_digits)
         )
-    data = read_dataset_csv(args.dataset)
-    unit = train_neuron(data, config)
-    rows = precision_sweep(
+    data = trainer.read_dataset_csv(args.dataset)
+    unit = trainer.train_neuron(data, config)
+    rows = trainer.precision_sweep(
         unit,
         data,
         range(args.min_digits, args.max_digits + 1),
@@ -414,7 +404,8 @@ def main(argv=None) -> int:
         )
         print("nnobdd: budget abort: %s: %s" % (args.command, why), file=sys.stderr)
         return 3
-    except (OSError, ValueError, OverflowError, OBDDError) as e:
+    # an ImportError is a missing numpy, which only train and sweep load
+    except (OSError, ValueError, OverflowError, OBDDError, ImportError) as e:
         print("nnobdd: error: %s" % e, file=sys.stderr)
         return 2
 

@@ -35,7 +35,7 @@ from typing import Sequence, Union
 
 from .formats import PathOrFile, read_text
 from .neuron import LinearThresholdUnit, compile_pseudo, quantize
-from .obdd import Manager, NodeRef, during
+from .obdd import Manager, NodeRef, _check_bits, during
 
 
 class ShapeError(ValueError):
@@ -319,8 +319,7 @@ def forward_eval(spec: NetworkSpec, x: Sequence[int]) -> tuple[int, ...]:
     h, w = spec.input_shape
     if len(x) != h * w:
         raise ValueError("image has %d bits, expected %d" % (len(x), h * w))
-    if any(b not in (0, 1) for b in x):
-        raise ValueError("image bits must be 0 or 1")
+    _check_bits(x, "image bits")
     wires: list = [[[x[r * w + c] for c in range(w)] for r in range(h)]]
     for layer in spec.layers:
         if isinstance(layer, MaxPoolOr):

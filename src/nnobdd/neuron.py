@@ -88,12 +88,6 @@ class LinearThresholdUnit:
     def arity(self) -> int:
         return len(self.weights)
 
-    def activation(self, x: Sequence[int]) -> float:
-        """Pre-activation value in float arithmetic (training-side view)."""
-        if len(x) != self.arity:
-            raise ValueError("instance width mismatch")
-        return sum(w * b for w, b in zip(self.weights, x)) + self.bias
-
     @cached_property
     def exact(self) -> IntThresholdUnit:
         """The same classifier over integers, without rounding.

@@ -5,6 +5,12 @@ loss, with the bias carried as an always-on feature and split back out at
 the end.  Everything is deterministic given the seed.  The step-activated
 unit returned agrees with thresholding the sigmoid at 1/2, since the
 sigmoid is at least 1/2 exactly when its argument is nonnegative.
+
+This is the one module that knows numpy is optional.  Only the two
+functions that compute with arrays, `LabeledDataset` and `train_neuron`,
+import it, so importing this module, the package or the CLI loads no
+numpy, and `read_dataset_rows` reads a dataset's rows as plain ints for
+the queries that score them.
 """
 
 from __future__ import annotations
@@ -14,9 +20,8 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
-
-import numpy as np
 
 from .formats import PathOrFile, read_text
 from .neuron import (
@@ -25,7 +30,7 @@ from .neuron import (
     compile_pseudo,
     quantize,
 )
-from .obdd import BudgetExceededError, Manager, NodeRef
+from .obdd import BudgetExceededError, Manager, NodeRef, _check_bits
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,8 @@ class LabeledDataset:
     """Rows of binary feature vectors with 0/1 labels."""
 
     def __init__(self, features, labels):
+        import numpy as np
+
         # checked before narrowing to uint8, which overflows or wraps other values
         features = np.asarray(features)
         labels = np.asarray(labels)
@@ -81,33 +88,37 @@ class LabeledDataset:
             yield tuple(bits), label
 
 
-def read_dataset_csv(src: PathOrFile) -> LabeledDataset:
-    """Read `bit,...,bit,label` rows (no header)."""
-    rows = [row for row in csv.reader(io.StringIO(read_text(src))) if row]
-    if not rows:
+def read_dataset_rows(src: PathOrFile) -> tuple[list[list[int]], list[int]]:
+    """Read `bit,...,bit,label` rows (no header): the feature rows and the labels."""
+    lines = [line for line in csv.reader(io.StringIO(read_text(src))) if line]
+    if not lines:
         raise ValueError("empty dataset file")
-    feats, labels = [], []
-    for i, row in enumerate(rows, start=1):
+    rows, labels = [], []
+    for i, line in enumerate(lines, start=1):
         try:
-            values = [int(tok) for tok in row]
+            values = [int(tok) for tok in line]
         except ValueError:
             raise ValueError("dataset line %d is not all integers" % i)
         if len(values) < 2:
             raise ValueError("dataset line %d needs features and a label" % i)
-        feats.append(values[:-1])
+        rows.append(values[:-1])
         labels.append(values[-1])
-    widths = {len(f) for f in feats}
-    if len(widths) != 1:
+    if len({len(x) for x in rows}) != 1:
         raise ValueError("dataset rows have differing widths")
-    return LabeledDataset(feats, labels)
+    _check_bits(chain.from_iterable(rows), "features")
+    _check_bits(labels, "labels")
+    return rows, labels
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+def read_dataset_csv(src: PathOrFile) -> LabeledDataset:
+    """`read_dataset_rows` as a `LabeledDataset`."""
+    return LabeledDataset(*read_dataset_rows(src))
 
 
 def train_neuron(data: LabeledDataset, config: TrainConfig | None = None) -> LinearThresholdUnit:
     """Fit one threshold unit by logistic-loss gradient descent."""
+    import numpy as np
+
     if config is None:
         config = TrainConfig()
     if len(data) == 0:
@@ -123,7 +134,8 @@ def train_neuron(data: LabeledDataset, config: TrainConfig | None = None) -> Lin
         for start in range(0, len(data), config.batch_size):
             batch = perm[start : start + config.batch_size]
             xb, yb = x[batch], y[batch]
-            grad = xb.T @ (_sigmoid(xb @ w) - yb) / len(batch)
+            p = 1.0 / (1.0 + np.exp(-np.clip(xb @ w, -60.0, 60.0)))  # the sigmoid
+            grad = xb.T @ (p - yb) / len(batch)
             if config.l2:
                 grad[:-1] += config.l2 * w[:-1]  # bias not penalized
             w -= config.learning_rate * grad

@@ -133,6 +133,12 @@ def bdd_from_table(manager, table, variables=None):
     return build(0, list(table))
 
 
+def activation(unit, x) -> float:
+    """A real unit's pre-activation value in float arithmetic, as training sees it."""
+    assert len(x) == unit.arity
+    return sum(w * b for w, b in zip(unit.weights, x)) + unit.bias
+
+
 def compile_exact(unit, manager):
     """Reference compiler: memoized Shannon expansion on exact residuals.
 

@@ -22,7 +22,9 @@ from nnobdd import (
     compile_pseudo,
     dataset_average_robustness,
     fooling_complete,
+    forward_eval,
     instance_robustness,
+    load_spec,
     marginal_grid,
     marginals,
     max_robustness,
@@ -1143,6 +1145,11 @@ class TestInstanceBits:
     BAD = [2, -1, None, "1", [1], float("nan")]
     BAD_IDS = ["two", "minus-one", "none", "string", "list", "nan"]
 
+    # the network's reference pass computes f too: 2*x0 + x1 + x2 >= 3
+    SPEC = load_spec(
+        '{"input":{"h":1,"w":3},"layers":[{"type":"dense_step","weights":[[2,1,1]],"bias":[-3]}]}'
+    )
+
     @staticmethod
     def fx():
         # x0 = 0 decides the label, so no walk reads the other bits
@@ -1159,15 +1166,19 @@ class TestInstanceBits:
                     query(f, x)
             with pytest.raises(ValueError, match="^instance bits must be 0 or 1$"):
                 fooling_complete(f, reason, x)
+            with pytest.raises(ValueError, match="^image bits must be 0 or 1$"):
+                forward_eval(self.SPEC, x)
 
     def test_bools_and_floats_read_as_bits(self):
         m, f = self.fx()
         for x in all_instances(3):
             reason = pi_explanation(f, x)
+            assert forward_eval(self.SPEC, x) == (m.evaluate(f, x),)
             for same in (tuple(b == 1 for b in x), tuple(float(b) for b in x)):
                 assert instance_robustness(f, same) == instance_robustness(f, x)
                 assert pi_explanation(f, same) == reason
                 assert fooling_complete(f, reason, same) == fooling_complete(f, reason, x)
+                assert forward_eval(self.SPEC, same) == forward_eval(self.SPEC, x)
 
     @pytest.mark.parametrize("x", [(0, 1), (0, 1, 1, 0), ()])
     def test_wrong_length_keeps_its_message(self, x):

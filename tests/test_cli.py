@@ -750,6 +750,7 @@ class TestTrainAndSweep:
                 ["train", str(data), "-o", str(workdir / "t.txt")],
                 ["sweep", str(data), "-o", str(workdir / "s.csv")],
                 ["robustness", "instance", str(out), "--dataset", str(data)],
+                ["explain", str(out), "--dataset", str(data)],
             ):
                 capsys.readouterr()
                 assert main(argv) == 2, (argv, cell)
@@ -1091,22 +1092,61 @@ class TestReadme:
 
 class TestStartup:
     @staticmethod
-    def run_python(code):
+    def run_python(code, *args):
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
         done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        return done.stdout.split()
+        return done.stdout
 
     def test_cli_import_leaves_numpy_out(self):
         code = "import sys, nnobdd, nnobdd.cli; print('numpy' in sys.modules)"
-        assert self.run_python(code) == ["False"]
+        assert self.run_python(code).split() == ["False"]
 
     def test_training_names_load_on_use(self):
         code = (
             "import sys, nnobdd; from nnobdd import trainer; "
-            "print(nnobdd.train_neuron is trainer.train_neuron, 'numpy' in sys.modules)"
+            "print(nnobdd.train_neuron is trainer.train_neuron, 'numpy' in sys.modules); "
+            "trainer.LabeledDataset([[0, 1]], [1]); print('numpy' in sys.modules)"
         )
-        assert self.run_python(code) == ["True", "True"]
+        assert self.run_python(code).split() == ["True", "False", "True"]
+
+    def test_dataset_queries_run_without_numpy(self, tmp_path, capsys):
+        obdd_path = str(tmp_path / "net-out0.obdd")
+        data = str(ROOT / "docs" / "dataset4x4.csv")
+        assert main(["compile-net", str(ROOT / "docs" / "net4x4.json"), "-o", str(tmp_path / "net")]) == 0
+        queries = [
+            ["robustness", "instance", obdd_path, "--dataset", data],
+            ["explain", obdd_path, "--dataset", data],
+        ]
+        expected = []
+        for argv in queries:
+            capsys.readouterr()
+            assert main(argv) == 0
+            expected.append(capsys.readouterr().out)
+        training = [
+            ["train", data, "-o", str(tmp_path / "t.txt")],
+            ["sweep", data, "-o", str(tmp_path / "s.csv")],
+        ]
+        # numpy = None in sys.modules makes every import of it fail, as if it were absent
+        code = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from nnobdd import cli\n"
+            "runs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        code = cli.main(argv)\n"
+            "    runs.append([code, out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps([runs, sys.modules['numpy'] is None]))\n"
+        )
+        runs, still_absent = json.loads(self.run_python(code, json.dumps(queries + training)))
+        assert still_absent
+        assert [run[:2] for run in runs[:2]] == [[0, out] for out in expected]
+        for code, out, err in runs[2:]:
+            assert (code, out) == (2, "")
+            assert err.startswith("nnobdd: error:") and "numpy" in err
+            assert err.count("\n") == 1

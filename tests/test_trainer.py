@@ -23,7 +23,7 @@ from nnobdd import (
     train_neuron,
 )
 from nnobdd import trainer
-from oracles import index_spy
+from oracles import activation, index_spy
 
 
 def separable(seed=0, rows=80, features=2):
@@ -85,7 +85,7 @@ class TestTrainNeuron:
         data = separable(seed=5)
         unit = train_neuron(data, TrainConfig(epochs=50))
         for bits, _ in data.rows():
-            z = unit.activation(bits)
+            z = activation(unit, bits)
             sigmoid = 1.0 / (1.0 + math.exp(-z))
             assert (sigmoid >= 0.5) == (z >= 0)
 
