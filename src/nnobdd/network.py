@@ -14,9 +14,12 @@ quantization), so it can serve as an oracle for the compiled form.
 `compile_network` builds one canonical diagram per network output over the
 input pixels: every neuron is compiled locally over placeholder variables
 and then composed with the diagrams of its input wires, and pooling wires
-are disjunctions.  Both treat a dense layer as a convolution with one
-window, the whole input, so they handle two kinds of layer: pooling and
-threshold units.  A dense layer's outputs are 1x1 planes, which keeps
+are disjunctions.  A window's placeholders are numbered in the order of its
+wires' top variables, not in window order, and a unit is compiled once per
+distinct such order: the composed diagram is the same either way, but
+composing in variable order builds far fewer throw-away nodes.  Both treat
+a dense layer as a convolution with one window, the whole input, so they
+handle two kinds of layer: pooling and threshold units.  A dense layer's outputs are 1x1 planes, which keeps
 every set of wires a channel/row/column grid.
 
 Model files are JSON; images are ASCII PBM bitmaps (see `formats`).
@@ -34,7 +37,7 @@ from operator import or_
 from typing import Sequence, Union
 
 from .formats import PathOrFile, read_text
-from .neuron import LinearThresholdUnit, compile_pseudo, quantize
+from .neuron import IntThresholdUnit, LinearThresholdUnit, compile_pseudo, quantize
 from .obdd import Manager, NodeRef, _check_bits, during
 
 
@@ -403,18 +406,28 @@ def compile_network(
 
     Each neuron is quantized at ``quantize_digits`` decimal digits, compiled
     locally over placeholder variables, and composed with its input wires.
-    ``order_policy`` fixes which pixel each diagram variable stands for:
-    an explicit permutation of the pixel indices, or None for raster
-    (row-major) order.  A fresh manager is created with the budget.
+    The placeholders of a window follow the top variables of its wires'
+    diagrams (ties in channel-major order, constant wires last), so the
+    substituents come in the result's variable order and `Manager.compose`
+    can graft more of them; a unit is compiled once per distinct order
+    among its windows.  ``order_policy`` fixes which pixel each diagram
+    variable stands for: an explicit permutation of the pixel indices, or
+    None for raster (row-major) order.  A fresh manager is created with
+    the budget.
 
-    Raises `BudgetExceededError`, annotated with how far compilation got,
-    when the node budget is exhausted.
+    Raises `ValueError` when ``order_policy`` is not a permutation of the
+    pixel indices as ints, and `BudgetExceededError`, annotated with how
+    far compilation got, when the node budget is exhausted.
     """
     pixels = spec.pixel_count
     if order_policy is None:
         input_order = tuple(range(pixels))
     else:
         input_order = tuple(order_policy)
+        # bool is a subclass of int, and 1.0 would pass the sort test below
+        bad = [p for p in input_order if type(p) is not int]
+        if bad:
+            raise ValueError("order policy entries must be integers, got %r" % bad[0])
         if sorted(input_order) != list(range(pixels)):
             raise ValueError("order policy must be a permutation of the pixels")
     manager = Manager(pixels, node_budget=node_budget)
@@ -443,16 +456,32 @@ def compile_network(
                 ]
             else:
                 units, windows = _threshold_layer(wires, layer)
-                arity = len(windows[0][0])
+                # each window's positions, stably sorted by the top variables of
+                # their wires: ties keep channel-major order, constants go last
+                nodes = manager._nodes
+                orders = [
+                    [tuple(sorted(range(len(b)), key=lambda k: nodes[b[k].i][0])) for b in row]
+                    for row in windows
+                ]
+                distinct = dict.fromkeys(o for row in orders for o in row)
                 out = []
                 for real in units:
                     unit = quantize(real, quantize_digits, round_mode)
-                    pmgr = Manager(arity, node_budget=node_budget)
-                    neuron_ref = compile_pseudo(unit, pmgr)
+                    w = unit.weights
+                    # the unit over placeholders in each order, its weights permuted to match
+                    by_order = {
+                        o: compile_pseudo(
+                            IntThresholdUnit(tuple(w[k] for k in o), unit.threshold),
+                            Manager(len(o), node_budget=node_budget),
+                        )
+                        for o in distinct
+                    }
                     out.append(
-                        [[manager.compose(neuron_ref, b) for b in row] for row in windows]
+                        [
+                            [manager.compose(by_order[o], [b[k] for k in o]) for b, o in pairs]
+                            for pairs in map(zip, windows, orders)
+                        ]
                     )
                 wires = out
 
     return CompiledNetwork(manager, tuple(_flatten_wires(wires)), input_order)
-

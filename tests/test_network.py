@@ -1,5 +1,6 @@
 """Network descriptions: shape validation, reference evaluation, compilation."""
 
+import functools
 import json
 import random
 
@@ -15,9 +16,11 @@ from nnobdd import (
     NetworkSpec,
     ShapeError,
     compile_network,
+    compile_pseudo,
     forward_eval,
     load_spec,
     network,
+    quantize,
     read_spec,
 )
 
@@ -575,3 +578,161 @@ class TestComposeGraftsBlockOrder:
         for _ in range(100):
             x = bits_of(rng.getrandbits(256), 256)
             assert net.evaluate(x) == forward_eval(spec, x)
+
+
+def shuffled_order(pixels, seed):
+    order = list(range(pixels))
+    random.Random(seed).shuffle(order)
+    return tuple(order)
+
+
+def shuffled_blocks(size, seed):
+    """2x2 blocks in a seeded order, each one's pixels in a seeded order.
+
+    Windows that are the blocks then disagree on their pixels' order, while
+    the diagrams stay as small as in block order.
+    """
+    rng = random.Random(seed)
+    blocks = [block_order(size, 2)[k : k + 4] for k in range(0, size * size, 4)]
+    rng.shuffle(blocks)
+    return tuple(p for block in blocks for p in rng.sample(block, 4))
+
+
+def seeded_conv_dense(size, filters, seed):
+    """``size`` x ``size`` input, ``filters`` 2x2 stride-2 filters, dense(1)."""
+    rng = random.Random(seed)
+
+    def weight():
+        return round(rng.uniform(-1, 1), 1)
+
+    conv = ConvStep(
+        tuple(
+            ConvFilter((((weight(), weight()), (weight(), weight())),), weight())
+            for _ in range(filters)
+        ),
+        2,
+    )
+    width = filters * (size // 2) ** 2
+    dense = DenseStep((tuple(weight() for _ in range(width)),), (-0.3,))
+    return NetworkSpec((size, size), (conv, dense))
+
+
+def window_order_outputs(spec, digits, net):
+    """``net``'s outputs rebuilt in its manager, each unit composed over its
+    window in channel-major order, whatever the wires' variables."""
+    mgr = net.manager
+    h, w = spec.input_shape
+    var_of_pixel = {p: v for v, p in enumerate(net.input_order)}
+    wires = [[[mgr.literal(var_of_pixel[r * w + c]) for c in range(w)] for r in range(h)]]
+    for layer in spec.layers:
+        units, windows = network._threshold_layer(wires, layer)
+        wires = []
+        for real in units:
+            f = compile_pseudo(quantize(real, digits), Manager(len(windows[0][0])))
+            wires.append([[mgr.compose(f, b) for b in row] for row in windows])
+    return network._flatten_wires(wires)
+
+
+@functools.cache
+def forward_table(spec):
+    return [forward_eval(spec, x) for x in all_instances(spec.pixel_count)]
+
+
+class TestComposeInVariableOrder:
+    """Each unit is composed over its wires in the order of their top variables."""
+
+    ORDERS = {
+        "raster": lambda size: None,
+        "block": lambda size: block_order(size, 2),
+        "shuffled-blocks": lambda size: shuffled_blocks(size, 17),
+        # on 6x6, a diagram in a random order has some 430,000 nodes
+        "shuffled": lambda size: shuffled_order(size * size, 17),
+    }
+
+    @pytest.mark.parametrize(
+        "size, order",
+        [(4, order) for order in ORDERS] + [(6, order) for order in list(ORDERS)[:3]],
+    )
+    @pytest.mark.parametrize("filters", [2, 3])
+    def test_same_diagrams_as_window_order(self, filters, size, order):
+        spec = seeded_conv_dense(size, filters, seed=10 * size + filters)
+        net = compile_network(spec, 1, order_policy=self.ORDERS[order](size))
+        reference = window_order_outputs(spec, 1, net)
+        assert list(net.outputs) == reference
+        assert [net.manager.node_count(f) for f in net.outputs] == [
+            net.manager.node_count(f) for f in reference
+        ]
+        if size == 4:
+            assert [net.evaluate(x) for x in all_instances(16)] == forward_table(spec)
+
+    def test_grid_net_allocation(self):
+        # the shape of the benchmark's grid nets: 893 nodes composed in window
+        # order, 383 in variable order
+        conv = ConvStep(
+            (
+                ConvFilter((((0.2, -0.4), (0.1, 0.3)),), -0.2),
+                ConvFilter((((0.2, 0.1), (-0.4, 0.3)),), -0.2),
+            ),
+            2,
+        )
+        dense = DenseStep(((0.1, 0.6, 0.3, 0.5, -0.8, 0.7, -0.4, 0.2),), (-1.0,))
+        spec = NetworkSpec((4, 4), (conv, dense))
+        net = compile_network(spec, 1)
+        assert net.manager.allocated < 450
+        for x in seeded_images(16, 256, seed=23):
+            assert net.evaluate(x) == forward_eval(spec, x)
+
+    def test_shuffled_conv_windows_all_graft(self):
+        spec = NetworkSpec(
+            (6, 6),
+            (
+                ConvStep(
+                    (
+                        ConvFilter((((0.5, -0.25), (0.25, 0.5)),), -0.25),
+                        ConvFilter((((-0.5, 0.5), (0.5, -0.25)),), 0.0),
+                    ),
+                    2,
+                ),
+            ),
+        )
+        net = compile_network(spec, 2, order_policy=shuffled_order(36, 18))
+        assert net.manager._ite_cache == {}
+        for x in seeded_images(36, 256, seed=19):
+            assert net.evaluate(x) == forward_eval(spec, x)
+
+    def test_one_pseudo_per_distinct_order(self, monkeypatch):
+        calls = []
+        real_pseudo = network.compile_pseudo
+
+        def pseudo(unit, manager):
+            calls.append(unit)
+            return real_pseudo(unit, manager)
+
+        monkeypatch.setattr(network, "compile_pseudo", pseudo)
+        spec = seeded_conv_dense(8, 2, seed=20)
+        order = shuffled_blocks(8, 21)
+        var_of_pixel = {p: v for v, p in enumerate(order)}
+        orders = set()
+        for r0 in range(0, 8, 2):
+            for c0 in range(0, 8, 2):
+                window = [var_of_pixel[(r0 + i) * 8 + c0 + j] for i in (0, 1) for j in (0, 1)]
+                orders.add(tuple(sorted(range(4), key=window.__getitem__)))
+        assert 1 < len(orders) < 16  # the windows disagree, and some share an order
+        net = compile_network(spec, 1, order_policy=order)
+        # per filter, one call per distinct order; then the dense unit's one window
+        assert [u.arity for u in calls] == [4] * 2 * len(orders) + [32]
+        for x in seeded_images(64, 128, seed=22):
+            assert net.evaluate(x) == forward_eval(spec, x)
+
+
+class TestOrderPolicy:
+    SPEC = NetworkSpec((1, 2), (DenseStep(((1.0, 1.0),), (-1.0,)),))
+
+    @pytest.mark.parametrize("order", [(1.0, 0.0), (True, False)], ids=["float", "bool"])
+    def test_entries_must_be_ints(self, order):
+        with pytest.raises(ValueError, match="must be integers"):
+            compile_network(self.SPEC, 0, order_policy=order)
+
+    def test_not_a_permutation(self):
+        with pytest.raises(ValueError, match="permutation"):
+            compile_network(self.SPEC, 0, order_policy=(0, 0))
