@@ -14,13 +14,13 @@ quantization), so it can serve as an oracle for the compiled form.
 `compile_network` builds one canonical diagram per network output over the
 input pixels: every neuron is compiled locally over placeholder variables
 and then composed with the diagrams of its input wires, and pooling wires
-are disjunctions.  A window's placeholders are numbered in the order of its
-wires' top variables, not in window order, and a unit is compiled once per
-distinct such order: the composed diagram is the same either way, but
-composing in variable order builds far fewer throw-away nodes.  Both treat
-a dense layer as a convolution with one window, the whole input, so they
-handle two kinds of layer: pooling and threshold units.  A dense layer's outputs are 1x1 planes, which keeps
-every set of wires a channel/row/column grid.
+are disjunctions.  A unit's placeholders are numbered in the order of its
+first window's wires by top variable, not in window order: the composed
+diagram is the same either way, but composing in variable order builds far
+fewer throw-away nodes.  Both treat a dense layer as a convolution with one
+window, the whole input, so they handle two kinds of layer: pooling and
+threshold units.  A dense layer's outputs are 1x1 planes, which keeps every
+set of wires a channel/row/column grid.
 
 Model files are JSON; images are ASCII PBM bitmaps (see `formats`).
 Dense weights run over the flattened input in channel-major raster order:
@@ -406,14 +406,14 @@ def compile_network(
 
     Each neuron is quantized at ``quantize_digits`` decimal digits, compiled
     locally over placeholder variables, and composed with its input wires.
-    The placeholders of a window follow the top variables of its wires'
-    diagrams (ties in channel-major order, constant wires last), so the
-    substituents come in the result's variable order and `Manager.compose`
-    can graft more of them; a unit is compiled once per distinct order
-    among its windows.  ``order_policy`` fixes which pixel each diagram
+    The placeholders follow the top variables of the first window's wires
+    (ties in channel-major order, constant wires last), so the substituents
+    come in the result's variable order and `Manager.compose` can graft more
+    of them; each unit is compiled once, and every window of the layer is
+    composed in that order.  ``order_policy`` fixes which pixel each diagram
     variable stands for: an explicit permutation of the pixel indices, or
-    None for raster (row-major) order.  A fresh manager is created with
-    the budget.
+    None for raster (row-major) order.  A fresh manager is created with the
+    budget.
 
     Raises `ValueError` when ``order_policy`` is not a permutation of the
     pixel indices as ints, and `BudgetExceededError`, annotated with how
@@ -456,30 +456,22 @@ def compile_network(
                 ]
             else:
                 units, windows = _threshold_layer(wires, layer)
-                # each window's positions, stably sorted by the top variables of
-                # their wires: ties keep channel-major order, constants go last
-                nodes = manager._nodes
-                orders = [
-                    [tuple(sorted(range(len(b)), key=lambda k: nodes[b[k].i][0])) for b in row]
-                    for row in windows
-                ]
-                distinct = dict.fromkeys(o for row in orders for o in row)
+                # the first window's positions, stably sorted by the top variables
+                # of their wires: ties keep channel-major order, constants go last
+                first, nodes = windows[0][0], manager._nodes
+                order = sorted(range(len(first)), key=lambda k: nodes[first[k].i][0])
                 out = []
                 for real in units:
                     unit = quantize(real, quantize_digits, round_mode)
-                    w = unit.weights
-                    # the unit over placeholders in each order, its weights permuted to match
-                    by_order = {
-                        o: compile_pseudo(
-                            IntThresholdUnit(tuple(w[k] for k in o), unit.threshold),
-                            Manager(len(o), node_budget=node_budget),
-                        )
-                        for o in distinct
-                    }
+                    permuted = IntThresholdUnit(
+                        tuple(unit.weights[k] for k in order), unit.threshold
+                    )
+                    pmgr = Manager(len(order), node_budget=node_budget)
+                    neuron_ref = compile_pseudo(permuted, pmgr)
                     out.append(
                         [
-                            [manager.compose(by_order[o], [b[k] for k in o]) for b, o in pairs]
-                            for pairs in map(zip, windows, orders)
+                            [manager.compose(neuron_ref, [b[k] for k in order]) for b in row]
+                            for row in windows
                         ]
                     )
                 wires = out

@@ -1,6 +1,5 @@
 """Network descriptions: shape validation, reference evaluation, compilation."""
 
-import functools
 import json
 import random
 
@@ -526,6 +525,30 @@ class TestCompileCalls:
         for x in seeded_images(16, 256, seed=14):
             assert net.evaluate(x) == forward_eval(spec, x)
 
+    def test_one_pseudo_per_unit_when_windows_disagree(self, monkeypatch):
+        arities = []
+        real_pseudo = network.compile_pseudo
+
+        def pseudo(unit, manager):
+            arities.append(unit.arity)
+            return real_pseudo(unit, manager)
+
+        monkeypatch.setattr(network, "compile_pseudo", pseudo)
+        spec = seeded_conv_dense(8, 2, seed=20)
+        order = shuffled_blocks(8, 21)
+        var_of_pixel = {p: v for v, p in enumerate(order)}
+        orders = set()
+        for r0 in range(0, 8, 2):
+            for c0 in range(0, 8, 2):
+                window = [var_of_pixel[(r0 + i) * 8 + c0 + j] for i in (0, 1) for j in (0, 1)]
+                orders.add(tuple(sorted(range(4), key=window.__getitem__)))
+        assert len(orders) > 1  # the windows disagree on their pixels' variable order
+        net = compile_network(spec, 1, order_policy=order)
+        # still one call per unit, in the first window's order
+        assert arities == [4, 4, 32]
+        for x in seeded_images(64, 128, seed=22):
+            assert net.evaluate(x) == forward_eval(spec, x)
+
     def test_placeholder_managers_never_index_a_node(self, monkeypatch):
         # compose reads a placeholder diagram's node store only
         indexed = index_spy(monkeypatch)
@@ -633,9 +656,11 @@ def window_order_outputs(spec, digits, net):
     return network._flatten_wires(wires)
 
 
-@functools.cache
-def forward_table(spec):
-    return [forward_eval(spec, x) for x in all_instances(spec.pixel_count)]
+def reversed_blocks(size):
+    """Block order with each 2x2 block's pixels reversed: every window then
+    lists its pixels in the opposite order to its diagram variables."""
+    order = block_order(size, 2)
+    return tuple(p for k in range(0, size * size, 4) for p in reversed(order[k : k + 4]))
 
 
 class TestComposeInVariableOrder:
@@ -657,13 +682,13 @@ class TestComposeInVariableOrder:
     def test_same_diagrams_as_window_order(self, filters, size, order):
         spec = seeded_conv_dense(size, filters, seed=10 * size + filters)
         net = compile_network(spec, 1, order_policy=self.ORDERS[order](size))
-        reference = window_order_outputs(spec, 1, net)
-        assert list(net.outputs) == reference
-        assert [net.manager.node_count(f) for f in net.outputs] == [
-            net.manager.node_count(f) for f in reference
-        ]
-        if size == 4:
-            assert [net.evaluate(x) for x in all_instances(16)] == forward_table(spec)
+        assert list(net.outputs) == window_order_outputs(spec, 1, net)
+
+    def test_agrees_with_forward_eval_on_every_image(self):
+        spec = seeded_conv_dense(4, 2, seed=42)
+        net = compile_network(spec, 1)
+        for x in all_instances(16):
+            assert net.evaluate(x) == forward_eval(spec, x)
 
     def test_grid_net_allocation(self):
         # the shape of the benchmark's grid nets: 893 nodes composed in window
@@ -682,7 +707,7 @@ class TestComposeInVariableOrder:
         for x in seeded_images(16, 256, seed=23):
             assert net.evaluate(x) == forward_eval(spec, x)
 
-    def test_shuffled_conv_windows_all_graft(self):
+    def test_reversed_conv_windows_all_graft(self):
         spec = NetworkSpec(
             (6, 6),
             (
@@ -695,33 +720,9 @@ class TestComposeInVariableOrder:
                 ),
             ),
         )
-        net = compile_network(spec, 2, order_policy=shuffled_order(36, 18))
+        net = compile_network(spec, 2, order_policy=reversed_blocks(6))
         assert net.manager._ite_cache == {}
         for x in seeded_images(36, 256, seed=19):
-            assert net.evaluate(x) == forward_eval(spec, x)
-
-    def test_one_pseudo_per_distinct_order(self, monkeypatch):
-        calls = []
-        real_pseudo = network.compile_pseudo
-
-        def pseudo(unit, manager):
-            calls.append(unit)
-            return real_pseudo(unit, manager)
-
-        monkeypatch.setattr(network, "compile_pseudo", pseudo)
-        spec = seeded_conv_dense(8, 2, seed=20)
-        order = shuffled_blocks(8, 21)
-        var_of_pixel = {p: v for v, p in enumerate(order)}
-        orders = set()
-        for r0 in range(0, 8, 2):
-            for c0 in range(0, 8, 2):
-                window = [var_of_pixel[(r0 + i) * 8 + c0 + j] for i in (0, 1) for j in (0, 1)]
-                orders.add(tuple(sorted(range(4), key=window.__getitem__)))
-        assert 1 < len(orders) < 16  # the windows disagree, and some share an order
-        net = compile_network(spec, 1, order_policy=order)
-        # per filter, one call per distinct order; then the dense unit's one window
-        assert [u.arity for u in calls] == [4] * 2 * len(orders) + [32]
-        for x in seeded_images(64, 128, seed=22):
             assert net.evaluate(x) == forward_eval(spec, x)
 
 
