@@ -12,12 +12,12 @@ order.
 
 The unique tables are an index completed on first lookup.  A builder that
 proves its own nodes distinct from each other and from every older node
-(`neuron.compile_pseudo`) appends them to the store only, leaving a
-pending suffix of ids that `Manager._index` puts into the tables before
-the next lookup: `_mk_id` (and so every `ite`, `condition`, `literal` and
-`read_obdd`), `compose`, `audit` and the next `compile_pseudo` call it
-first.  A diagram that is only counted, walked or grafted from never pays
-for its tables.
+(`neuron.compile_pseudo` and `compose`'s graft) appends them to the store
+only, leaving a pending suffix of ids that `Manager._index` puts into the
+tables before the next lookup: `_mk_id` (and so every `ite`, `condition`,
+`literal` and `read_obdd`), `compose`, `audit` and the next
+`compile_pseudo` call it first.  A diagram that is only counted, walked
+or grafted from never pays for its tables.
 
 Every combining operation is one memoized if-then-else, `ite`: conjunction,
 disjunction, exclusive or and negation all reduce to it and share its
@@ -27,8 +27,8 @@ variable of ``s_k`` comes before the top variables of both g and h, that
 ite is ``s_k`` with its TRUE terminal replaced by g and its FALSE terminal
 by h, so `compose` grafts g and h onto a copy of ``s_k`` in one pass over
 its nodes, without the ite cache; otherwise it calls `ite`.  The copies are
-ordered and reduced by construction, so they go straight into their
-variable's unique table, which `compose` completes first.
+ordered and reduced by construction, and a copy needs a lookup only when
+both its children predate its graft, so they join the pending suffix.
 
 There are no complement edges, so a negation is a diagram of its own.
 Within a manager, node stores only grow, and an optional node budget
@@ -247,15 +247,15 @@ class Manager:
     starts with none; it maps the ``(var, lo, hi)`` tuple held in the node
     store to the node's id.  The tables hold every node except a pending
     suffix, the ids from ``_unindexed`` on (None when there is none), which
-    `compile_pseudo` leaves there; `_index` completes them, and every
-    lookup calls it first.  ``node_budget``, when set, caps the total
-    number of nodes ever allocated (terminals included).  Queries keep no
-    state here: a diagram's walk is kept on its handle, and model counts
-    are computed per call, over all the variables, in one pass over that
-    walk.  `true` and
-    `false` make a new handle on each access, so the manager holds none and
-    is freed with its last handle or reference; compare them with ``==`` or
-    `NodeRef.is_true`, never ``is``.
+    `compile_pseudo` and `compose` leave there; `_index` completes them,
+    and every lookup calls it first; `stats` counts both.  ``node_budget``,
+    when set, caps the total number of nodes ever allocated (terminals
+    included).  Queries keep no state here: a diagram's walk is kept on its
+    handle, and model counts are computed per call, over all the variables,
+    in one pass over that walk.  `true` and `false` make a new handle on
+    each access, so the manager holds none and is freed with its last
+    handle or reference; compare them with ``==`` or `NodeRef.is_true`,
+    never ``is``.
     """
 
     def __init__(self, num_vars: int, node_budget: int | None = None):
@@ -293,6 +293,22 @@ class Manager:
     def allocated(self) -> int:
         """Total nodes ever created, terminals included."""
         return len(self._nodes)
+
+    def stats(self) -> dict[str, int]:
+        """Structural counts, computed on call from the manager's state.
+
+        ``allocated`` nodes (terminals included), of them ``pending`` in the
+        suffix no unique table holds yet and ``indexed`` in the tables (every
+        other nonterminal), and ``ite_entries`` in the if-then-else cache.
+        """
+        allocated = len(self._nodes)
+        start = self._unindexed
+        return {
+            "allocated": allocated,
+            "pending": 0 if start is None else allocated - start,
+            "indexed": sum(map(len, self._unique.values())),
+            "ite_entries": len(self._ite_cache),
+        }
 
     # ---------------------------------------------------------------- core
 
@@ -468,7 +484,11 @@ class Manager:
         and the deepest variable of s comes before the top variables of
         both g and h, the result is s with TRUE replaced by g and FALSE by
         h, built from a plan of s's nodes made once per distinct s.  The
-        copies are ordered and reduced, so they skip `_mk_id`'s checks.
+        copies are ordered and reduced, so they skip `_mk_id`'s checks, and
+        they are appended as the pending suffix, in no unique table: only a
+        copy whose two children predate its graft is looked up, the first
+        copies above the terminals of s.  A budget abort leaves the copies
+        made so far pending and the manager usable.
         """
         if not isinstance(f, NodeRef):
             raise ValueError("expected a NodeRef")
@@ -480,8 +500,11 @@ class Manager:
             )
         for s in subs:
             self._own(s)
-        self._index()  # the graft reads the tables directly
+        self._index()  # the graft's lookups must see earlier calls' pending nodes
         nodes, tables, budget = self._nodes, self._unique, self.node_budget
+        start = len(nodes)  # ids from here on are this call's copies
+        # the pending copies made since the last `_index` after a lookup missed
+        made: dict[tuple[int, int, int], int] = {}
         src_nodes = src._nodes
         # per distinct substituent id: its deepest variable and its nodes as
         # (var, lo, hi) steps, children first, lo and hi indexing [FALSE, TRUE, steps...]
@@ -509,21 +532,43 @@ class Manager:
                     # each copy is ordered, and g != h makes the map from s's
                     # nodes to copies injective, so no copy has lo == hi.  Each
                     # copy's variable has a table already: s has a node there.
+                    # Copies are appended pending, in no table.  One with a child
+                    # made in this step (from `mark` on) is new, as no older node
+                    # has a newer child.  One whose children both predate the step
+                    # is looked up in its table, complete up to the last `_index`,
+                    # then in `made`.  A hit made by this call may lead on to a
+                    # copy that an earlier step made new, in neither index, so it
+                    # completes the tables first.
+                    mark = w = len(nodes)  # w: the next copy's id
+                    if self._unindexed is None:
+                        self._unindexed = mark
                     new = [h, g]
                     for v, a, b in steps:
-                        key = (v, new[a], new[b])
-                        table = tables[v]
-                        w = table.get(key)
-                        if w is None:
-                            w = len(nodes)
-                            if budget is not None and w >= budget:
-                                raise self._exhausted()
-                            nodes.append(key)
-                            table[key] = w
+                        lo = new[a]
+                        hi = new[b]
+                        key = (v, lo, hi)
+                        if lo < mark and hi < mark:
+                            found = tables[v].get(key) or made.get(key)
+                            if found is not None:
+                                if found >= start:
+                                    self._index()
+                                    made.clear()
+                                    self._unindexed = w
+                                new.append(found)
+                                continue
+                            made[key] = w
+                        if budget is not None and w >= budget:
+                            if self._unindexed == w:
+                                self._unindexed = None  # nothing pending
+                            raise self._exhausted()
+                        nodes.append(key)
                         new.append(w)
+                        w += 1
                     res[u] = new[-1]  # s has the largest id of its nodes
                     continue
             res[u] = self._ite_id(s, g, h)
+        if self._unindexed == len(nodes):
+            self._unindexed = None  # nothing pending
         return NodeRef(self, res[f.i])
 
     # ------------------------------------------------------------- queries

@@ -234,19 +234,27 @@ def check_unique_tables(manager) -> None:
     assert sorted(held) == list(range(2, len(nodes)))
 
 
-def index_spy(monkeypatch) -> list[int]:
-    """Wrap `Manager._index` to record, per call, how many pending nodes it
-    puts into the unique tables."""
-    counts = []
+def index_spy(monkeypatch) -> list[tuple[Manager, int]]:
+    """Wrap `Manager._index` to record, per call, the manager and how many
+    pending nodes it puts into that manager's unique tables."""
+    calls = []
     index = Manager._index
 
     def spy(manager):
-        start = manager._unindexed
-        counts.append(0 if start is None else len(manager._nodes) - start)
+        calls.append((manager, manager.stats()["pending"]))
         index(manager)
 
     monkeypatch.setattr(Manager, "_index", spy)
-    return counts
+    return calls
+
+
+def ite_compose(base, f, subs) -> int:
+    """Reference substitution: one `ite` per placeholder node, nothing else."""
+    res = {0: 0, 1: 1}
+    for u in _reachable(f):
+        k, lo, hi = f.manager._nodes[u]
+        res[u] = base._ite_id(subs[k].i, res[hi], res[lo])
+    return res[f.i]
 
 
 def covered_pixels(spec) -> set[int]:

@@ -1,5 +1,6 @@
 """Network descriptions: shape validation, reference evaluation, compilation."""
 
+import io
 import json
 import random
 
@@ -20,10 +21,20 @@ from nnobdd import (
     load_spec,
     network,
     quantize,
+    read_obdd,
     read_spec,
+    write_obdd,
 )
 
-from oracles import all_instances, bits_of, block_order, covered_pixels, index_spy
+from oracles import (
+    all_instances,
+    bits_of,
+    block_order,
+    check_unique_tables,
+    covered_pixels,
+    index_spy,
+    ite_compose,
+)
 
 FIXTURE = "docs/net4x4.json"
 
@@ -550,8 +561,9 @@ class TestCompileCalls:
             assert net.evaluate(x) == forward_eval(spec, x)
 
     def test_placeholder_managers_never_index_a_node(self, monkeypatch):
-        # compose reads a placeholder diagram's node store only
-        indexed = index_spy(monkeypatch)
+        # compose reads a placeholder diagram's node store only; the network
+        # manager's own calls index its pending copies and are not counted
+        calls = index_spy(monkeypatch)
         placeholders = []
         real_pseudo = network.compile_pseudo
 
@@ -562,6 +574,7 @@ class TestCompileCalls:
         monkeypatch.setattr(network, "compile_pseudo", pseudo)
         spec = read_spec(FIXTURE)
         net = compile_network(spec, 2)
+        indexed = [n for mgr, n in calls if any(mgr is p for p in placeholders)]
         assert len(placeholders) == 2 and len(indexed) >= len(placeholders)
         assert not any(indexed)
         assert all(p._unique == {} and p._unindexed == 2 for p in placeholders)
@@ -600,6 +613,56 @@ class TestComposeGraftsBlockOrder:
         assert len(net.manager._ite_cache) == 0
         for _ in range(100):
             x = bits_of(rng.getrandbits(256), 256)
+            assert net.evaluate(x) == forward_eval(spec, x)
+
+
+class TestComposePending:
+    """Every compose of a block-order net grafts, and leaves its copies out of
+    the unique tables until a later lookup needs them."""
+
+    @pytest.mark.parametrize("site", ["ite", "read", "audit"])
+    def test_copies_stay_pending_until_a_lookup(self, monkeypatch, site):
+        calls = []
+        real_compose = Manager.compose
+
+        def compose(mgr, f, subs):
+            before = mgr.stats()
+            out = real_compose(mgr, f, subs)
+            calls.append((before, mgr.stats(), f, subs))
+            return out
+
+        monkeypatch.setattr(Manager, "compose", compose)
+        rng = random.Random(33)
+        conv = conv_layer(
+            tuple(tuple(round(rng.uniform(-1, 1), 1) for _ in range(2)) for _ in range(2)), -0.2, 2
+        )
+        rows = tuple(tuple(rng.choice((-1.0, 1.0, 2.0)) for _ in range(16)) for _ in range(2))
+        spec = NetworkSpec((8, 8), (conv, DenseStep(rows, (-3.0, -4.0))))
+        net = compile_network(spec, 1, order_policy=block_order(8, 2))
+        m, out = net.manager, net.outputs[1]
+        assert len(calls) == 16 + 2
+        for before, after, _, _ in calls:
+            assert after["ite_entries"] == 0  # every placeholder node grafted
+            # the call indexes only what was pending before it, and makes
+            # every copy pending
+            assert after["indexed"] == before["indexed"] + before["pending"]
+            assert after["pending"] == after["allocated"] - before["allocated"]
+        _, last, f, subs = calls[-1]
+        assert last == m.stats() and last["pending"] > 0
+        allocated = m.allocated
+        if site == "ite":  # the same substitution, one ite per placeholder node
+            assert ite_compose(m, f, subs) == out.i
+        elif site == "read":
+            buf = io.StringIO()
+            write_obdd(out, buf)
+            assert read_obdd(io.StringIO(buf.getvalue()), m) == out
+        else:
+            for g in net.outputs:
+                m.audit(g)
+        assert m.allocated == allocated and m.stats()["pending"] == 0
+        check_unique_tables(m)
+        for _ in range(64):
+            x = bits_of(rng.getrandbits(64), 64)
             assert net.evaluate(x) == forward_eval(spec, x)
 
 

@@ -41,6 +41,7 @@ from oracles import (
     eval_formula,
     formula_table,
     index_of,
+    ite_compose,
     random_formula,
     set_walk,
     table_of,
@@ -213,15 +214,6 @@ class TestCompose:
             Manager(2).compose("x", [])
 
 
-def ite_compose(base, f, subs):
-    """Reference substitution: one `ite` per placeholder node, nothing else."""
-    res = {0: 0, 1: 1}
-    for u in _reachable(f):
-        k, lo, hi = f.manager._nodes[u]
-        res[u] = base._ite_id(subs[k].i, res[hi], res[lo])
-    return res[f.i]
-
-
 class TestComposeGraft:
     """`compose` against truth tables and against a pure-ITE substitution.
 
@@ -297,7 +289,8 @@ class TestComposeGraft:
 
 
 class TestComposeGraftTable:
-    """Graft copies go straight into the unique table: budget and reuse."""
+    """Graft copies join the pending suffix, in no unique table, and are still
+    hash-consed: budget, reuse of older nodes and of the call's own copies."""
 
     @staticmethod
     def xor_then_or(budget=None):
@@ -323,7 +316,8 @@ class TestComposeGraftTable:
             base.compose(f, subs)
         assert base.allocated == base.node_budget  # two copies made, the third refused
         assert base._ite_cache == {}  # no fallback ran: the graft hit the budget
-        check_unique_tables(base)  # every copy made is in its variable's table
+        assert base.stats()["pending"] == 2
+        check_unique_tables(base)  # every copy made is pending
         with pytest.raises(BudgetExceededError) as direct:
             base.literal(4, positive=False)  # a new node through _mk_id
         check_unique_tables(base)
@@ -347,6 +341,113 @@ class TestComposeGraftTable:
         assert base._ite_cache == {}
         base.audit(composed)
         assert composed.i == ite_compose(base, f, subs)
+
+    @staticmethod
+    def check_all_grafted(base, f, subs, made):
+        allocated = base.allocated
+        composed = base.compose(f, subs)
+        assert base.stats()["ite_entries"] == 0  # every placeholder node grafted
+        assert base.allocated - allocated == made
+        check_unique_tables(base)  # no copy made twice
+        base.audit(composed)
+        assert composed.i == ite_compose(base, f, subs)
+
+    def test_a_copy_made_earlier_in_the_call_is_reused(self):
+        # h0 ? (h2 & h3) : (h1 & h3), h3 <- x4: both middle nodes graft with
+        # TRUE -> x4 and FALSE -> FALSE, onto x2 & x3 and x1 & x2 & x3.  The
+        # second finds the first's copy x3 & x4, looked up and pending, and
+        # then its parent x2 & x3 & x4, which the first made new, unlooked-up
+        holes = Manager(4)
+        base = Manager(5)
+        h3 = holes.literal(3)
+        f = holes.ite(holes.literal(0), holes.literal(2) & h3, holes.literal(1) & h3)
+        x = [base.literal(v) for v in range(5)]
+        x23 = x[2] & x[3]
+        subs = [x[0], x[1] & x23, x23, x[4]]
+        base._ite_cache.clear()
+        # x3 & x4 and x2 & x3 & x4 once, x1 & x2 & x3 & x4, then the root
+        self.check_all_grafted(base, f, subs, 4)
+
+    def test_a_copy_indexed_earlier_in_the_call_is_reused(self):
+        # three placeholder nodes graft with TRUE -> x9 and FALSE -> FALSE, in
+        # turn onto x7, x5 ? x6 & x8 : x7 and x6 & x8.  The second makes the
+        # copy x8 & x9, then meets the first's x7 & x9 and completes the
+        # tables, then makes (x6 & x8) & x9 new on top of x8 & x9.  The third
+        # finds x8 & x9 in its table, and then (x6 & x8) & x9, which is in
+        # neither index unless finding x8 & x9 completes the tables again
+        holes = Manager(6)
+        base = Manager(10)
+        a = holes.literal(5)
+        lows = [holes.literal(v) & a for v in (2, 3, 4)]  # ids in this order
+        f = holes.ite(holes.literal(0), lows[1], holes.ite(holes.literal(1), lows[2], lows[0]))
+        x9, x8, x7 = base.literal(9), base.literal(8), base.literal(7)
+        x68 = base.literal(6) & x8
+        x5 = base.literal(5)
+        subs = [base.literal(0), base.literal(1), x7, base.ite(x5, x68, x7), x68, x9]
+        base._ite_cache.clear()
+        # x7 & x9, x8 & x9, (x6 & x8) & x9, the second root, then the two upper nodes
+        self.check_all_grafted(base, f, subs, 6)
+
+
+class TestComposePending:
+    """Graft copies stay pending until a lookup needs them; each lookup site
+    then returns the copy it asks for, as after `compile_pseudo`
+    (`test_neuron.TestPendingIndex`)."""
+
+    @staticmethod
+    def graft():
+        base, f, subs = TestComposeGraftTable.xor_then_or()
+        before = base.stats()
+        composed = base.compose(f, subs)
+        after = base.stats()
+        assert after["indexed"] == before["indexed"]
+        assert after["pending"] == after["allocated"] - before["allocated"] == 5
+        assert after["ite_entries"] == 0
+        return base, subs, composed
+
+    @staticmethod
+    def audit(base, subs, composed):
+        base.audit(composed)
+        return composed
+
+    @staticmethod
+    def apply(base, subs, composed):
+        return subs[0] & subs[1]
+
+    @staticmethod
+    def read(base, subs, composed):
+        buf = io.StringIO()
+        write_obdd(composed, buf)
+        return read_obdd(io.StringIO(buf.getvalue()), base)
+
+    @pytest.mark.parametrize("site", ["audit", "apply", "read"])
+    def test_each_site_finds_the_pending_copies(self, site):
+        base, subs, composed = self.graft()
+        allocated = base.allocated
+        assert getattr(self, site)(base, subs, composed) == composed
+        assert base.allocated == allocated
+        stats = base.stats()
+        assert stats["pending"] == 0 and stats["indexed"] == allocated - 2
+        check_unique_tables(base)
+
+    def test_literal_finds_a_pending_copy(self):
+        # ~h0 with h0 <- x3 grafts TRUE -> FALSE and FALSE -> TRUE: ~x3, pending
+        base = Manager(5)
+        x3 = base.literal(3)
+        negated = base.compose(~Manager(1).literal(0), [x3])
+        assert base.stats()["pending"] == 1 and base.stats()["ite_entries"] == 0
+        allocated = base.allocated
+        assert base.literal(3, positive=False) == negated
+        assert base.allocated == allocated
+        check_unique_tables(base)
+
+    def test_stats(self):
+        m = Manager(3)
+        assert m.stats() == {"allocated": 2, "pending": 0, "indexed": 0, "ite_entries": 0}
+        f = m.literal(0) & m.literal(1)
+        assert m.stats() == {"allocated": 5, "pending": 0, "indexed": 3, "ite_entries": 1}
+        g = m.compose(Manager(1).literal(0), [f])  # copies f's nodes onto themselves
+        assert g == f and m.stats()["pending"] == 0
 
 
 class TestCounting:

@@ -220,7 +220,7 @@ class TestPrecisionSweep:
         data, unit = self.two_of_six()
         rows = precision_sweep(unit, data, range(0, 3))
         assert [row.nodes for row in rows] == [37, 1200, 8909]
-        assert indexed == [0, 0, 0]  # compile_pseudo's own call on entry
+        assert [n for _, n in indexed] == [0, 0, 0]  # compile_pseudo's own call on entry
         assert all(m._unique == {} and m._unindexed == 2 for m in managers)
 
     def test_nodes_match_direct_compile(self):
