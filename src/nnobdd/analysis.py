@@ -40,7 +40,7 @@ level correction.
 What does not depend on the instance is built once per handle and kept
 on it: the children-first walk, which every query reads through
 `obdd._reachable`; on the first PI explanation the certified releases of
-both labels, one list each, aligned with the walk; and on the first
+both labels, one list each, indexed by node id; and on the first
 unateness query or level chain the unateness of each support variable,
 a dict that `_unate_kinds` fills and every later query reads.  Every
 later PI explanation on that handle runs only its cost pass, trace-back
@@ -73,14 +73,12 @@ adversarial-looking completions that provably keep the label.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 from numbers import Integral
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .obdd import NodeRef, _check_bits, _counts, _reachable, during
 
@@ -95,25 +93,25 @@ class Unateness(str, Enum):
     NONE = "none"
 
 
-def _certified_releases(f: NodeRef, order: list[int]) -> tuple[list[int], list[int]]:
-    """Both labels' certified releases of the nodes of ``order``.
+def _certified_releases(f: NodeRef) -> tuple[list[int], list[int]]:
+    """Both labels' certified releases of the nodes ``f`` reaches, indexed by id.
 
     Label 1 releases into the cofactor with fewer models (`_counts`), label
     0 into the other one, so a tie gives label 1 the high cofactor and
-    label 0 the low one.
+    label 0 the low one.  Both lists are sized like `_counts`.
     """
     nodes = f.manager._nodes
-    count = _counts(f, order)
-    more: list[int] = []
-    fewer: list[int] = []
-    for u in order:
+    count = _counts(f)
+    more = [0] * len(count)
+    fewer = [0] * len(count)
+    for u in _reachable(f):
         _, lo, hi = nodes[u]
         if count[lo] < count[hi]:
-            fewer.append(lo)
-            more.append(hi)
+            fewer[u] = lo
+            more[u] = hi
         else:
-            fewer.append(hi)
-            more.append(lo)
+            fewer[u] = hi
+            more[u] = lo
     return more, fewer
 
 
@@ -369,8 +367,8 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     is the greatest minimum reason in variable order.
 
     A certified pass comes first and allocates nothing.  Its releases, made
-    once per handle by one children-first pass over the existing nodes and
-    kept on it, release into one cofactor instead of combining both: the
+    once per handle by one pass over the kept walk and kept on it in lists
+    indexed by id, release into one cofactor instead of combining both: the
     one with fewer models over all the variables for label 1, more for
     label 0.  When one cofactor implies the other, that one is exactly their
     conjunction (for label 0, their disjunction).  Otherwise it is implied
@@ -387,20 +385,18 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
     variable first (not by id: a release may be newer than the node that
     needs it), then follow the cheaper choice down from the root.  Its
     reason forces the label by construction and is kept on ``f`` as the
-    proof `_forced_label` reads.  That queue keeps a set of ids, not the
-    byte marks of `obdd._walk_from`: releases may be newer than ``f``.  A
-    budget abort names the query.
+    proof `_forced_label` reads.  That queue keeps a set of ids, and the
+    releases a dict read by id as the certified lists are, not the byte
+    marks and lists of `obdd._walk_from`: releases may be newer than
+    ``f``.  A budget abort names the query.
     """
     mgr = f.manager
     _check_instance(x, mgr.num_vars)
     _nontrivial(f)
     label = mgr.evaluate(f, x)
-    order = _reachable(f)
     if f._releases is None:
-        f._releases = _certified_releases(f, order)
-    literals = _cheapest_reason(
-        f, x, label, order, f._releases[label], partial(bisect_left, order), f.i
-    )
+        f._releases = _certified_releases(f)
+    literals = _cheapest_reason(f, x, label, _reachable(f), f._releases[label], f.i)
     if _forced_label(f, literals) == label:
         return Explanation(literals, label)
     nodes = mgr._nodes
@@ -417,10 +413,7 @@ def pi_explanation(f: NodeRef, x: Sequence[int]) -> Explanation:
                     seen.add(v)
                     order.append(v)
     order.sort(key=lambda u: nodes[u][0], reverse=True)  # both edges go deeper
-    position = {u: k for k, u in enumerate(order)}
-    literals = _cheapest_reason(
-        f, x, label, order, [release[u] for u in order], position.__getitem__, max(order)
-    )
+    literals = _cheapest_reason(f, x, label, order, release, max(order))
     f._proof = (literals, label)  # `_forced_label`'s key: literals ascend by variable
     return Explanation(literals, label)
 
@@ -430,28 +423,28 @@ def _cheapest_reason(
     x: Sequence[int],
     label: int,
     order: list[int],
-    release: list[int],
-    position: Callable[[int], int],
+    release: list[int] | dict[int, int],
     top: int,
 ) -> tuple[tuple[int, int], ...]:
     """Literals of the cheapest reason under the given releases.
 
-    ``release[k]`` is the release of ``order[k]``, and ``position(u)`` is
-    the k with ``order[k] == u``.  ``order`` lists every node after the
-    nodes its release and its instance branch, read from ``x``, lead to.  A
-    node costs the cheaper of one committed bit plus its instance branch and
-    its release, committing on a tie; the trace follows those choices down
-    from the root.  Costs sit in a list indexed by id, sized by ``top``,
-    the largest id in ``order``: ``f.i`` for the certified pass, whose
-    releases are children, and possibly a newer release's for the exact one.
+    ``release[u]`` is the release of node ``u``, read by id from the
+    certified pass's list or the exact pass's dict.  ``order`` lists every
+    node after the nodes its release and its instance branch, read from
+    ``x``, lead to.  A node costs the cheaper of one committed bit plus its
+    instance branch and its release, committing on a tie; the trace follows
+    those choices down from the root.  Costs sit in a list indexed by id,
+    sized by ``top``, the largest id in ``order``: ``f.i`` for the certified
+    pass, whose releases are children, and possibly a newer release's for
+    the exact one.
     """
     nodes = f.manager._nodes
     cost: list[int | float] = [0] * (top + 1)  # the label's terminal costs 0
     cost[1 - label] = math.inf
-    for u, r in zip(order, release):
+    for u in order:
         var, lo, hi = nodes[u]
         committed = 1 + cost[hi if x[var] else lo]
-        released = cost[r]
+        released = cost[release[u]]
         cost[u] = committed if committed <= released else released
     literals: list[tuple[int, int]] = []
     u = f.i
@@ -462,7 +455,7 @@ def _cheapest_reason(
             literals.append((var, x[var]))
             u = branch
         else:
-            u = release[position(u)]
+            u = release[u]
     assert len(literals) == cost[f.i]
     return tuple(literals)
 
@@ -576,7 +569,7 @@ def marginals(f: NodeRef) -> list[Fraction]:
     nodes = mgr._nodes
     root_level = nodes[f.i][0]
     order = _reachable(f)
-    count = _counts(f, order)
+    count = _counts(f)
     total = count[f.i]
     on = [0] * nvars  # models through the high edges of each variable's nodes
     skipped = [0] * (nvars + 1)  # difference array of models on skipping edges

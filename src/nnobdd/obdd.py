@@ -192,10 +192,10 @@ def _walk_from(f: NodeRef) -> list[int]:
     store's int objects.  Sets and dicts stay where keys are not ids of at
     most ``f.i``: the exact PI pass's releases (newer than ``f``),
     `_implies` (pairs of ids), `read_obdd` (file ids) and `compile_pseudo`
-    (residuals).  They also stay in `Manager.condition`, which walks only
-    the nodes above one variable, often many times on one growing manager,
-    in `compose`'s results, where a list showed no clear gain on compiles,
-    and in `write_obdd`'s file ids.
+    (residuals).  They also stay in the results of `compose`, where a list
+    showed no clear gain on compiles, and of `Manager.condition`, often
+    called on a small diagram in a large manager, and in `write_obdd`'s
+    file ids.
     """
     if f.i <= 1:
         return []
@@ -216,13 +216,13 @@ def _walk_from(f: NodeRef) -> list[int]:
     return order
 
 
-def _counts(f: NodeRef, order: list[int]) -> list[int]:
+def _counts(f: NodeRef) -> list[int]:
     """Models of each node over all of the manager's variables, indexed by id.
 
-    ``order`` is `_reachable(f)`; one pass over it, children first.  TRUE
-    counts ``2**num_vars``; a node testing v keeps half of each child's
-    models, those that set v its way, and the halving is exact because a
-    child at level k > v counts a multiple of ``2**k``.
+    One pass over `_reachable(f)`, children first.  TRUE counts
+    ``2**num_vars``; a node testing v keeps half of each child's models,
+    those that set v its way, and the halving is exact because a child at
+    level k > v counts a multiple of ``2**k``.
 
     The list has ``f.i + 1`` entries, at least 2 for the terminals: the
     per-node values of `_walk_from`'s marking rule.  Entries of ids that
@@ -231,7 +231,7 @@ def _counts(f: NodeRef, order: list[int]) -> list[int]:
     nodes = f.manager._nodes
     count = [0] * (max(f.i, 1) + 1)
     count[1] = 1 << f.manager.num_vars
-    for u in order:
+    for u in _reachable(f):
         _, lo, hi = nodes[u]
         count[u] = (count[lo] + count[hi]) >> 1
     return count
@@ -435,7 +435,11 @@ class Manager:
         return r
 
     def condition(self, f: NodeRef, var: int, value: int) -> NodeRef:
-        """Restrict ``f`` by fixing one variable; the result never mentions it."""
+        """Restrict ``f`` by fixing one variable; the result never mentions it.
+
+        One pass over the kept walk (`_reachable`), children first, rebuilds
+        through `_mk_id` each node above ``var``, the only nodes it changes.
+        """
         self._own(f)
         if not 0 <= var < self.num_vars:
             raise ValueError("variable %d out of range" % var)
@@ -443,18 +447,6 @@ class Manager:
             raise ValueError("value must be 0 or 1")
         nodes = self._nodes
         mk = self._mk_id
-        # the nodes above var that f reaches without passing var; only they change
-        above = [f.i] if nodes[f.i][0] < var else []
-        seen = set(above)
-        for u in above:
-            _, lo, hi = nodes[u]
-            if lo not in seen and nodes[lo][0] < var:
-                seen.add(lo)
-                above.append(lo)
-            if hi not in seen and nodes[hi][0] < var:
-                seen.add(hi)
-                above.append(hi)
-        above.sort()  # a node's id exceeds its children's
         res: dict[int, int] = {}
 
         def cut(u: int) -> int:
@@ -465,9 +457,10 @@ class Manager:
                 return hi if value else lo
             return u
 
-        for u in above:
+        for u in _reachable(f):
             v, lo, hi = nodes[u]
-            res[u] = mk(v, cut(lo), cut(hi))
+            if v < var:
+                res[u] = mk(v, cut(lo), cut(hi))
         return NodeRef(self, cut(f.i))
 
     def compose(self, f: NodeRef, subs: Sequence[NodeRef]) -> NodeRef:
@@ -609,7 +602,7 @@ class Manager:
         """
         if self._own(f).i == 0:
             return 0
-        return _counts(f, _reachable(f))[f.i]
+        return _counts(f)[f.i]
 
     def is_valid(self, f: NodeRef) -> bool:
         return self._own(f).i == 1
@@ -656,25 +649,26 @@ _HEADER = re.compile(r"^obdd\s+n=(\d+)\s+root=(\d+)\s*$")
 def write_obdd(f: NodeRef, dest: PathOrFile) -> None:
     """Serialize a diagram to the diffable text format."""
     mgr = f.manager
+    nodes = mgr._nodes
     order: list[int] = []
-    seen = bytearray(f.i + 1)  # the marking rule of `_walk_from`
-    stack: list[tuple[int, bool]] = [(f.i, False)]
+    # the marking rule of `_walk_from`: 0 not met, 1 children pushed, 2 listed
+    state = bytearray(max(f.i, 1) + 1)
+    state[0] = state[1] = 2  # the terminals are never listed
+    stack = [f.i]
     while stack:
-        u, expanded = stack.pop()
-        if u <= 1 or seen[u]:
-            continue
-        if expanded:
-            seen[u] = 1
+        u = stack.pop()
+        if state[u] == 1:
+            state[u] = 2
             order.append(u)
-            continue
-        _, lo, hi = mgr._nodes[u]
-        stack.append((u, True))
-        stack.append((hi, False))
-        stack.append((lo, False))
+        elif not state[u]:
+            state[u] = 1
+            _, lo, hi = nodes[u]
+            stack.append(u)
+            stack.append(hi)
+            stack.append(lo)
     ids = {0: 0, 1: 1}
     for k, u in enumerate(order):
         ids[u] = k + 2
-    nodes = mgr._nodes
     lines = ["obdd n=%d root=%d" % (mgr.num_vars, ids[f.i])]
     for u in order:
         var, lo, hi = nodes[u]

@@ -647,9 +647,7 @@ class TestSharedWalk:
         f = block_order_output(rng, 10, 2, -4.0)
         passes = []
         certify = analysis._certified_releases
-        monkeypatch.setattr(
-            analysis, "_certified_releases", lambda g, order: passes.append(g) or certify(g, order)
-        )
+        monkeypatch.setattr(analysis, "_certified_releases", lambda g: passes.append(g) or certify(g))
         labels = {pi_explanation(f, random_image(rng, 100)).label for _ in range(20)}
         assert labels == {0, 1} and passes == [f]
 
@@ -1225,6 +1223,21 @@ class TestSmallDiagramMadeLate:
             assert fooling_complete(f, reason, fill) == fooling_complete(g, reason, fill)
             assert fooling_complete(f, reason, x) == tuple(x)
         assert passes == {(label, p) for label in (0, 1) for p in ("certified", "exact")}
+        # late diagrams of a unate function (a majority) and of it XOR-ed with
+        # one of its variables, against the recursive program
+        unate = bdd_from_table(m, [int(bin(i).count("1") >= 3) for i in range(64)], self.VARS)
+        for h, kinds in ((unate, {"certified"}), (unate ^ m.literal(30), {"certified", "exact"})):
+            assert m.node_count(h) <= 40 and h.i >= 100_000
+            passes = set()
+            for i in range(64):
+                x = list(fill)
+                for k, v in enumerate(self.VARS):
+                    x[v] = (i >> k) & 1
+                before = len(calls)
+                reason = pi_explanation(h, x)
+                passes.add("exact" if len(calls) > before else "certified")
+                assert reason.literals == recursive_pi_explanation(h, x)
+            assert passes == kinds
 
 
 class TestQueryBudgetErrors:

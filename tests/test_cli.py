@@ -479,7 +479,7 @@ class TestExplainCommand:
         passes = []
         cheapest = analysis._cheapest_reason
         monkeypatch.setattr(
-            analysis, "_cheapest_reason", lambda *args: passes.append(args[6]) or cheapest(*args)
+            analysis, "_cheapest_reason", lambda *args: passes.append(args[-1]) or cheapest(*args)
         )
         capsys.readouterr()
         argv = ["explain", "overlap-out0.obdd", "checker7.pbm"]

@@ -149,14 +149,24 @@ class TestCondition:
         assert m3.condition(once, 1, 1) == once
         assert m3.condition(once, 1, 0) == once
 
-    def test_every_variable_matches_truth_tables(self):
+    def test_every_variable_matches_truth_tables(self, monkeypatch):
         rng = random.Random(1006)
-        for _ in range(40):
-            n = rng.randint(1, 6)
+        walks = []
+        walk = obdd._walk_from
+        monkeypatch.setattr(obdd, "_walk_from", lambda g: walks.append(g) or walk(g))
+        grown = 0
+        for k in range(60):
+            n = rng.randint(1, 6) if k < 40 else rng.randint(5, 6)
             m = Manager(n)
             expr = random_formula(rng, n)
             f = build_formula(expr, m)
             table = formula_table(expr, n)
+            if k >= 40:
+                # f made early in a manager that then grows more than tenfold
+                while m.allocated <= 10 * f.i:
+                    build_formula(random_formula(rng, n, 5), m)
+                grown += f.i > 1
+            walks.clear()
             for var in range(n):
                 for value in (0, 1):
                     g = m.condition(f, var, value)
@@ -165,6 +175,12 @@ class TestCondition:
                     for x in all_instances(n):
                         fixed = x[:var] + (value,) + x[var + 1 :]
                         assert m.evaluate(g, x) == table[index_of(fixed)]
+            # the first call walks f and keeps the walk; the others read it
+            assert [g for g in walks if g is f] == [f]
+            fresh = NodeRef(m, f.i)
+            assert m.condition(fresh, 0, 1) == m.condition(f, 0, 1)
+            assert [g for g in walks if g is fresh] == [fresh]
+        assert grown >= 15
 
     def test_deeper_than_the_recursion_limit(self):
         m = Manager(1200)
@@ -478,7 +494,7 @@ class TestCounting:
             table = [rng.randint(0, 1) for _ in range(1 << len(used))]
             f = bdd_from_table(m, table, used)
             order = _reachable(f)
-            count = _counts(f, order)
+            count = _counts(f)
             assert (count[0], count[1]) == (0, 2**n)
             assert len(count) == max(f.i, 1) + 1  # a list indexed by id
             for u in order:
@@ -492,7 +508,7 @@ class TestCounting:
         for n in (0, 3, 70):
             m = Manager(n)
             for f in (m.false, m.true):
-                assert _counts(f, _reachable(f)) == [0, 2**n]
+                assert _counts(f) == [0, 2**n]
             assert (m.model_count(m.false), m.model_count(m.true)) == (0, 2**n)
 
     def test_terminal_marginals(self):
