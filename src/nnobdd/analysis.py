@@ -479,8 +479,9 @@ def fooling_complete(
     _check_instance(fill, n)
     pairs = dict(reason.literals if isinstance(reason, Explanation) else reason)
     for var, bit in pairs.items():
-        # a variable indexes lists below, so 1.0 is refused, not read as 1
-        integral = type(var) is int or isinstance(var, Integral)
+        # a variable indexes lists below, so 1.0 is refused, not read as 1, and
+        # so is True, as `compile_network`'s order_policy refuses it
+        integral = type(var) is int or (isinstance(var, Integral) and type(var) is not bool)
         if not (integral and 0 <= var < n) or bit not in (0, 1):
             raise ValueError("bad literal (%r, %r)" % (var, bit))
     literals = tuple(sorted(pairs.items()))

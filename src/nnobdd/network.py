@@ -139,14 +139,24 @@ Layer = Union[ConvStep, MaxPoolOr, DenseStep]
 Shape = tuple
 
 
-def _window_count(size: int, window: int, stride: int, what: str, layer: int):
-    if window > size:
-        raise ShapeError(
-            "layer %d: %s window %d exceeds input size %d" % (layer, what, window, size)
+def _window_grid(shape: Shape, window, stride: int, what: str, layer: int, notes: list[str]):
+    """Window positions down and across a grid ``shape``; notes the rows and
+    columns the last windows leave uncovered."""
+    counts, left = [], []
+    for size, span in zip(shape[2:], window):
+        if span > size:
+            raise ShapeError(
+                "layer %d: %s %d exceeds input size %d" % (layer, what, span, size)
+            )
+        steps = (size - span) // stride + 1
+        counts.append(steps)
+        left.append(size - (steps - 1) * stride - span)
+    if any(left):
+        notes.append(
+            "layer %d leaves %d rows and %d columns uncovered (no padding)"
+            % (layer, left[0], left[1])
         )
-    steps = (size - window) // stride + 1
-    covered = (steps - 1) * stride + window
-    return steps, size - covered
+    return counts[0], counts[1]
 
 
 def _trace(input_shape: tuple[int, int], layers: Sequence[Layer]):
@@ -158,33 +168,19 @@ def _trace(input_shape: tuple[int, int], layers: Sequence[Layer]):
         if isinstance(layer, ConvStep):
             if shape[0] != "grid":
                 raise ShapeError("layer %d: convolution over a flat input" % idx)
-            _, c, h, w = shape
             fc, fh, fw = layer.filters[0].shape
-            if fc != c:
+            if fc != shape[1]:
                 raise ShapeError(
-                    "layer %d: filters expect %d channels, input has %d" % (idx, fc, c)
+                    "layer %d: filters expect %d channels, input has %d"
+                    % (idx, fc, shape[1])
                 )
-            oh, left_h = _window_count(h, fh, layer.stride, "filter", idx)
-            ow, left_w = _window_count(w, fw, layer.stride, "filter", idx)
-            if left_h or left_w:
-                notes.append(
-                    "layer %d leaves %d rows and %d columns uncovered (no padding)"
-                    % (idx, left_h, left_w)
-                )
+            oh, ow = _window_grid(shape, (fh, fw), layer.stride, "filter window", idx, notes)
             shapes.append(("grid", len(layer.filters), oh, ow))
         elif isinstance(layer, MaxPoolOr):
             if shape[0] != "grid":
                 raise ShapeError("layer %d: pooling over a flat input" % idx)
-            _, c, h, w = shape
-            ph, pw = layer.window
-            oh, left_h = _window_count(h, ph, layer.stride, "pool window", idx)
-            ow, left_w = _window_count(w, pw, layer.stride, "pool window", idx)
-            if left_h or left_w:
-                notes.append(
-                    "layer %d leaves %d rows and %d columns uncovered (no padding)"
-                    % (idx, left_h, left_w)
-                )
-            shapes.append(("grid", c, oh, ow))
+            oh, ow = _window_grid(shape, layer.window, layer.stride, "pool window", idx, notes)
+            shapes.append(("grid", shape[1], oh, ow))
         elif isinstance(layer, DenseStep):
             width = _flat_width(shape)
             if len(layer.weights[0]) != width:

@@ -36,7 +36,7 @@ table: a level's cell functions ``[sum(w_j x_j, j >= i) >= t]`` fall as
 the residual t rises, so equal ones are runs of adjacent cells, and a
 cell can equal an older node only when both its children are older, so
 only such a cell is looked up.  The nodes are therefore appended to the
-node store and left out of the tables until a later lookup needs them.
+node store and left out of the table until a later lookup needs them.
 The cells, and so the work and the reduced node count, are at most
 ``n * (2W + 1)``, where W is the magnitude ``|T| + sum(|w|)``.
 """
@@ -51,7 +51,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .formats import PathOrFile, read_text, write_text
-from .obdd import _NO_TABLE, Manager, NodeRef
+from .obdd import Manager, NodeRef
 
 _INT_LIMIT = 2**63
 
@@ -222,7 +222,7 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
     other way round.  Time and memory follow the cells, never the size of
     the weights.  Each cell's node is ordered and reduced by construction,
     and it is appended to the node store without `_mk_id` and without a
-    unique-table insert: the call completes the manager's tables on entry
+    unique-table insert: the call completes the manager's table on entry
     and leaves its own nodes as the manager's pending suffix, indexed by
     the first later lookup that needs them, so a diagram that is only
     counted or grafted from (`precision_sweep`, `compile_network`'s
@@ -231,7 +231,7 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
     t rises, so equal ones form runs of adjacent cells, and equal
     functions have equal children, so a cell whose ``(lo, hi)`` equals the
     previous non-reduced cell's takes that cell's node.  An older node has
-    only older children, so a cell is looked up in variable k's table only
+    only older children, so a cell is looked up in the unique table only
     when both its children predate the call.  The budget is checked
     before each append; an abort leaves the nodes made so far pending and
     the manager usable.  The pass pops each level's residual list as it
@@ -260,14 +260,13 @@ def compile_pseudo(unit: IntThresholdUnit, manager: Manager) -> NodeRef:
     # here: a cell's children are next-level cells, terminals, or the
     # deeper node a reduced cell stands for.
     manager._index()
-    nodes, tables = manager._nodes, manager._unique
-    old = len(nodes)  # ids below this predate the call and sit in the tables
+    nodes, unique = manager._nodes, manager._unique
+    old = len(nodes)  # ids below this predate the call and sit in the table
     manager._unindexed = old
     prev: dict[int, int] = {}
     for i in range(n - 1, -1, -1):
         wi = w[i]
         lo_out, hi_out = (0, 1) if wi >= 0 else (1, 0)
-        unique = tables.get(i, _NO_TABLE)
         table: dict[int, int] = {}
         run = None  # the previous non-reduced cell's (i, lo, hi)
         for t in levels.pop():  # level i, freed once used

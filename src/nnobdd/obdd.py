@@ -1,23 +1,22 @@
 """Canonical reduced ordered binary decision diagrams.
 
-Nodes live in a per-manager store and are hash-consed through unique
-tables, one per variable, each made when its variable gets its first
-indexed node, with reduction (no node whose branches coincide) applied
-eagerly at construction.  As a consequence two handles produced by the
-same manager denote the same Boolean function if and only if they are
-equal, which is what makes validity and satisfiability checks plain
+Nodes live in a per-manager store and are hash-consed through one unique
+table per manager, with reduction (no node whose branches coincide)
+applied eagerly at construction.  As a consequence two handles produced
+by the same manager denote the same Boolean function if and only if they
+are equal, which is what makes validity and satisfiability checks plain
 comparisons against the terminals.  A node is always created after its
 children, so its id exceeds theirs and ascending ids are a topological
 order.
 
-The unique tables are an index completed on first lookup.  A builder that
+The unique table is an index completed on first lookup.  A builder that
 proves its own nodes distinct from each other and from every older node
 (`neuron.compile_pseudo` and `compose`'s graft) appends them to the store
 only, leaving a pending suffix of ids that `Manager._index` puts into the
-tables before the next lookup: `_mk_id` (and so every `ite`, `condition`,
+table before the next lookup: `_mk_id` (and so every `ite`, `condition`,
 `literal` and `read_obdd`), `compose`, `audit` and the next
 `compile_pseudo` call it first.  A diagram that is only counted, walked
-or grafted from never pays for its tables.
+or grafted from never pays for its entries.
 
 Every combining operation is one memoized if-then-else, `ite`: conjunction,
 disjunction, exclusive or and negation all reduce to it and share its
@@ -43,7 +42,7 @@ This module owns that abort: every budget check raises the error that
 A manager and every handle it produced must be confined to a single thread
 of control at a time.  Distinct managers are fully independent and may be
 used in parallel.  No operation ever mutates an existing diagram; the
-unique tables, their pending-suffix mark and the if-then-else cache are the
+unique table, its pending-suffix mark and the if-then-else cache are the
 only mutable state besides the node store.
 """
 
@@ -51,8 +50,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .formats import PathOrFile, read_text, write_text
 
@@ -91,9 +89,6 @@ def _check_bits(bits: Iterable, what: str = "instance bits") -> None:
 
 
 _OPS = ("and", "or", "xor")
-
-#: Stands in, read-only, for the unique table of a variable with no indexed node yet.
-_NO_TABLE: Mapping[tuple[int, int, int], int] = MappingProxyType({})
 
 
 class NodeRef:
@@ -238,24 +233,23 @@ def _counts(f: NodeRef) -> list[int]:
 
 
 class Manager:
-    """Node store, unique tables and ite cache for diagrams over a fixed variable order.
+    """Node store, unique table and ite cache for diagrams over a fixed variable order.
 
     Variables are the integers ``0 .. num_vars-1``; every edge goes from a
-    variable to a strictly larger variable or to a terminal.  Each variable
-    has its own unique table, ``_unique[var]``, made when that variable gets
-    its first indexed node, so a manager over any number of variables
-    starts with none; it maps the ``(var, lo, hi)`` tuple held in the node
-    store to the node's id.  The tables hold every node except a pending
-    suffix, the ids from ``_unindexed`` on (None when there is none), which
-    `compile_pseudo` and `compose` leave there; `_index` completes them,
-    and every lookup calls it first; `stats` counts both.  ``node_budget``,
-    when set, caps the total number of nodes ever allocated (terminals
-    included).  Queries keep no state here: a diagram's walk is kept on its
-    handle, and model counts are computed per call, over all the variables,
-    in one pass over that walk.  `true` and `false` make a new handle on
-    each access, so the manager holds none and is freed with its last
-    handle or reference; compare them with ``==`` or `NodeRef.is_true`,
-    never ``is``.
+    variable to a strictly larger variable or to a terminal.  The one
+    unique table, ``_unique``, maps the ``(var, lo, hi)`` tuple held in the
+    node store to the node's id, so a manager over any number of variables
+    allocates nothing per variable.  The table holds every node except a
+    pending suffix, the ids from ``_unindexed`` on (None when there is
+    none), which `compile_pseudo` and `compose` leave there; `_index`
+    completes it, and every lookup calls it first; `stats` counts both.
+    ``node_budget``, when set, caps the total number of nodes ever
+    allocated (terminals included).  Queries keep no state here: a
+    diagram's walk is kept on its handle, and model counts are computed per
+    call, over all the variables, in one pass over that walk.  `true` and
+    `false` make a new handle on each access, so the manager holds none and
+    is freed with its last handle or reference; compare them with ``==`` or
+    `NodeRef.is_true`, never ``is``.
     """
 
     def __init__(self, num_vars: int, node_budget: int | None = None):
@@ -270,9 +264,9 @@ class Manager:
             (num_vars, 0, 0),
             (num_vars, 1, 1),
         ]
-        # var -> that variable's unique table; see the class docstring
-        self._unique: dict[int, dict[tuple[int, int, int], int]] = {}
-        # first id of the suffix of nodes in no table yet, or None; see `_index`
+        # the tuple `_nodes` holds -> its id; see the class docstring
+        self._unique: dict[tuple[int, int, int], int] = {}
+        # first id of the suffix of nodes not in the table yet, or None; see `_index`
         self._unindexed: int | None = None
         self._ite_cache: dict[tuple[int, int, int], int] = {}
 
@@ -298,15 +292,16 @@ class Manager:
         """Structural counts, computed on call from the manager's state.
 
         ``allocated`` nodes (terminals included), of them ``pending`` in the
-        suffix no unique table holds yet and ``indexed`` in the tables (every
-        other nonterminal), and ``ite_entries`` in the if-then-else cache.
+        suffix the unique table does not hold yet and ``indexed`` in the
+        table (every other nonterminal), and ``ite_entries`` in the
+        if-then-else cache.
         """
         allocated = len(self._nodes)
         start = self._unindexed
         return {
             "allocated": allocated,
             "pending": 0 if start is None else allocated - start,
-            "indexed": sum(map(len, self._unique.values())),
+            "indexed": len(self._unique),
             "ite_entries": len(self._ite_cache),
         }
 
@@ -327,32 +322,25 @@ class Manager:
         if self._unindexed is not None:
             self._index()
         key = (var, lo, hi)
-        table = self._unique.get(var, _NO_TABLE)
-        u = table.get(key)
+        u = self._unique.get(key)
         if u is None:
             u = len(nodes)
             if self.node_budget is not None and u >= self.node_budget:
                 raise self._exhausted()
             nodes.append(key)
-            if table is _NO_TABLE:
-                table = self._unique[var] = {}
-            table[key] = u
+            self._unique[key] = u
         return u
 
     def _index(self) -> None:
-        """Complete the unique tables: put the pending suffix of nodes, from id
-        ``_unindexed`` on, into their variables' tables, in id order."""
+        """Complete the unique table: put the pending suffix of nodes, from id
+        ``_unindexed`` on, into it, in id order."""
         start = self._unindexed
         if start is None:
             return
         self._unindexed = None
-        nodes, tables = self._nodes, self._unique
+        nodes, unique = self._nodes, self._unique
         for u in range(start, len(nodes)):
-            key = nodes[u]
-            table = tables.get(key[0])
-            if table is None:
-                table = tables[key[0]] = {}
-            table[key] = u
+            unique[nodes[u]] = u
 
     def _exhausted(self, cells: int | None = None) -> BudgetExceededError:
         """The error every budget check raises; ``cells`` counts the work items
@@ -478,9 +466,9 @@ class Manager:
         both g and h, the result is s with TRUE replaced by g and FALSE by
         h, built from a plan of s's nodes made once per distinct s.  The
         copies are ordered and reduced, so they skip `_mk_id`'s checks, and
-        they are appended as the pending suffix, in no unique table: only a
-        copy whose two children predate its graft is looked up, the first
-        copies above the terminals of s.  A budget abort leaves the copies
+        they are appended as the pending suffix, out of the unique table:
+        only a copy whose two children predate its graft is looked up, the
+        first copies above the terminals of s.  A budget abort leaves the copies
         made so far pending and the manager usable.
         """
         if not isinstance(f, NodeRef):
@@ -494,7 +482,7 @@ class Manager:
         for s in subs:
             self._own(s)
         self._index()  # the graft's lookups must see earlier calls' pending nodes
-        nodes, tables, budget = self._nodes, self._unique, self.node_budget
+        nodes, unique, budget = self._nodes, self._unique, self.node_budget
         start = len(nodes)  # ids from here on are this call's copies
         # the pending copies made since the last `_index` after a lookup missed
         made: dict[tuple[int, int, int], int] = {}
@@ -523,15 +511,14 @@ class Manager:
                     # Copies skip _mk_id's checks, which cannot fail here: every
                     # variable of s comes before the top variables of g and h, so
                     # each copy is ordered, and g != h makes the map from s's
-                    # nodes to copies injective, so no copy has lo == hi.  Each
-                    # copy's variable has a table already: s has a node there.
-                    # Copies are appended pending, in no table.  One with a child
-                    # made in this step (from `mark` on) is new, as no older node
-                    # has a newer child.  One whose children both predate the step
-                    # is looked up in its table, complete up to the last `_index`,
-                    # then in `made`.  A hit made by this call may lead on to a
-                    # copy that an earlier step made new, in neither index, so it
-                    # completes the tables first.
+                    # nodes to copies injective, so no copy has lo == hi.
+                    # Copies are appended pending, not in the table.  One with a
+                    # child made in this step (from `mark` on) is new, as no older
+                    # node has a newer child.  One whose children both predate the
+                    # step is looked up in the table, complete up to the last
+                    # `_index`, then in `made`.  A hit made by this call may lead
+                    # on to a copy that an earlier step made new, in neither
+                    # index, so it completes the table first.
                     mark = w = len(nodes)  # w: the next copy's id
                     if self._unindexed is None:
                         self._unindexed = mark
@@ -541,7 +528,7 @@ class Manager:
                         hi = new[b]
                         key = (v, lo, hi)
                         if lo < mark and hi < mark:
-                            found = tables[v].get(key) or made.get(key)
+                            found = unique.get(key) or made.get(key)
                             if found is not None:
                                 if found >= start:
                                     self._index()
@@ -632,7 +619,7 @@ class Manager:
                 raise OBDDError("node %d is not reduced" % u)
             if var >= nodes[lo][0] or var >= nodes[hi][0]:
                 raise OBDDError("node %d violates the variable order" % u)
-            if self._unique.get(var, _NO_TABLE).get((var, lo, hi)) != u:
+            if self._unique.get((var, lo, hi)) != u:
                 raise OBDDError("node %d is not hash-consed" % u)
 
 

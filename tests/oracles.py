@@ -212,31 +212,27 @@ def residual_levels(unit) -> list[set[int]]:
 
 
 def check_unique_tables(manager) -> None:
-    """No id of the pending suffix (from ``_unindexed`` on) sits in a table;
-    then, once `_index` has completed them, every node id in
-    ``2..allocated-1`` sits exactly once, under its own ``(var, lo, hi)``
-    tuple, in its own variable's table; no table is empty or holds anything
-    else."""
+    """No id of the pending suffix (from ``_unindexed`` on) sits in the
+    unique table; then, once `_index` has completed it, every node id in
+    ``2..allocated-1`` sits in it exactly once, under the very ``(var, lo,
+    hi)`` tuple the node store holds, and it holds nothing else."""
     nodes = manager._nodes
     start = manager._unindexed
     if start is not None:
         assert 2 <= start <= len(nodes), start
-        for table in manager._unique.values():
-            assert all(u < start for u in table.values()), start
+        assert all(u < start for u in manager._unique.values()), start
     manager._index()
     assert manager._unindexed is None
     held = []
-    for var, table in manager._unique.items():
-        assert table, "variable %d has an empty table" % var
-        for key, u in table.items():
-            assert 2 <= u < len(nodes) and nodes[u] is key and key[0] == var, (var, key, u)
-            held.append(u)
+    for key, u in manager._unique.items():
+        assert 2 <= u < len(nodes) and nodes[u] is key, (key, u)
+        held.append(u)
     assert sorted(held) == list(range(2, len(nodes)))
 
 
 def index_spy(monkeypatch) -> list[tuple[Manager, int]]:
     """Wrap `Manager._index` to record, per call, the manager and how many
-    pending nodes it puts into that manager's unique tables."""
+    pending nodes it puts into that manager's unique table."""
     calls = []
     index = Manager._index
 

@@ -723,13 +723,18 @@ class TestFooling:
             fooling_complete(f, {0: 0}, (0, 0))
 
     @pytest.mark.parametrize(
-        "var", [1.0, 0.5, -1, 2, "0", None],
-        ids=["float-one", "half", "negative", "past-the-end", "string", "none"],
+        "var", [1.0, 0.5, -1, 2, "0", None, True],
+        ids=["float-one", "half", "negative", "past-the-end", "string", "none", "bool"],
     )
     def test_literal_variables_must_index_the_instance(self, var):
         _, f = or2()
         with pytest.raises(ValueError, match="^bad literal"):
             fooling_complete(f, {var: 1}, (0, 0))
+
+    def test_numpy_int_variables_are_accepted(self):
+        np = pytest.importorskip("numpy")
+        _, f = or2()
+        assert fooling_complete(f, {np.int64(1): 1}, (0, 0)) == (0, 1)
 
 
 class TestKeptProof:

@@ -63,6 +63,29 @@ class TestShapes:
         with pytest.raises(ShapeError):
             NetworkSpec((2, 2), (conv_layer(((1.0,) * 3,) * 3, 0.0, 1),))
 
+    @pytest.mark.parametrize(
+        "layer, what",
+        [
+            (conv_layer(((1.0,) * 3,) * 3, 0.0, 1), "filter window"),
+            (MaxPoolOr((3, 3), 1), "pool window"),
+        ],
+        ids=["conv", "pool"],
+    )
+    def test_window_geometry_texts(self, layer, what):
+        with pytest.raises(ShapeError) as exc:
+            NetworkSpec((2, 2), (layer,))
+        assert str(exc.value) == "layer 1: %s 3 exceeds input size 2" % what
+        half = (
+            conv_layer(((0.5,) * 2,) * 2, -1.0, 2)
+            if isinstance(layer, ConvStep)
+            else MaxPoolOr((2, 2), 2)
+        )
+        spec = NetworkSpec((5, 5), (half,))
+        assert spec.shapes[-1] == ("grid", 1, 2, 2)
+        assert spec.coverage_notes == (
+            "layer 1 leaves 1 rows and 1 columns uncovered (no padding)",
+        )
+
     def test_conv_after_dense_rejected(self):
         with pytest.raises(ShapeError, match="layer 2"):
             NetworkSpec(
@@ -618,7 +641,7 @@ class TestComposeGraftsBlockOrder:
 
 class TestComposePending:
     """Every compose of a block-order net grafts, and leaves its copies out of
-    the unique tables until a later lookup needs them."""
+    the unique table until a later lookup needs them."""
 
     @pytest.mark.parametrize("site", ["ite", "read", "audit"])
     def test_copies_stay_pending_until_a_lookup(self, monkeypatch, site):

@@ -308,7 +308,7 @@ class TestForwardPass:
 
 
 class TestCompilePseudoTable:
-    """Cells are appended to the node store and stay out of the unique tables
+    """Cells are appended to the node store and stay out of the unique table
     until a lookup needs them: counts, reuse, memory and budget."""
 
     def test_fresh_manager_holds_only_the_root_diagram(self):
@@ -366,8 +366,8 @@ class TestCompilePseudoTable:
             compile_pseudo(unit, m)
         assert m.allocated == m.node_budget  # five nodes made, the sixth refused
         assert m._unique == {} and m._unindexed == 2  # the made suffix is pending
-        check_unique_tables(m)  # levels 5..1 hold one node each, level 0 has no table
-        assert sorted(m._unique) == [1, 2, 3, 4, 5]
+        check_unique_tables(m)  # one node on each of levels 5..1, none on level 0
+        assert sorted(key[0] for key in m._unique) == [1, 2, 3, 4, 5]
         with pytest.raises(BudgetExceededError) as direct:
             m.literal(0)  # a new node through _mk_id
         check_unique_tables(m)
@@ -415,7 +415,7 @@ class TestCompilePseudoTable:
 
 
 class TestPendingIndex:
-    """Every lookup completes the unique tables first.  After `compile_pseudo`,
+    """Every lookup completes the unique table first.  After `compile_pseudo`,
     finished or aborted by the budget, each lookup site returns the pending
     node it asks for: a missed `_index` would make a duplicate node and break
     equality by id."""
@@ -467,8 +467,9 @@ class TestPendingIndex:
 
     @classmethod
     def build(cls, budget=None):
-        """A manager holding the parity of its inputs (indexed, 31 nodes), then
-        the unit's diagram or, under ``budget``, part of it (pending)."""
+        """A manager holding the parity of its inputs (a 21-node diagram; 122
+        nodes indexed with the steps that built it), then the unit's diagram
+        or, under ``budget``, part of it (pending)."""
         m = Manager(cls.UNIT.arity, node_budget=budget)
         parity = m.false
         for v in range(m.num_vars):
@@ -478,7 +479,8 @@ class TestPendingIndex:
             compile_pseudo(cls.UNIT, m)
         except BudgetExceededError:
             assert budget is not None
-        assert m._unindexed == start and len(m._unique) == m.num_vars
+        assert m.node_count(parity) == 2 * m.num_vars - 1
+        assert m._unindexed == start and len(m._unique) == start - 2 == 122
         return m, start
 
     @pytest.mark.parametrize("aborted", [False, True], ids=["finished", "aborted"])
@@ -486,7 +488,7 @@ class TestPendingIndex:
     def test_each_site_finds_the_pending_node(self, site, aborted):
         unit, n = self.UNIT, self.UNIT.arity
         ref, start = self.build()
-        _, cells = exact_cells(unit, ref)  # looked up in ref's completed tables
+        _, cells = exact_cells(unit, ref)  # looked up in ref's completed table
         assert len(cells) == 63 and ref.allocated - start == 54
         m, _ = self.build(start + 30 if aborted else None)  # 63 cells fit the budget
         assert m._nodes == ref._nodes[: m.allocated]

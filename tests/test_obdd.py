@@ -388,9 +388,9 @@ class TestComposeGraftTable:
         # three placeholder nodes graft with TRUE -> x9 and FALSE -> FALSE, in
         # turn onto x7, x5 ? x6 & x8 : x7 and x6 & x8.  The second makes the
         # copy x8 & x9, then meets the first's x7 & x9 and completes the
-        # tables, then makes (x6 & x8) & x9 new on top of x8 & x9.  The third
-        # finds x8 & x9 in its table, and then (x6 & x8) & x9, which is in
-        # neither index unless finding x8 & x9 completes the tables again
+        # table, then makes (x6 & x8) & x9 new on top of x8 & x9.  The third
+        # finds x8 & x9 in the table, and then (x6 & x8) & x9, which is in
+        # neither index unless finding x8 & x9 completes the table again
         holes = Manager(6)
         base = Manager(10)
         a = holes.literal(5)
@@ -814,7 +814,7 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             m.literal(0)
         check_unique_tables(m)
-        assert list(m._unique) == [2]
+        assert m._unique == {(2, 0, 1): 2}  # only literal(2)'s node
 
     def test_budget_must_fit_terminals(self):
         with pytest.raises(ValueError):
@@ -822,7 +822,7 @@ class TestBudget:
 
 
 class TestUniqueTables:
-    def test_a_table_is_made_on_a_variables_first_node(self):
+    def test_a_wide_manager_allocates_nothing_per_variable(self):
         tracemalloc.start()
         try:
             m = Manager(10**8)
@@ -832,7 +832,7 @@ class TestUniqueTables:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16  # nothing allocated per variable
-        assert list(f.manager._unique) == [99999999]
+        assert f.manager._unique == {(99999999, 0, 1): 2}  # one entry, for the file's node
         check_unique_tables(f.manager)
         assert f == f.manager.literal(99999999)
 

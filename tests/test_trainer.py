@@ -207,7 +207,7 @@ class TestPrecisionSweep:
         assert live == [1] * 7
 
     def test_sweep_never_indexes_a_node(self, monkeypatch):
-        # the rows read only `allocated`, so the nodes stay out of the tables
+        # the rows read only `allocated`, so the nodes stay out of the table
         indexed = index_spy(monkeypatch)
         managers = []
         compile_at = trainer.compile_pseudo
